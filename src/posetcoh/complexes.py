@@ -7,6 +7,10 @@ generators, and their relation lattice is again a kernel projection.  The
 generator-to-cycle matrix is kept, so cocycles can be expressed in homology
 coordinates and homology classes lifted back; that is exactly what an induced
 map between two complexes needs.
+
+Order complexes are complexes of free groups with +1/-1 boundary entries and
+need no lifts, so their homology is read off the rank and torsion of each
+sparse boundary matrix (`rank_and_torsion`) instead.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .groups import (
     homs_equal,
     is_zero_hom,
 )
-from .linalg import IntMatrix, snf
+from .linalg import IntMatrix, rank_and_torsion, snf
 
 
 class ComplexError(ValueError):
@@ -50,24 +54,9 @@ class ProductGroup:
         rel = IntMatrix.block_diag([f.relations for f in factors]) if factors else None
         self.group = PresentedAbGroup(total, rel)
 
-    @classmethod
-    def zero(cls):
-        return cls((), ())
-
     def coordinate_range(self, k):
         start = self.offsets[k]
         return range(start, start + self.factors[k].generators)
-
-    def position(self, name):
-        return self.names.index(name)
-
-    def projection(self, k):
-        rows = [
-            [1 if j == i else 0 for j in range(self.group.generators)]
-            for i in self.coordinate_range(k)
-        ]
-        matrix = IntMatrix(self.factors[k].generators, self.group.generators, rows)
-        return GroupHom(self.group, self.factors[k], matrix)
 
     def __len__(self):
         return len(self.factors)
@@ -138,9 +127,6 @@ class HomologyData:
 
     def lift(self, j):
         return self.cycles.column(j)
-
-    def lift_combination(self, vector):
-        return self.cycles.apply(vector)
 
     def coordinates(self, cycle_vector):
         """Express a middle-group cycle as a vector on homology generators."""
@@ -219,7 +205,8 @@ def induced_on_homology(chain_map, n):
         else IntMatrix.zero(tgt.group.generators, 0)
     )
     hom = GroupHom(src.group, tgt.group, matrix)
-    assert hom_well_defined(hom)
+    if not hom_well_defined(hom):
+        raise ComplexError("induced map on degree %d homology is not well defined" % n)
     return hom
 
 
@@ -229,31 +216,47 @@ def simplicial_homology(chain_sets, n):
     `chain_sets` lists the ChainSets of an order complex by degree; boundaries
     are alternating sums of face deletions.
     """
-    if n < 0 or n >= len(chain_sets) or len(chain_sets[n]) == 0:
-        return CanonicalGroup(0)
-    d_out = _boundary_hom(chain_sets, n)
-    d_in = _boundary_hom(chain_sets, n + 1)
-    if d_in is None:
-        top = PresentedAbGroup.free(len(chain_sets[n]))
-        d_in = GroupHom.zero(PresentedAbGroup.zero(), top)
-    return canonical_form(homology_at(d_in, d_out).group)
+    return _order_complex_homology(chain_sets)(n)
 
 
-def _boundary_hom(chain_sets, n):
-    """Boundary from degree n to degree n-1, or None when degree n is absent."""
-    if n >= len(chain_sets) or len(chain_sets[n]) == 0:
-        return None
-    source = PresentedAbGroup.free(len(chain_sets[n]))
-    if n == 0:
-        return GroupHom.zero(source, PresentedAbGroup.zero())
+def _boundary_columns(chain_sets, n):
+    """The boundary from degree n >= 1 to degree n-1 as sparse columns.
+
+    Column k is {face index: sign} for the k-th n-chain; the faces of a strict
+    chain are distinct, so every entry is +1 or -1.
+    """
     below = {chain: k for k, chain in enumerate(chain_sets[n - 1].chains)}
-    target = PresentedAbGroup.free(len(chain_sets[n - 1]))
-    data = [[0] * source.generators for _ in range(target.generators)]
-    for col, chain in enumerate(chain_sets[n].chains):
-        for i in range(n + 1):
-            face = chain[:i] + chain[i + 1 :]
-            data[below[face]][col] += (-1) ** i
-    return GroupHom(source, target, IntMatrix(target.generators, source.generators, data))
+    return [
+        {below[chain[:i] + chain[i + 1 :]]: (-1) ** i for i in range(n + 1)}
+        for chain in chain_sets[n].chains
+    ]
+
+
+def _order_complex_homology(chain_sets):
+    """H_n as a function of n, reducing each boundary at most once.
+
+    With c_n chains in degree n, H_n = Z^(c_n - rk d_n - rk d_(n+1)) plus the
+    torsion of d_(n+1), the boundary into degree n; boundaries are reduced on
+    first use, so a caller that stops early never builds the higher ones.
+    """
+    reduced = {}
+
+    def boundary(k):
+        if k not in reduced:
+            if k == 0 or k >= len(chain_sets):
+                reduced[k] = (0, ())
+            else:
+                reduced[k] = rank_and_torsion(_boundary_columns(chain_sets, k))
+        return reduced[k]
+
+    def homology(n):
+        if n < 0 or n >= len(chain_sets) or len(chain_sets[n]) == 0:
+            return CanonicalGroup(0)
+        rank_out = boundary(n)[0]
+        rank_in, torsion = boundary(n + 1)
+        return CanonicalGroup(len(chain_sets[n]) - rank_out - rank_in, torsion)
+
+    return homology
 
 
 class AcyclicityVerdict:
@@ -285,36 +288,24 @@ def acyclicity_check(poset, shortcuts=True):
     A disconnected comparability graph fails at degree 0 before any matrix
     work; a least element makes the complex a cone and, with shortcuts on,
     settles the verdict without homology.  Otherwise H_n is computed for all
-    degrees up to the longest chain length (it vanishes above).
+    degrees up to the longest chain length (it vanishes above), each boundary
+    matrix built and reduced at most once.
     """
-    from .poset import chains
+    from .poset import chains, components
 
+    parts = components(poset)
+    if len(parts) > 1:
+        return AcyclicityVerdict(False, 0, CanonicalGroup(len(parts)), via="components")
     n = len(poset.elements)
-    seen = set()
-    components = 0
-    for start in range(n):
-        if start in seen:
-            continue
-        components += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            i = stack.pop()
-            for j in poset.down[i] | poset.up[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-    if components > 1:
-        return AcyclicityVerdict(False, 0, CanonicalGroup(components), via="components")
     if shortcuts:
         for i in range(n):
             if len(poset.up[i]) == n:
                 return AcyclicityVerdict(True, via="least-element")
     height = poset.height()
-    complex_chains = [chains(poset, k) for k in range(height + 1)]
+    homology = _order_complex_homology([chains(poset, k) for k in range(height + 1)])
     start = 0 if not shortcuts else 1
     for degree in range(start, height + 1):
-        h = simplicial_homology(complex_chains, degree)
+        h = homology(degree)
         expected = CanonicalGroup(1) if degree == 0 else CanonicalGroup(0)
         if h != expected:
             return AcyclicityVerdict(False, degree, h)

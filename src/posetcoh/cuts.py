@@ -10,7 +10,7 @@ any homology work and can be disabled for a full recheck.
 from __future__ import annotations
 
 from .complexes import acyclicity_check
-from .poset import IntersectionPoset, PosetError, bounds, induced_subposet
+from .poset import IntersectionPoset, PosetError, bounds, components, induced_subposet
 
 
 class Cut:
@@ -37,8 +37,15 @@ def enumerate_cuts(P):
         upper = bounds(P, node, "upper")
         # the witness generates the lower half, so it sits inside the upper
         # half and rules out an empty upper section
-        assert set(intersection.witnesses[k]) <= set(upper.indices)
-        assert bounds(P, upper, "lower").indices == node.indices
+        if not set(intersection.witnesses[k]) <= upper.indices:
+            raise PosetError(
+                "cut %s: witness lies outside the upper half" % node.canonical_name()
+            )
+        if bounds(P, upper, "lower").indices != node.indices:
+            raise PosetError(
+                "cut %s: upper half does not close back to the lower half"
+                % node.canonical_name()
+            )
         cuts.append(Cut(node, upper, intersection.witnesses[k]))
     return cuts
 
@@ -58,35 +65,17 @@ class CriterionReport:
         self.cuts_examined = cuts_examined
         self.failures = list(failures)
         self.shortcut = shortcut
-        assert (verdict == "FAIL") == bool(self.failures)
+        if (verdict == "FAIL") != bool(self.failures):
+            raise PosetError(
+                "criterion verdict %s with %d failing cuts" % (verdict, len(self.failures))
+            )
 
     def __bool__(self):
         return self.verdict == "PASS"
 
 
-def _components(P):
-    n = len(P.elements)
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in P.down[i] | P.up[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        out.append(sorted(comp))
-    return out
-
-
 def _components_upward_directed(P):
-    for comp in _components(P):
+    for comp in components(P):
         for a in comp:
             for b in comp:
                 if a < b and not bounds(P, (a, b), "upper").indices:

@@ -332,7 +332,10 @@ def sheafify_value(F, subset):
     for i in indices:
         rows = cone.cycles.take_rows(list(product.coordinate_range(pos[i])))
         projections[i] = GroupHom(cone.group, F.value(i), rows)
-        assert hom_well_defined(projections[i])
+        if not hom_well_defined(projections[i]):
+            raise DiagramError(
+                "section projection to %s is not well defined" % F.base.elements[i]
+            )
     return LimitCone(cone.group, projections, cone)
 
 

@@ -3,8 +3,10 @@
 Everything downstream (group presentations, homology, derived limits) reduces
 to three primitives over the integers: the Smith normal form of a matrix with
 unimodular row and column transforms, solving M x = b over the integers, and
-computing a lattice basis of a kernel.  Arbitrary-precision ints are used
-throughout; there is no floating point anywhere in this package.
+computing a lattice basis of a kernel.  Where only the isomorphism class of
+a homology group is wanted, `rank_and_torsion` reads rank and invariant
+factors off a sparse matrix without any transforms.  Arbitrary-precision ints
+are used throughout; there is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -321,6 +323,85 @@ def snf(M):
         IntMatrix(m, n, A),
         IntMatrix(n, n, V),
     )
+
+
+def rank_and_torsion(columns):
+    """Rank and invariant factors > 1 of a matrix given as sparse columns.
+
+    Each column is a dict {row: nonzero int}.  Pivots equal to +1 or -1 are
+    eliminated first: the pivot row is one with the fewest nonzeros among
+    rows holding a unit, so the column updates (and their fill-in) stay
+    small.  A unit pivot splits off an invariant factor 1 without changing
+    the others, so whatever remains once no unit entry is left -- usually
+    nothing -- goes to `snf` for its factors.  No transforms are kept.
+
+    >>> rank_and_torsion([{0: 2, 1: 1}, {0: 4, 1: 2}])
+    (1, ())
+    >>> rank_and_torsion([{0: 2}, {1: 3}])
+    (2, (6,))
+    """
+    cols = [dict(c) for c in columns if c]
+    row_cols = {}
+    for k, col in enumerate(cols):
+        for i in col:
+            row_cols.setdefault(i, set()).add(k)
+    # rows by nonzero count; an entry goes stale when its row changes and is
+    # filed again under its new count
+    waiting = [[] for _ in range(len(cols) + 1)]
+    for i, ks in row_cols.items():
+        waiting[len(ks)].append(i)
+    count = 1
+    rank = 0
+    while count < len(waiting):
+        if not waiting[count]:
+            count += 1
+            continue
+        r = waiting[count].pop()
+        ks = row_cols.get(r)
+        if ks is None or len(ks) != count:
+            continue
+        units = [k for k in ks if cols[k][r] in (1, -1)]
+        if not units:
+            continue  # filed again if a later update touches it
+        c = min(units, key=lambda k: (len(cols[k]), k))
+        pivot = cols[c]
+        cols[c] = None
+        sign = pivot[r]
+        # clear row r from every other column; only pivot rows change
+        for k in ks:
+            if k == c:
+                continue
+            col = cols[k]
+            f = col[r] * sign
+            for i, v in pivot.items():
+                w = col.get(i, 0) - f * v
+                if w:
+                    if i not in col:
+                        row_cols[i].add(k)
+                    col[i] = w
+                else:
+                    del col[i]
+                    if i != r:
+                        row_cols[i].discard(k)
+        del row_cols[r]
+        rank += 1
+        for i in pivot:
+            if i == r:
+                continue
+            ks_i = row_cols[i]
+            ks_i.discard(c)
+            if ks_i:
+                waiting[len(ks_i)].append(i)
+                count = min(count, len(ks_i))
+            else:
+                del row_cols[i]
+    residual = [c for c in cols if c]
+    if not residual:
+        return rank, ()
+    rows = sorted(row_cols)
+    dense = [[col.get(i, 0) for i in rows] for col in residual]
+    factors = snf(IntMatrix.from_columns(dense, nrows=len(rows))).invariant_factors()
+    return rank + len(factors), tuple(d for d in factors if d > 1)
 
 
 def solve(M, b):

@@ -107,9 +107,6 @@ class Poset:
     def subset(self, indices):
         return Subset(self, indices)
 
-    def full_subset(self):
-        return Subset(self, range(len(self.elements)))
-
 
 class Subset:
     """An immutable subset of a poset's elements, compared by value."""
@@ -217,7 +214,11 @@ class IntersectionPoset:
             for j in range(len(base.elements)):
                 if base.leq(i, j):
                     a, b = self.lambda_map[i], self.lambda_map[j]
-                    assert self.poset.leq(a, b) and (i == j or a != b)
+                    if not self.poset.leq(a, b) or (i != j and a == b):
+                        raise PosetError(
+                            "intersection poset does not embed %r <= %r"
+                            % (base.elements[i], base.elements[j])
+                        )
 
     def node_of(self, member_indices):
         """Node index whose member set equals the given base indices, if any."""
@@ -274,6 +275,31 @@ def chains(poset, n):
     for c0 in range(size):
         extend([c0], c0)
     return ChainSet(poset, n, out)
+
+
+def components(poset):
+    """Connected components of the comparability graph, as sorted index lists.
+
+    Components are listed by their smallest element index.
+    """
+    n = len(poset.elements)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        comp = []
+        stack = [start]
+        seen[start] = True
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in poset.down[i] | poset.up[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        out.append(sorted(comp))
+    return out
 
 
 def induced_subposet(poset, subset):

@@ -11,7 +11,13 @@ pass8      8-element poset whose cuts all have acyclic upper sections.
 pass7      7-element poset, same verdict, no helpful semilattice structure.
 cells9     face-style 9-element poset with a cut whose upper section is the
            2-antichain {0, 1}; the agreement criterion fails on it.
+projective_plane
+           face poset of the 6-vertex triangulation of the real projective
+           plane (6 vertices, 15 edges, 10 triangles); its order complex is
+           the barycentric subdivision, with H_1 = Z/2.
 """
+
+import itertools
 
 from posetcoh.poset import parse_poset
 
@@ -70,6 +76,19 @@ CELLS9_DOC = {
 }
 
 
+RP2_TRIANGLES = ["123", "126", "134", "145", "156", "235", "245", "246", "346", "356"]
+
+
+def _projective_plane_doc():
+    edges = sorted({"".join(e) for t in RP2_TRIANGLES for e in itertools.combinations(t, 2)})
+    vertices = sorted(set("".join(RP2_TRIANGLES)))
+    relations = [[v, e] for e in edges for v in e]
+    relations += [
+        ["".join(e), t] for t in RP2_TRIANGLES for e in itertools.combinations(t, 2)
+    ]
+    return {"elements": vertices + edges + RP2_TRIANGLES, "relations": relations}
+
+
 def point():
     return parse_poset(POINT_DOC)
 
@@ -100,6 +119,10 @@ def pass7():
 
 def cells9():
     return parse_poset(CELLS9_DOC)
+
+
+def projective_plane():
+    return parse_poset(_projective_plane_doc())
 
 
 # Presheaf documents on the square poset's intersection poset, whose five

@@ -1,8 +1,10 @@
 import random
 
-from posetcoh.cuts import criterion, enumerate_cuts, upper_section_acyclicity
+import pytest
+
+from posetcoh.cuts import CriterionReport, criterion, enumerate_cuts, upper_section_acyclicity
 from posetcoh.groups import CanonicalGroup
-from posetcoh.poset import bounds, parse_poset, random_poset
+from posetcoh.poset import PosetError, bounds, parse_poset, random_poset
 
 import builders
 from oracles import brute_force_cuts
@@ -128,3 +130,8 @@ def test_directed_and_semilattice_posets_pass():
         assert report.verdict == "PASS"
         assert report.shortcut == "directed-components"
         assert criterion(coned, shortcuts=False).verdict == "PASS"
+
+
+def test_criterion_report_rejects_fail_without_failures():
+    with pytest.raises(PosetError, match="FAIL with 0 failing cuts"):
+        CriterionReport("FAIL", 1, [], "none")

@@ -5,6 +5,7 @@ from posetcoh.linalg import (
     determinant,
     is_unimodular,
     kernel_basis,
+    rank_and_torsion,
     snf,
     solve,
 )
@@ -140,3 +141,34 @@ def test_matrix_utilities():
     assert IntMatrix.block_diag([A, B]).rows == 4
     assert (A - A).is_zero()
     assert IntMatrix.from_columns([(1, 3), (2, 4)]) == A
+
+
+def sparse_columns(M):
+    return [{i: M[i, j] for i in range(M.rows) if M[i, j]} for j in range(M.cols)]
+
+
+def test_rank_and_torsion_edge_cases():
+    assert rank_and_torsion([]) == (0, ())
+    assert rank_and_torsion([{}, {}]) == (0, ())
+    # no unit entry anywhere: everything goes to the residual Smith form
+    assert rank_and_torsion(sparse_columns(IntMatrix.from_rows([[2, 4], [6, 8]]))) == (2, (2, 4))
+    # a unit pivot whose update leaves the only torsion behind
+    assert rank_and_torsion([{0: 1, 1: 1}, {0: 1, 1: -1}]) == (2, (2,))
+
+
+def test_rank_and_torsion_matches_snf_and_minors():
+    rng = random.Random(59)
+    for trial in range(400):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        scale = rng.choice([1, 1, 2, 3])
+        density = rng.random()
+        rows = [
+            [scale * rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+        M = IntMatrix(m, n, rows)
+        factors = snf(M).invariant_factors()
+        expected = (len(factors), tuple(d for d in factors if d > 1))
+        assert rank_and_torsion(sparse_columns(M)) == expected, rows
+        if max(m, n) <= 4:
+            assert factors == invariant_factors_by_minors(M)

@@ -6,6 +6,7 @@ from posetcoh.poset import (
     PosetError,
     bounds,
     chains,
+    components,
     induced_subposet,
     intersection_poset,
     parse_poset,
@@ -149,6 +150,14 @@ def test_chains_edge_cases():
     assert len(chains(P, P.height())) > 0
     assert len(chains(P, P.height() + 1)) == 0
     assert list(chains(P, 0)) == [(i,) for i in range(len(P))]
+
+
+def test_components():
+    assert components(builders.zigzag()) == [[0, 1, 2, 3]]
+    P = parse_poset(
+        {"elements": ["a", "b", "c", "d"], "relations": [["a", "c"], ["b", "d"]]}
+    )
+    assert components(P) == [[0, 2], [1, 3]]
 
 
 def test_chains_deterministic_order():
