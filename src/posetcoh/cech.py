@@ -12,6 +12,8 @@ to the Cech groups.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .complexes import ChainMap, Complex, ProductGroup, induced_on_homology
 from .diagrams import (
     Diagram,
@@ -69,33 +71,27 @@ class Presheaf:
 
         A cochain on strictly decreasing node chains is read off on the chains
         of principal opens; every block is an identity because the coordinate
-        groups agree.  Commutation with both differentials is asserted in all
-        degrees before any induced map is taken.
+        groups agree.  `ChainMap` checks commutation with both differentials
+        in all degrees when it is built, before any induced map is taken.
         """
         if self._rho is None:
             source = self.cech_complex()
             target = self.topos_complex()
             lam = self.intersection.lambda_map
             maps = []
-            for n in range(len(source.groups)):
+            for n, src in enumerate(source.groups):
                 if n > target.top_degree():
-                    maps.append(
-                        GroupHom.zero(source.groups[n].group, PresentedAbGroup.zero())
-                    )
+                    maps.append(GroupHom.zero(src.group, PresentedAbGroup.zero()))
                     continue
-                src, tgt = source.groups[n], target.groups[n]
-                node_chains = chains(self.intersection.poset, n)
-                position = {c: k for k, c in enumerate(node_chains.chains)}
-                data = [[0] * src.group.generators for _ in range(tgt.group.generators)]
-                for row_k, chain in enumerate(chains(self.space, n).chains):
-                    col_k = position[tuple(lam[i] for i in chain)]
-                    block = self.diagram.value(lam[chain[-1]]).generators
-                    for t in range(block):
-                        data[tgt.offsets[row_k] + t][src.offsets[col_k] + t] = 1
-                matrix = IntMatrix(tgt.group.generators, src.group.generators, data)
-                maps.append(GroupHom(src.group, tgt.group, matrix))
+                position = {
+                    c: k for k, c in enumerate(chains(self.intersection.poset, n).chains)
+                }
+                blocks = (
+                    (row, position[tuple(lam[i] for i in chain)], 1, None)
+                    for row, chain in enumerate(chains(self.space, n).chains)
+                )
+                maps.append(src.hom_to(target.groups[n], blocks))
             rho = ChainMap(source, target, maps)
-            rho.verify()
             self._rho = rho
         return self._rho
 
@@ -149,7 +145,7 @@ def cech_ordered_complex(presheaf, order=None):
     degree = 0
     while True:
         here = []
-        for tup in _increasing_tuples(sequence, degree + 1):
+        for tup in combinations(sequence, degree + 1):
             node = meet(tup)
             if node is not None:
                 here.append((tup, node))
@@ -162,39 +158,26 @@ def cech_ordered_complex(presheaf, order=None):
     for here in levels:
         names = ["&".join(space.elements[i] for i in tup) for tup, _ in here]
         groups.append(ProductGroup(names, [presheaf.node_value(w) for _, w in here]))
-    diffs = []
-    for n in range(len(levels) - 1):
-        src, tgt = groups[n], groups[n + 1]
-        position = {tup: k for k, (tup, _) in enumerate(levels[n])}
-        data = [[0] * src.group.generators for _ in range(tgt.group.generators)]
-        for row_k, (tup, node) in enumerate(levels[n + 1]):
-            for drop in range(len(tup)):
-                face = tup[:drop] + tup[drop + 1 :]
-                col_k = position[face]
-                block = presheaf.diagram.map(levels[n][col_k][1], node).matrix
-                sign = (-1) ** drop
-                for i in range(block.rows):
-                    for j in range(block.cols):
-                        if block.entries[i][j]:
-                            data[tgt.offsets[row_k] + i][src.offsets[col_k] + j] += (
-                                sign * block.entries[i][j]
-                            )
-        matrix = IntMatrix(tgt.group.generators, src.group.generators, data)
-        diffs.append(GroupHom(src.group, tgt.group, matrix))
+    diffs = [
+        groups[n].hom_to(
+            groups[n + 1], _ordered_coboundary(presheaf.diagram, levels[n], levels[n + 1])
+        )
+        for n in range(len(levels) - 1)
+    ]
     return Complex(groups, diffs)
 
 
-def _increasing_tuples(sequence, size):
-    def extend(prefix, start):
-        if len(prefix) == size:
-            yield tuple(prefix)
-            return
-        for k in range(start, len(sequence)):
-            prefix.append(sequence[k])
-            yield from extend(prefix, k + 1)
-            prefix.pop()
+def _ordered_coboundary(diagram, lower, upper):
+    """Blocks of the ordered Cech differential between (tuple, node) levels.
 
-    yield from extend([], 0)
+    Dropping entry i of a tuple restricts from the face's node to the tuple's
+    node, with sign (-1)^i.
+    """
+    position = {tup: k for k, (tup, _) in enumerate(lower)}
+    for row, (tup, node) in enumerate(upper):
+        for drop in range(len(tup)):
+            col = position[tup[:drop] + tup[drop + 1 :]]
+            yield row, col, (-1) ** drop, diagram.map(lower[col][1], node).matrix
 
 
 class ComparisonRow:

@@ -61,6 +61,29 @@ class ProductGroup:
     def __len__(self):
         return len(self.factors)
 
+    def hom_to(self, target, blocks):
+        """The homomorphism to another product, assembled block by block.
+
+        `blocks` yields (row factor, column factor, sign, matrix): the block of
+        target factor `row` against this product's factor `col` gains sign
+        times matrix, or sign times the identity on the row factor when
+        matrix is None.  Blocks at the same position add up.
+        """
+        data = [[0] * self.group.generators for _ in range(target.group.generators)]
+        for row, col, sign, matrix in blocks:
+            row0, col0 = target.offsets[row], self.offsets[col]
+            if matrix is None:
+                for i in range(target.factors[row].generators):
+                    data[row0 + i][col0 + i] += sign
+                continue
+            for i, entries in enumerate(matrix.entries):
+                line = data[row0 + i]
+                for j, a in enumerate(entries):
+                    if a:
+                        line[col0 + j] += sign * a
+        matrix = IntMatrix(target.group.generators, self.group.generators, data)
+        return GroupHom(self.group, target.group, matrix)
+
 
 class Complex:
     """C^0 -> C^1 -> ... -> C^N with d(n+1) after d(n) equal to zero.
@@ -159,7 +182,10 @@ def homology_at(d_in, d_out):
 
 
 class ChainMap:
-    """Degreewise homomorphisms between two complexes."""
+    """Degreewise homomorphisms between two complexes.
+
+    Commutation with the differentials is checked once, at construction.
+    """
 
     __slots__ = ("source", "target", "maps")
 
@@ -169,16 +195,11 @@ class ChainMap:
         self.maps = list(maps)
         if len(self.maps) != len(source.groups):
             raise ComplexError("need one map per source degree")
+        self.verify()
 
-    def verify(self, degrees=None):
+    def verify(self):
         """Check commutation with the differentials, naming the bad degree."""
-        if degrees is None:
-            degrees = range(len(self.source.diffs))
-        for n in degrees:
-            if not 0 <= n < len(self.source.diffs):
-                continue
-            if n + 1 >= len(self.maps) or n + 1 > self.target.top_degree():
-                continue
+        for n in range(min(len(self.source.diffs), self.target.top_degree())):
             left = self.target.diffs[n].compose(self.maps[n])
             right = self.maps[n + 1].compose(self.source.diffs[n])
             if not homs_equal(left, right):
@@ -187,7 +208,6 @@ class ChainMap:
 
 def induced_on_homology(chain_map, n):
     """The well-defined map on degree-n homology along a chain map."""
-    chain_map.verify(degrees=[n - 1, n])
     src = chain_map.source.homology(n)
     if n > chain_map.target.top_degree():
         # target complex is zero there; so is its homology

@@ -112,52 +112,20 @@ class Diagram:
         return self._reduced
 
 
-def _add_block(data, row0, col0, matrix, sign):
-    for i in range(matrix.rows):
-        row = data[row0 + i]
-        ent = matrix.entries[i]
-        for j in range(matrix.cols):
-            if ent[j]:
-                row[col0 + j] += sign * ent[j]
-
-
-def _identity_block(data, row0, col0, size, sign):
-    for i in range(size):
-        data[row0 + i][col0 + i] += sign
-
-
 def _coboundary(F, lower, upper):
-    """The differential from chains `lower` to chains `upper` (one longer).
+    """Blocks of the differential from chains `lower` to chains `upper`.
 
     Faces 0..n of a target chain drop one element and contribute the sign
     alone (the coefficient group is attached to the last element, which
     survives); the last face truncates the chain and applies the structure
     map of the final arrow.
     """
-    source = _chain_product(F, lower)
-    target = _chain_product(F, upper)
     pos = {chain: k for k, chain in enumerate(lower.chains)}
     n = lower.degree
-    data = [[0] * source.group.generators for _ in range(target.group.generators)]
-    for row_k, e in enumerate(upper.chains):
-        row0 = target.offsets[row_k]
+    for row, e in enumerate(upper.chains):
         for i in range(n + 1):
-            face = e[:i] + e[i + 1 :]
-            col_k = pos[face]
-            _identity_block(
-                data, row0, source.offsets[col_k], F.value(e[-1]).generators, (-1) ** i
-            )
-        face = e[:-1]
-        col_k = pos[face]
-        _add_block(
-            data,
-            row0,
-            source.offsets[col_k],
-            F.map(e[-2], e[-1]).matrix,
-            (-1) ** (n + 1),
-        )
-    matrix = IntMatrix(target.group.generators, source.group.generators, data)
-    return GroupHom(source.group, target.group, matrix)
+            yield row, pos[e[:i] + e[i + 1 :]], (-1) ** i, None
+        yield row, pos[e[:-1]], (-1) ** (n + 1), F.map(e[-2], e[-1]).matrix
 
 
 class _WeakChainSet:
@@ -188,21 +156,26 @@ class _WeakChainSet:
         return ">=".join(self.poset.elements[i] for i in chain)
 
 
-def _chain_product(F, chain_set):
+def _chain_product(F, chain_set, at=-1):
+    """The product over chains of the value at each chain's element `at`."""
     names = [chain_set.name(c) for c in chain_set.chains]
-    factors = [F.value(c[-1]) for c in chain_set.chains]
+    factors = [F.value(c[at]) for c in chain_set.chains]
     return ProductGroup(names, factors)
+
+
+def _cochain_complex(F, chain_sets):
+    """The cochain complex with one chain set per degree, from degree 0."""
+    groups = [_chain_product(F, cs) for cs in chain_sets]
+    diffs = [
+        groups[n].hom_to(groups[n + 1], _coboundary(F, chain_sets[n], chain_sets[n + 1]))
+        for n in range(len(chain_sets) - 1)
+    ]
+    return Complex(groups, diffs)
 
 
 def reduced_complex(F):
     """The cochain complex over strictly decreasing chains of the base."""
-    height = F.base.height()
-    chain_sets = [chains(F.base, n) for n in range(height + 1)]
-    groups = [_chain_product(F, cs) for cs in chain_sets]
-    diffs = [
-        _coboundary(F, chain_sets[n], chain_sets[n + 1]) for n in range(height)
-    ]
-    return Complex(groups, diffs)
+    return _cochain_complex(F, [chains(F.base, n) for n in range(F.base.height() + 1)])
 
 
 def full_complex_truncated(F, N):
@@ -214,12 +187,7 @@ def full_complex_truncated(F, N):
     """
     if N < 0:
         raise DiagramError("degree cap must be nonnegative")
-    chain_sets = [_WeakChainSet(F.base, n) for n in range(N + 2)]
-    groups = [_chain_product(F, cs) for cs in chain_sets]
-    diffs = [
-        _coboundary(F, chain_sets[n], chain_sets[n + 1]) for n in range(N + 1)
-    ]
-    return Complex(groups, diffs)
+    return _cochain_complex(F, [_WeakChainSet(F.base, n) for n in range(N + 2)])
 
 
 def derived_limit(F, n):
@@ -229,29 +197,17 @@ def derived_limit(F, n):
     return F.reduced_complex().homology_group(n)
 
 
-def _chain_first_product(F, chain_set):
-    names = [chain_set.name(c) for c in chain_set.chains]
-    factors = [F.value(c[0]) for c in chain_set.chains]
-    return ProductGroup(names, factors)
-
-
 def _boundary(F, upper, lower):
     """Chain-complex boundary from degree n to n-1 for the derived colimit."""
-    source = _chain_first_product(F, upper)
-    target = _chain_first_product(F, lower)
     pos = {chain: k for k, chain in enumerate(lower.chains)}
-    n = upper.degree
-    data = [[0] * source.group.generators for _ in range(target.group.generators)]
-    for col_k, c in enumerate(upper.chains):
-        col0 = source.offsets[col_k]
-        _add_block(data, target.offsets[pos[c[1:]]], col0, F.map(c[0], c[1]).matrix, 1)
-        for i in range(1, n + 1):
-            face = c[:i] + c[i + 1 :]
-            _identity_block(
-                data, target.offsets[pos[face]], col0, F.value(c[0]).generators, (-1) ** i
-            )
-    matrix = IntMatrix(target.group.generators, source.group.generators, data)
-    return GroupHom(source.group, target.group, matrix)
+
+    def blocks():
+        for col, c in enumerate(upper.chains):
+            yield pos[c[1:]], col, 1, F.map(c[0], c[1]).matrix
+            for i in range(1, upper.degree + 1):
+                yield pos[c[:i] + c[i + 1 :]], col, (-1) ** i, None
+
+    return _chain_product(F, upper, at=0).hom_to(_chain_product(F, lower, at=0), blocks())
 
 
 def derived_colimit(F, n):
@@ -263,7 +219,7 @@ def derived_colimit(F, n):
     if n > height:
         return CanonicalGroup(0)
     here = chains(F.base, n)
-    middle = _chain_first_product(F, here)
+    middle = _chain_product(F, here, at=0)
     if n == 0:
         d_out = GroupHom.zero(middle.group, PresentedAbGroup.zero())
     else:
@@ -315,16 +271,11 @@ def sheafify_value(F, subset):
         [F.value(b) for a, b in edges],
     )
     pos = {i: k for k, i in enumerate(indices)}
-    data = [[0] * product.group.generators for _ in range(target.group.generators)]
+    blocks = []
     for k, (a, b) in enumerate(edges):
-        row0 = target.offsets[k]
-        _add_block(data, row0, product.offsets[pos[a]], F.map(a, b).matrix, 1)
-        _identity_block(data, row0, product.offsets[pos[b]], F.value(b).generators, -1)
-    difference = GroupHom(
-        product.group,
-        target.group,
-        IntMatrix(target.group.generators, product.group.generators, data),
-    )
+        blocks.append((k, pos[a], 1, F.map(a, b).matrix))
+        blocks.append((k, pos[b], -1, None))
+    difference = product.hom_to(target, blocks)
     cone = homology_at(
         GroupHom.zero(PresentedAbGroup.zero(), product.group), difference
     )

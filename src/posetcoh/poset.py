@@ -259,20 +259,18 @@ def chains(poset, n):
     """All strictly decreasing chains c_0 > c_1 > ... > c_n."""
     if n < 0:
         raise PosetError("chain degree must be nonnegative")
-    size = len(poset.elements)
     out = []
 
     def extend(prefix, last):
         if len(prefix) == n + 1:
             out.append(tuple(prefix))
             return
-        for j in range(size):
-            if j != last and j in poset.down[last]:
-                prefix.append(j)
-                extend(prefix, j)
-                prefix.pop()
+        for j in sorted(poset.down[last] - {last}):
+            prefix.append(j)
+            extend(prefix, j)
+            prefix.pop()
 
-    for c0 in range(size):
+    for c0 in range(len(poset.elements)):
         extend([c0], c0)
     return ChainSet(poset, n, out)
 

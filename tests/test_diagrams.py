@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from posetcoh.cech import Presheaf, cech_ordered_complex
 from posetcoh.complexes import acyclicity_check, simplicial_homology
 from posetcoh.diagrams import (
     Diagram,
     DiagramError,
+    _boundary,
     derived_colimit,
     derived_limit,
     full_complex_truncated,
@@ -20,7 +22,7 @@ from posetcoh.groups import (
     is_isomorphism,
 )
 from posetcoh.linalg import IntMatrix
-from posetcoh.poset import bounds, chains, parse_poset, random_poset
+from posetcoh.poset import IntersectionPoset, bounds, chains, parse_poset, random_poset
 
 import builders
 
@@ -90,6 +92,35 @@ def test_vee_coboundary_matrix_layout():
     assert cx.groups[0].names == ("p0", "p1", "p2")
     assert cx.groups[1].names == ("p0>p2", "p1>p2")
     assert cx.diffs[0].matrix.entries == ((-3, 0, 1), (0, -5, 1))
+
+
+def test_vee_chain_indexed_block_layouts():
+    # the same vee, read through every other chain-indexed block matrix
+    F = vee_diagram([[3]], [[5]])
+    P = F.base
+    # derived-colimit boundary: rows p0, p1, p2; columns p0>p2, p1>p2
+    assert _boundary(F, chains(P, 1), chains(P, 0)).matrix.entries == (
+        (-1, 0),
+        (0, -1),
+        (3, 5),
+    )
+    # the whole-poset section lattice is generated by the thread (-5, -3, -15)
+    assert sheafify_value(F, range(len(P))).data.cycles.entries == ((-5,), (-3,), (-15,))
+
+    I = IntersectionPoset(P)
+    D = diagram_on(
+        I.poset,
+        {name: Z for name in I.poset.elements},
+        {("{p0,p2}", "{p2}"): [[3]], ("{p1,p2}", "{p2}"): [[5]]},
+    )
+    ps = Presheaf(I, D)
+    ordered = cech_ordered_complex(ps)
+    assert ordered.groups[1].names == ("p0&p1", "p0&p2", "p1&p2")
+    assert ordered.diffs[0].matrix.entries == ((-3, 5, 0), (-3, 0, 1), (0, -5, 1))
+    # node chains {p2}, {p0,p2}, {p1,p2} read on principal chains p0, p1, p2
+    rho = ps.comparison_chain_map()
+    assert rho.maps[0].matrix.entries == ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    assert rho.maps[1].matrix.entries == ((1, 0), (0, 1))
 
 
 def test_vee_general_maps_match_direct_cokernel():
