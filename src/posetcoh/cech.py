@@ -208,8 +208,10 @@ def compare_report(presheaf, cap=None):
     """Compare Cech and topos cohomology in all degrees up to the cap.
 
     The default cap is the top degree of the base poset's chain complex;
-    above it the topos side is identically zero, and on posets where the two
-    theories agree the Cech side vanishes there as well.
+    above it the topos side is identically zero.  The Cech complex lives on
+    the node poset, which can be taller; that the Cech side vanishes above
+    the cap as well is checked on samples (random presheaves on the square
+    and the 3-element crown), not proven.
     """
     if cap is None:
         cap = presheaf.space.height()

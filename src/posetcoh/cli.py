@@ -9,6 +9,7 @@ separators), byte-identical for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -100,10 +101,6 @@ def _order_list(args, space):
     return names
 
 
-def _group_payload(group):
-    return render_group(group)
-
-
 def cmd_validate(args):
     P = _load_poset(args.poset)
     covers = P.covers()
@@ -167,7 +164,7 @@ def cmd_criterion(args):
                     "lower": cut.lower.names(),
                     "upper": cut.upper.names(),
                     "degree": degree,
-                    "group": _group_payload(group),
+                    "group": render_group(group),
                 }
                 for cut, degree, group in report.failures
             ],
@@ -216,7 +213,7 @@ def _print_groups(args, fmt, rows):
             args,
             {
                 "groups": [
-                    {"degree": n, "group": _group_payload(g)} for n, g in rows
+                    {"degree": n, "group": render_group(g)} for n, g in rows
                 ]
             },
         )
@@ -224,31 +221,25 @@ def _print_groups(args, fmt, rows):
         _emit(args, "\n".join(fmt % (n, g.render()) for n, g in rows))
 
 
-def _check_ordered_route(ps, order, degrees):
-    ordered = cech_ordered_complex(ps, order)
+def _route_problem(diagram, degrees, ordered=None):
+    """The first degree where an independent route disagrees, or None.
+
+    The direct groups are the derived limits of `diagram`.  The route is the
+    ordered Cech complex `ordered` when one is given, else the unreduced
+    complex of `diagram` truncated at the top degree.
+    """
+    if ordered is None:
+        label, routed = "unreduced", full_complex_truncated(diagram, max(degrees))
+    else:
+        label, routed = "ordered", ordered
     for n in degrees:
-        direct = cech_cohomology(ps, n)
-        routed = ordered.homology_group(n)
-        if direct != routed:
-            return "ordered route disagrees at degree %d: %s vs %s" % (
+        direct, other = derived_limit(diagram, n), routed.homology_group(n)
+        if direct != other:
+            return "%s route disagrees at degree %d: %s vs %s" % (
+                label,
                 n,
                 direct.render(),
-                routed.render(),
-            )
-    return None
-
-
-def _check_full_route(diagram, degrees):
-    cap = max(degrees)
-    full = full_complex_truncated(diagram, cap)
-    for n in degrees:
-        direct = derived_limit(diagram, n)
-        routed = full.homology_group(n)
-        if direct != routed:
-            return "unreduced route disagrees at degree %d: %s vs %s" % (
-                n,
-                direct.render(),
-                routed.render(),
+                other.render(),
             )
     return None
 
@@ -257,9 +248,8 @@ def cmd_cech(args):
     space, ps = _load_presheaf(args)
     rows = _cohomology_rows(args, space, lambda n: cech_cohomology(ps, n))
     if args.oracle:
-        problem = _check_ordered_route(
-            ps, _order_list(args, space), [n for n, _ in rows]
-        )
+        ordered = cech_ordered_complex(ps, _order_list(args, space))
+        problem = _route_problem(ps.diagram, [n for n, _ in rows], ordered)
         if problem:
             print("oracle mismatch: %s" % problem, file=sys.stderr)
             return 2
@@ -271,7 +261,7 @@ def cmd_topos(args):
     space, ps = _load_presheaf(args)
     rows = _cohomology_rows(args, space, lambda n: topos_cohomology(ps, n))
     if args.oracle:
-        problem = _check_full_route(ps.pulled_diagram(), [n for n, _ in rows])
+        problem = _route_problem(ps.pulled_diagram(), [n for n, _ in rows])
         if problem:
             print("oracle mismatch: %s" % problem, file=sys.stderr)
             return 2
@@ -286,11 +276,12 @@ def cmd_compare(args):
     rows = [row for row in report.rows if low <= row.degree <= high]
     if args.oracle:
         degrees = [row.degree for row in rows]
-        problem = _check_ordered_route(ps, _order_list(args, space), degrees)
-        if problem is None:
-            problem = _check_full_route(ps.diagram, degrees)
-        if problem is None:
-            problem = _check_full_route(ps.pulled_diagram(), degrees)
+        ordered = cech_ordered_complex(ps, _order_list(args, space))
+        problem = (
+            _route_problem(ps.diagram, degrees, ordered)
+            or _route_problem(ps.diagram, degrees)
+            or _route_problem(ps.pulled_diagram(), degrees)
+        )
         if problem:
             print("oracle mismatch: %s" % problem, file=sys.stderr)
             return 2
@@ -302,8 +293,8 @@ def cmd_compare(args):
             "degrees": [
                 {
                     "degree": row.degree,
-                    "cech": _group_payload(row.cech),
-                    "topos": _group_payload(row.topos),
+                    "cech": render_group(row.cech),
+                    "topos": render_group(row.topos),
                     "map": [list(r) for r in row.map.matrix.entries],
                     "isomorphism": row.iso,
                 }
@@ -408,7 +399,9 @@ def cmd_fuzz(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="posetcoh",
         description=(

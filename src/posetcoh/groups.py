@@ -57,9 +57,32 @@ class PresentedAbGroup:
             self._dec = snf(self.relations)
         return self._dec
 
-    def in_relation_lattice(self, vector):
-        """Whether an integer vector on generators is zero in the group."""
-        return self.relation_dec().solve(vector) is not None
+    def in_relation_lattice(self, vectors):
+        """Whether every column of the matrix `vectors` is zero in the group.
+
+        With U * relations * V = D, a column v lies in the relation lattice
+        iff each entry of U v is divisible by the matching invariant factor
+        and is zero past the rank; V is never needed.  Rows whose factor is
+        1 always pass, so only the rows after them are formed, and a zero
+        matrix needs no decomposition at all.
+
+        >>> g = PresentedAbGroup.from_invariants(1, (2,))
+        >>> g.in_relation_lattice(IntMatrix.from_rows([[0, 0], [2, -4]]))
+        True
+        >>> g.in_relation_lattice(IntMatrix.from_rows([[0, 0], [2, 1]]))
+        False
+        """
+        if vectors.is_zero():
+            return True
+        dec = self.relation_dec()
+        factors = dec.invariant_factors()
+        units = factors.count(1)
+        image = dec.U.take_rows(range(units, self.generators)) * vectors
+        for k, row in enumerate(image.entries, start=units):
+            d = factors[k] if k < len(factors) else 0
+            if any(a % d if d else a for a in row):
+                return False
+        return True
 
     def __eq__(self, other):
         return (
@@ -183,45 +206,32 @@ class GroupHom:
 
 def hom_well_defined(hom):
     """Whether every source relator is sent into the target relation lattice."""
-    R = hom.source.relations
-    for j in range(R.cols):
-        image = hom.matrix.apply(R.column(j))
-        if not hom.target.in_relation_lattice(image):
-            return False
-    return True
+    return hom.target.in_relation_lattice(hom.matrix * hom.source.relations)
 
 
 def homs_equal(h1, h2):
     """Whether two matrices present the same homomorphism."""
     if h1.source.generators != h2.source.generators or h1.target != h2.target:
         return False
-    diff = h1.matrix - h2.matrix
-    for j in range(diff.cols):
-        if not h1.target.in_relation_lattice(diff.column(j)):
-            return False
-    return True
+    return h1.target.in_relation_lattice(h1.matrix - h2.matrix)
 
 
 def is_zero_hom(hom):
-    for j in range(hom.matrix.cols):
-        if not hom.target.in_relation_lattice(hom.matrix.column(j)):
-            return False
-    return True
+    return hom.target.in_relation_lattice(hom.matrix)
 
 
 def is_isomorphism(hom):
     """Whether a well-defined homomorphism has trivial kernel and cokernel.
 
     The cokernel is presented by the map's columns joined with the target
-    relators; the kernel is the lattice of source vectors landing in the
-    target relation lattice, reduced modulo the source relators.
+    relators, so it is trivial iff all their invariant factors are 1; the
+    kernel is the lattice of source vectors landing in the target relation
+    lattice, read off the same decomposition and reduced modulo the source
+    relators.
     """
     combined = hom.matrix.hstack(hom.target.relations)
-    cokernel = PresentedAbGroup(hom.target.generators, combined)
-    if not canonical_form(cokernel).is_trivial():
+    dec = snf(combined)
+    if dec.invariant_factors() != (1,) * hom.target.generators:
         return False
-    kernel_lattice = snf(combined).kernel_basis().take_rows(range(hom.source.generators))
-    for j in range(kernel_lattice.cols):
-        if not hom.source.in_relation_lattice(kernel_lattice.column(j)):
-            return False
-    return True
+    kernel = dec.kernel_basis().take_rows(range(hom.source.generators))
+    return hom.source.in_relation_lattice(kernel)

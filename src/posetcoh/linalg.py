@@ -74,14 +74,8 @@ class IntMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i):
-        return self.entries[i]
-
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
 
     def transpose(self):
         return IntMatrix(self.cols, self.rows, [self.column(j) for j in range(self.cols)])

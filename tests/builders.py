@@ -7,6 +7,8 @@ square     complete bipartite 2 x 2; its Hasse diagram draws as a square and
 sphere     three stacked 2-antichains, complete bipartite between consecutive
            layers; the order complex is a 2-sphere.
 zigzag     the 4-element fence p2 < p0 > p3 < p1.
+crown3     complete bipartite 3 x 3: three bottoms b0, b1, b2 each below
+           three tops t0, t1, t2.
 pass8      8-element poset whose cuts all have acyclic upper sections.
 pass7      7-element poset, same verdict, no helpful semilattice structure.
 cells9     face-style 9-element poset with a cut whose upper section is the
@@ -44,6 +46,11 @@ SPHERE_DOC = {
 ZIGZAG_DOC = {
     "elements": ["p0", "p1", "p2", "p3"],
     "relations": [["p2", "p0"], ["p3", "p0"], ["p3", "p1"]],
+}
+
+CROWN3_DOC = {
+    "elements": ["t0", "t1", "t2", "b0", "b1", "b2"],
+    "relations": [["b%d" % i, "t%d" % j] for j in range(3) for i in range(3)],
 }
 
 PASS8_DOC = {
@@ -107,6 +114,10 @@ def sphere():
 
 def zigzag():
     return parse_poset(ZIGZAG_DOC)
+
+
+def crown3():
+    return parse_poset(CROWN3_DOC)
 
 
 def pass8():

@@ -146,6 +146,20 @@ def test_comparison_above_every_chain_is_between_zero_groups():
         comparison_map(ps, -1)
 
 
+def test_cech_vanishes_above_the_default_cap():
+    # compare_report stops at the base poset's height; the Cech complex
+    # lives on the node poset, which is taller on these two crowns
+    for P in (builders.square(), builders.crown3()):
+        U = IntersectionPoset(P)
+        above = range(P.height() + 1, U.poset.height() + 1)
+        assert list(above) == [2]
+        presheaves = [random_presheaf(U, seed) for seed in range(60)]
+        presheaves.append(random_presheaf(U, 0, constant=True))
+        for ps in presheaves:
+            for n in above:
+                assert cech_cohomology(ps, n).is_trivial()
+
+
 def test_random_presheaf_determinism():
     U = IntersectionPoset(builders.pass7())
     a = random_presheaf(U, seed=21)

@@ -6,9 +6,11 @@ import sys
 import pytest
 
 import posetcoh
+from posetcoh import cli
 from posetcoh.cech import random_presheaf
-from posetcoh.cli import main
+from posetcoh.cli import build_parser, main
 from posetcoh.documents import render_presheaf
+from posetcoh.groups import CanonicalGroup
 from posetcoh.poset import IntersectionPoset
 
 import builders
@@ -132,6 +134,28 @@ def test_topos_command(write, capsys):
     assert out.strip() == "H^2 = Z"
 
 
+class _WrongRoute:
+    def homology_group(self, n):
+        return CanonicalGroup(0, (2,))
+
+
+def test_oracle_mismatch_names_the_route_and_degree(write, capsys, monkeypatch):
+    poset = write("square.json", builders.SQUARE_DOC)
+    sheaf = write("constant.json", builders.CONSTANT_SQUARE_DOC)
+    monkeypatch.setattr(cli, "full_complex_truncated", lambda diagram, cap: _WrongRoute())
+    code, _, err = run(capsys, "topos", poset, sheaf, "--oracle")
+    assert code == 2
+    assert err == "oracle mismatch: unreduced route disagrees at degree 0: Z vs Z/2\n"
+    code, _, err = run(capsys, "compare", poset, sheaf, "--oracle")
+    assert code == 2
+    assert err == "oracle mismatch: unreduced route disagrees at degree 0: Z vs Z/2\n"
+    monkeypatch.setattr(cli, "cech_ordered_complex", lambda ps, order: _WrongRoute())
+    for command in ("cech", "compare"):
+        code, _, err = run(capsys, command, poset, sheaf, "--oracle")
+        assert code == 2
+        assert err == "oracle mismatch: ordered route disagrees at degree 0: Z vs Z/2\n"
+
+
 def test_compare_command_negative(write, capsys):
     poset = write("square.json", builders.SQUARE_DOC)
     sky = write("sky.json", builders.SKYSCRAPER_DOC)
@@ -217,6 +241,27 @@ def test_fuzz_command(write, capsys):
                        "--max-elements", "4", "--presheaves", "1")
     assert code == 0
     assert out.strip().endswith("0 violations")
+
+
+def test_parser_is_built_once_and_shared_by_later_calls(write, capsys):
+    assert build_parser() is build_parser()
+    path = write("zigzag.json", builders.ZIGZAG_DOC)
+    calls = [
+        ("validate", path),
+        ("criterion", path, "--no-shortcut", "--json"),
+        ("criterion", path, "--json"),
+        ("validate", path, "--json"),
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0]
+    # a flag given to one call must not leak into the next
+    assert json.loads(shared[1][1])["shortcut"] == "none"
+    assert json.loads(shared[2][1])["shortcut"] != "none"
 
 
 def test_module_entry_point(write, tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from posetcoh import groups
 from posetcoh.groups import (
     CanonicalGroup,
     GroupHom,
@@ -13,6 +14,8 @@ from posetcoh.groups import (
     is_zero_hom,
 )
 from posetcoh.linalg import IntMatrix
+
+import oracles
 
 
 def group(gens, relators):
@@ -113,3 +116,79 @@ def test_compose_and_arithmetic():
 def test_from_invariants_round_trip():
     g = PresentedAbGroup.from_invariants(2, (2, 6))
     assert canonical_form(g) == CanonicalGroup(2, (2, 6))
+
+
+def _column_block(cols, gens):
+    return IntMatrix.from_columns(cols, nrows=gens)
+
+
+def test_in_relation_lattice_matches_per_column_solve():
+    rng = random.Random(29)
+    answers = []
+    for _ in range(200):
+        R = oracles.random_matrix(rng, max_dim=5, max_entry=5)
+        scale = rng.choice([1, 1, 2, 3, 6])
+        R = IntMatrix(R.rows, R.cols, [[scale * a for a in row] for row in R.entries])
+        g = PresentedAbGroup(R.rows, R)
+        oracle = oracles.LatticeMembership(R)
+        cols = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                cols.append(R.apply([rng.randint(-3, 3) for _ in range(R.cols)]))
+            else:
+                cols.append(tuple(rng.randint(-6, 6) for _ in range(R.rows)))
+        members = [oracle.contains(c) for c in cols]
+        assert g.in_relation_lattice(_column_block(cols, R.rows)) == all(members)
+        for c, member in zip(cols, members):
+            assert g.in_relation_lattice(_column_block([c], R.rows)) == member
+        answers.extend(members)
+    assert answers.count(True) > 100 and answers.count(False) > 100
+
+
+def test_in_relation_lattice_edge_cases():
+    assert PresentedAbGroup.zero().in_relation_lattice(IntMatrix.zero(0, 3))
+    assert PresentedAbGroup.zero().in_relation_lattice(IntMatrix.zero(0, 0))
+    g = group(3, [(2, 0, 0), (0, 4, 2)])  # Z/2 + Z/2 + Z, and its U is not diagonal
+    assert g.in_relation_lattice(IntMatrix.zero(3, 0))
+    dec = g.relation_dec()
+    assert dec.invariant_factors() == (2, 2)
+    # U v is zero up to the rank and nonzero past it: every entry is even,
+    # so only the past-the-rank test rejects it
+    past_rank = (0, 2, 0)
+    image = dec.U.apply(past_rank)
+    assert image[:2] == (0, 0) and image[2]
+    assert not oracles.LatticeMembership(g.relations).contains(past_rank)
+    assert not g.in_relation_lattice(_column_block([past_rank], 3))
+    # U v is zero past the rank, but odd where the factor is 2
+    odd = (1, 0, 0)
+    image = dec.U.apply(odd)
+    assert image[2] == 0 and any(a % 2 for a in image[:2])
+    assert not oracles.LatticeMembership(g.relations).contains(odd)
+    assert not g.in_relation_lattice(_column_block([odd], 3))
+    assert g.in_relation_lattice(_column_block([(2, 0, 0), (2, 4, 2)], 3))
+
+
+def test_is_isomorphism_decomposes_each_matrix_once(monkeypatch):
+    decomposed = []
+    real_snf = groups.snf
+
+    def counting_snf(M):
+        decomposed.append(M)
+        return real_snf(M)
+
+    monkeypatch.setattr(groups, "snf", counting_snf)
+
+    def fresh_cases():
+        # new groups each time, so no decomposition is cached beforehand
+        z2_twice = group(2, [(1, 1), (0, 2)])
+        yield GroupHom.identity(group(2, [(2, 0)])), True
+        yield GroupHom(group(1, [(2,)]), z2_twice, IntMatrix.from_rows([[1], [0]])), True
+        yield GroupHom(group(1, []), group(1, [(2,)]), IntMatrix.from_rows([[1]])), False
+        yield GroupHom(group(1, []), group(1, []), IntMatrix.from_rows([[2]])), False
+
+    for hom, expected in fresh_cases():
+        decomposed.clear()
+        assert is_isomorphism(hom) == expected
+        combined = hom.matrix.hstack(hom.target.relations)
+        assert decomposed.count(combined) == 1
+        assert len(decomposed) == len(set(decomposed))
