@@ -23,7 +23,6 @@ from .diagrams import (
     sheafify_value,
 )
 from .groups import GroupHom, PresentedAbGroup, canonical_form, is_isomorphism
-from .linalg import IntMatrix
 from .poset import IntersectionPoset, chains
 
 
@@ -71,8 +70,10 @@ class Presheaf:
 
         A cochain on strictly decreasing node chains is read off on the chains
         of principal opens; every block is an identity because the coordinate
-        groups agree.  `ChainMap` checks commutation with both differentials
-        in all degrees when it is built, before any induced map is taken.
+        groups agree.  The chain sets are the ones both complexes were built
+        on, kept on their base posets by `chains`.  `ChainMap` checks
+        commutation with both differentials in all degrees when it is built,
+        before any induced map is taken.
         """
         if self._rho is None:
             source = self.cech_complex()
@@ -83,9 +84,7 @@ class Presheaf:
                 if n > target.top_degree():
                     maps.append(GroupHom.zero(src.group, PresentedAbGroup.zero()))
                     continue
-                position = {
-                    c: k for k, c in enumerate(chains(self.intersection.poset, n).chains)
-                }
+                position = {c: k for k, c in enumerate(chains(self.diagram.base, n).chains)}
                 blocks = (
                     (row, position[tuple(lam[i] for i in chain)], 1, None)
                     for row, chain in enumerate(chains(self.space, n).chains)
@@ -261,16 +260,13 @@ def sheaf_presheaf(F):
         offsets.append(table)
     maps = {}
     for low, high in intersection.poset.covers():
-        small = sorted(intersection.nodes[low].indices)
-        cols = []
-        for j in range(values[high].generators):
-            thread = cones[high].data.lift(j)
-            restricted = []
-            for i in small:
-                at = offsets[high][i]
-                restricted.extend(thread[at : at + F.value(i).generators])
-            cols.append(cones[low].data.coordinates(tuple(restricted)))
-        matrix = IntMatrix.from_columns(cols, nrows=values[low].generators)
+        kept = [
+            offsets[high][i] + k
+            for i in sorted(intersection.nodes[low].indices)
+            for k in range(F.value(i).generators)
+        ]
+        threads = cones[high].data.cycles.take_rows(kept)
+        matrix = cones[low].data.coordinates(threads)
         maps[(high, low)] = GroupHom(values[high], values[low], matrix)
     diagram = Diagram(intersection.poset, values, maps)
     return Presheaf(intersection, diagram)

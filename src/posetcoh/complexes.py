@@ -81,7 +81,9 @@ class ProductGroup:
                 for j, a in enumerate(entries):
                     if a:
                         line[col0 + j] += sign * a
-        matrix = IntMatrix(target.group.generators, self.group.generators, data)
+        matrix = IntMatrix._trusted(
+            target.group.generators, self.group.generators, tuple(map(tuple, data))
+        )
         return GroupHom(self.group, target.group, matrix)
 
 
@@ -137,7 +139,7 @@ class HomologyData:
     """A homology presentation together with its cycle-lift matrix.
 
     Column j of `cycles` is a middle-group vector representing generator j;
-    `coordinates` inverts that correspondence for arbitrary cycle vectors.
+    `coordinates` inverts that correspondence for arbitrary cycles.
     """
 
     __slots__ = ("group", "middle", "cycles", "_dec")
@@ -151,11 +153,17 @@ class HomologyData:
     def lift(self, j):
         return self.cycles.column(j)
 
-    def coordinates(self, cycle_vector):
-        """Express a middle-group cycle as a vector on homology generators."""
+    def coordinates(self, cycles):
+        """Express middle-group cycles on homology generators.
+
+        `cycles` is a vector, or a matrix whose columns are all solved in one
+        pass; a matrix without columns needs no decomposition.
+        """
+        if isinstance(cycles, IntMatrix) and cycles.cols == 0:
+            return IntMatrix.zero(self.cycles.cols, 0)
         if self._dec is None:
             self._dec = snf(self.cycles)
-        y = self._dec.solve(cycle_vector)
+        y = self._dec.solve(cycles)
         if y is None:
             raise ComplexError("vector is not a cycle of this homology computation")
         return y
@@ -215,15 +223,7 @@ def induced_on_homology(chain_map, n):
         matrix = IntMatrix.zero(0, src.group.generators)
         return GroupHom(src.group, tgt_group, matrix)
     tgt = chain_map.target.homology(n)
-    cols = []
-    for j in range(src.group.generators):
-        image = chain_map.maps[n].apply(src.lift(j))
-        cols.append(tgt.coordinates(image))
-    matrix = (
-        IntMatrix.from_columns(cols, nrows=tgt.group.generators)
-        if cols
-        else IntMatrix.zero(tgt.group.generators, 0)
-    )
+    matrix = tgt.coordinates(chain_map.maps[n].matrix * src.cycles)
     hom = GroupHom(src.group, tgt.group, matrix)
     if not hom_well_defined(hom):
         raise ComplexError("induced map on degree %d homology is not well defined" % n)
@@ -236,45 +236,53 @@ def simplicial_homology(chain_sets, n):
     `chain_sets` lists the ChainSets of an order complex by degree; boundaries
     are alternating sums of face deletions.
     """
-    return _order_complex_homology(chain_sets)(n)
+    return _order_complex_homology(chain_sets.__getitem__, len(chain_sets) - 1)(n)
 
 
-def _boundary_columns(chain_sets, n):
-    """The boundary from degree n >= 1 to degree n-1 as sparse columns.
+def _boundary_columns(lower, upper):
+    """The boundary from the chains `upper` to their faces `lower`, as sparse columns.
 
-    Column k is {face index: sign} for the k-th n-chain; the faces of a strict
-    chain are distinct, so every entry is +1 or -1.
+    Column k is {face index: sign} for the k-th chain of `upper`; the faces of
+    a strict chain are distinct, so every entry is +1 or -1.
     """
-    below = {chain: k for k, chain in enumerate(chain_sets[n - 1].chains)}
+    below = {chain: k for k, chain in enumerate(lower.chains)}
     return [
-        {below[chain[:i] + chain[i + 1 :]]: (-1) ** i for i in range(n + 1)}
-        for chain in chain_sets[n].chains
+        {below[chain[:i] + chain[i + 1 :]]: (-1) ** i for i in range(upper.degree + 1)}
+        for chain in upper.chains
     ]
 
 
-def _order_complex_homology(chain_sets):
+def _order_complex_homology(chain_set, top):
     """H_n as a function of n, reducing each boundary at most once.
 
-    With c_n chains in degree n, H_n = Z^(c_n - rk d_n - rk d_(n+1)) plus the
-    torsion of d_(n+1), the boundary into degree n; boundaries are reduced on
-    first use, so a caller that stops early never builds the higher ones.
+    `chain_set(k)` gives the chains of degree k, for 0 <= k <= top; it is
+    called at most once per degree, on first use.  With c_n chains in degree
+    n, H_n = Z^(c_n - rk d_n - rk d_(n+1)) plus the torsion of d_(n+1), the
+    boundary into degree n; boundaries are reduced on first use, so a caller
+    that stops early never enumerates or builds the higher ones.
     """
+    sets = {}
     reduced = {}
+
+    def at(k):
+        if k not in sets:
+            sets[k] = chain_set(k)
+        return sets[k]
 
     def boundary(k):
         if k not in reduced:
-            if k == 0 or k >= len(chain_sets):
+            if k == 0 or k > top:
                 reduced[k] = (0, ())
             else:
-                reduced[k] = rank_and_torsion(_boundary_columns(chain_sets, k))
+                reduced[k] = rank_and_torsion(_boundary_columns(at(k - 1), at(k)))
         return reduced[k]
 
     def homology(n):
-        if n < 0 or n >= len(chain_sets) or len(chain_sets[n]) == 0:
+        if n < 0 or n > top or len(at(n)) == 0:
             return CanonicalGroup(0)
         rank_out = boundary(n)[0]
         rank_in, torsion = boundary(n + 1)
-        return CanonicalGroup(len(chain_sets[n]) - rank_out - rank_in, torsion)
+        return CanonicalGroup(len(at(n)) - rank_out - rank_in, torsion)
 
     return homology
 
@@ -307,9 +315,11 @@ def acyclicity_check(poset, shortcuts=True):
 
     A disconnected comparability graph fails at degree 0 before any matrix
     work; a least element makes the complex a cone and, with shortcuts on,
-    settles the verdict without homology.  Otherwise H_n is computed for all
-    degrees up to the longest chain length (it vanishes above), each boundary
-    matrix built and reduced at most once.
+    settles the verdict without homology.  Otherwise H_n is computed degree
+    by degree up to the longest chain length (it vanishes above); each
+    degree's chains are enumerated and each boundary matrix is built and
+    reduced at most once, on first use, so a sweep that stops early never
+    enumerates the higher degrees.
     """
     from .poset import chains, components
 
@@ -322,7 +332,7 @@ def acyclicity_check(poset, shortcuts=True):
             if len(poset.up[i]) == n:
                 return AcyclicityVerdict(True, via="least-element")
     height = poset.height()
-    homology = _order_complex_homology([chains(poset, k) for k in range(height + 1)])
+    homology = _order_complex_homology(lambda k: chains(poset, k), height)
     start = 0 if not shortcuts else 1
     for degree in range(start, height + 1):
         h = homology(degree)

@@ -34,6 +34,19 @@ class IntMatrix:
         self.entries = tuple(ents)
 
     @classmethod
+    def _trusted(cls, rows, cols, entries):
+        """A matrix whose `entries` are already a tuple of `cols`-long int tuples.
+
+        Results derived from existing matrices are built this way; input
+        from outside enters through the checking constructors.
+        """
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
     def from_rows(cls, rows):
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
@@ -78,31 +91,50 @@ class IntMatrix:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows, [self.column(j) for j in range(self.cols)])
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return IntMatrix._trusted(self.cols, self.rows, entries)
 
     def __neg__(self):
-        return IntMatrix(self.rows, self.cols, [[-a for a in r] for r in self.entries])
+        return IntMatrix._trusted(
+            self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.entries)
+        )
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return IntMatrix(
+        return IntMatrix._trusted(
             self.rows,
             self.cols,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
+            tuple(
+                tuple(a + b for a, b in zip(ra, rb))
+                for ra, rb in zip(self.entries, other.entries)
+            ),
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        """Matrix product; `other` may also be a vector (sequence of ints)."""
+        """Matrix product; `other` may also be a vector (sequence of ints).
+
+        Each row of `other` is listed once by its nonzero entries, and each
+        nonzero entry of a row of `self` adds one scaled sparse row, so zero
+        entries on either side cost nothing.
+        """
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            bt = [other.column(j) for j in range(other.cols)]
-            data = [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
-            return IntMatrix(self.rows, other.cols, data)
+            n = other.cols
+            sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+            data = []
+            for row in self.entries:
+                acc = [0] * n
+                for a, terms in zip(row, sparse):
+                    if a:
+                        for j, b in terms:
+                            acc[j] += a * b
+                data.append(tuple(acc))
+            return IntMatrix._trusted(self.rows, n, tuple(data))
         return self.apply(other)
 
     def apply(self, vector):
@@ -116,31 +148,29 @@ class IntMatrix:
         """Columns of self followed by columns of other."""
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return IntMatrix(
+        return IntMatrix._trusted(
             self.rows,
             self.cols + other.cols,
-            [list(ra) + list(rb) for ra, rb in zip(self.entries, other.entries)],
+            tuple(ra + rb for ra, rb in zip(self.entries, other.entries)),
         )
 
     def take_rows(self, indices):
-        return IntMatrix(len(indices), self.cols, [self.entries[i] for i in indices])
+        entries = tuple(self.entries[i] for i in indices)
+        return IntMatrix._trusted(len(entries), self.cols, entries)
 
     def is_zero(self):
         return all(a == 0 for row in self.entries for a in row)
 
     @classmethod
     def block_diag(cls, blocks):
-        rows = sum(b.rows for b in blocks)
         cols = sum(b.cols for b in blocks)
-        data = [[0] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        data = []
+        c0 = 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    data[r0 + i][c0 + j] = b.entries[i][j]
-            r0 += b.rows
+            left, right = (0,) * c0, (0,) * (cols - c0 - b.cols)
+            data.extend(left + row + right for row in b.entries)
             c0 += b.cols
-        return cls(rows, cols, data)
+        return cls._trusted(len(data), cols, tuple(data))
 
 
 class SmithDecomposition:
@@ -169,32 +199,43 @@ class SmithDecomposition:
         return tuple(self.D.entries[i][i] for i in range(self.rank))
 
     def solve(self, b):
-        """Some integer x with M x = b, or None when none exists."""
+        """Some integer X with M X = B, or None when a column has no solution.
+
+        B is a matrix, whose columns are solved together: U B, its rows
+        divided by the diagonal of D, then V times the quotient.  A vector
+        is solved as a one-column matrix and its solution comes back as a
+        tuple.
+        """
         M = self.matrix
-        b = list(b)
-        if len(b) != M.rows:
-            raise ValueError("vector length %d, expected %d" % (len(b), M.rows))
-        c = self.U.apply(b)
-        y = [0] * M.cols
-        for i in range(M.rows):
-            d = self.D.entries[i][i] if i < min(M.rows, M.cols) else 0
-            if d:
-                if c[i] % d:
-                    return None
-                y[i] = c[i] // d
-            elif c[i]:
+        vector = not isinstance(b, IntMatrix)
+        if vector:
+            b = list(b)
+            if len(b) != M.rows:
+                raise ValueError("vector length %d, expected %d" % (len(b), M.rows))
+            b = IntMatrix(M.rows, 1, [[a] for a in b])
+        elif b.rows != M.rows:
+            raise ValueError("right-hand side has %d rows, expected %d" % (b.rows, M.rows))
+        C = self.U * b
+        diagonal = min(M.rows, M.cols)
+        zero = (0,) * b.cols
+        Y = []
+        for i, row in enumerate(C.entries):
+            d = self.D.entries[i][i] if i < diagonal else 0
+            if any(c % d if d else c for c in row):
                 return None
-        return self.V.apply(y)
+            if i < M.cols:
+                Y.append(tuple(c // d for c in row) if d else zero)
+        Y.extend([zero] * (M.cols - len(Y)))
+        X = self.V * IntMatrix._trusted(M.cols, b.cols, tuple(Y))
+        return X.column(0) if vector else X
 
     def kernel_basis(self):
         """Columns forming a lattice basis of {x : M x = 0}."""
         M = self.matrix
-        cols = []
-        for j in range(M.cols):
-            d = self.D.entries[j][j] if j < min(M.rows, M.cols) else 0
-            if d == 0:
-                cols.append(self.V.column(j))
-        return IntMatrix.from_columns(cols, nrows=M.cols)
+        diagonal = min(M.rows, M.cols)
+        free = [j for j in range(M.cols) if j >= diagonal or self.D.entries[j][j] == 0]
+        entries = tuple(tuple(row[j] for j in free) for row in self.V.entries)
+        return IntMatrix._trusted(M.cols, len(free), entries)
 
 
 def snf(M):
@@ -313,9 +354,9 @@ def snf(M):
 
     return SmithDecomposition(
         M,
-        IntMatrix(m, m, U),
-        IntMatrix(m, n, A),
-        IntMatrix(n, n, V),
+        IntMatrix._trusted(m, m, tuple(map(tuple, U))),
+        IntMatrix._trusted(m, n, tuple(map(tuple, A))),
+        IntMatrix._trusted(n, n, tuple(map(tuple, V))),
     )
 
 

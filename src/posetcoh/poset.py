@@ -22,10 +22,11 @@ class Poset:
 
     `down[i]` is the index set {j : j <= i} and `up[i]` is {j : j >= i}; all
     order queries reduce to membership in these frozen sets.  Instances are
-    immutable and compare by value.
+    immutable and compare by value; `chains` keeps each degree's chain set
+    on the instance, outside that value.
     """
 
-    __slots__ = ("elements", "index", "down", "up")
+    __slots__ = ("elements", "index", "down", "up", "_chains")
 
     def __init__(self, elements, down):
         self.elements = tuple(elements)
@@ -59,6 +60,7 @@ class Poset:
                     )
                 ups[j].add(i)
         self.up = tuple(frozenset(s) for s in ups)
+        self._chains = {}
 
     def __len__(self):
         return len(self.elements)
@@ -103,9 +105,6 @@ class Poset:
     def linear_extension(self):
         """Element indices in an order listing smaller elements first."""
         return sorted(range(len(self.elements)), key=lambda i: (len(self.down[i]), i))
-
-    def subset(self, indices):
-        return Subset(self, indices)
 
 
 class Subset:
@@ -256,9 +255,15 @@ def intersection_poset(poset):
 
 
 def chains(poset, n):
-    """All strictly decreasing chains c_0 > c_1 > ... > c_n."""
+    """All strictly decreasing chains c_0 > c_1 > ... > c_n.
+
+    Each degree is enumerated once per poset; later calls return the same
+    ChainSet.
+    """
     if n < 0:
         raise PosetError("chain degree must be nonnegative")
+    if n in poset._chains:
+        return poset._chains[n]
     out = []
 
     def extend(prefix, last):
@@ -272,7 +277,8 @@ def chains(poset, n):
 
     for c0 in range(len(poset.elements)):
         extend([c0], c0)
-    return ChainSet(poset, n, out)
+    poset._chains[n] = ChainSet(poset, n, out)
+    return poset._chains[n]
 
 
 def components(poset):

@@ -14,6 +14,7 @@ from posetcoh.cech import (
 from posetcoh.diagrams import DiagramError, random_diagram, sheafify_value
 from posetcoh.documents import load_presheaf
 from posetcoh.groups import CanonicalGroup, canonical_form, is_isomorphism
+from posetcoh.linalg import IntMatrix, snf
 from posetcoh.poset import IntersectionPoset, random_poset
 
 import builders
@@ -158,6 +159,51 @@ def test_cech_vanishes_above_the_default_cap():
         for ps in presheaves:
             for n in above:
                 assert cech_cohomology(ps, n).is_trivial()
+
+
+def per_column_solves(data, vectors, rows):
+    """The coordinates of each vector on `data`'s homology generators, solved one by one."""
+    dec = snf(data.cycles)
+    cols = [dec.solve(v) for v in vectors]
+    assert None not in cols
+    return IntMatrix.from_columns(cols, nrows=rows) if cols else IntMatrix.zero(rows, 0)
+
+
+def test_comparison_map_matches_per_generator_solves():
+    for P in (builders.vee(), builders.square(), builders.crown3(), builders.sphere()):
+        U = IntersectionPoset(P)
+        for seed in range(6):
+            ps = random_presheaf(U, seed)
+            rho = ps.comparison_chain_map()
+            for n in range(min(rho.source.top_degree(), rho.target.top_degree()) + 1):
+                src, tgt = rho.source.homology(n), rho.target.homology(n)
+                images = [rho.maps[n].apply(src.lift(j)) for j in range(src.group.generators)]
+                expected = per_column_solves(tgt, images, tgt.group.generators)
+                assert comparison_map(ps, n).matrix == expected, (P, seed, n)
+
+
+def test_sheaf_presheaf_restrictions_match_per_column_solves():
+    for P in (builders.vee(), builders.square(), builders.crown3(), builders.zigzag()):
+        for seed in range(4):
+            F = random_diagram(P, seed)
+            ps = sheaf_presheaf(F)
+            nodes = ps.intersection.nodes
+            cones = [sheafify_value(F, node.indices) for node in nodes]
+            for (high, low), hom in ps.diagram.edge_maps.items():
+                at, start = 0, {}
+                for i in sorted(nodes[high].indices):
+                    start[i] = at
+                    at += F.value(i).generators
+                restricted = [
+                    [
+                        cones[high].data.lift(j)[start[i] + k]
+                        for i in sorted(nodes[low].indices)
+                        for k in range(F.value(i).generators)
+                    ]
+                    for j in range(cones[high].group.generators)
+                ]
+                expected = per_column_solves(cones[low].data, restricted, cones[low].group.generators)
+                assert hom.matrix == expected, (P, seed, high, low)
 
 
 def test_random_presheaf_determinism():

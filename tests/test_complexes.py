@@ -241,6 +241,30 @@ def test_acyclicity_projective_plane_fails_at_one_with_torsion():
     assert verdict.degree == 1 and verdict.group == CanonicalGroup(0, (2,))
 
 
+def test_acyclicity_sweep_enumerates_only_the_degrees_it_reads(monkeypatch):
+    # a 4-cycle with a tail: H_1 = Z, longest chain p0 < p3 < q1 < q2 < q3
+    cycle = [["p0", "p2"], ["p0", "p3"], ["p1", "p2"], ["p1", "p3"]]
+    tail = [["p3", "q1"], ["q1", "q2"], ["q2", "q3"]]
+    elements = ["p0", "p1", "p2", "p3", "q1", "q2", "q3"]
+    P = parse_poset({"elements": elements, "relations": cycle + tail})
+    assert P.height() == 4
+    import posetcoh.poset
+
+    asked = []
+    enumerate_chains = posetcoh.poset.chains
+
+    def counting_chains(poset, n):
+        asked.append(n)
+        return enumerate_chains(poset, n)
+
+    monkeypatch.setattr(posetcoh.poset, "chains", counting_chains)
+    for shortcuts in (True, False):
+        asked.clear()
+        verdict = acyclicity_check(P, shortcuts=shortcuts)
+        assert verdict.degree == 1 and verdict.group == CanonicalGroup(1)
+        assert sorted(asked) == [0, 1, 2]
+
+
 def test_acyclicity_cone_shortcut_and_recheck():
     P = parse_poset(
         {"elements": ["bot", "a", "b"], "relations": [["bot", "a"], ["bot", "b"]]}

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from posetcoh.linalg import (
     IntMatrix,
     determinant,
@@ -141,6 +143,94 @@ def test_matrix_utilities():
     assert IntMatrix.block_diag([A, B]).rows == 4
     assert (A - A).is_zero()
     assert IntMatrix.from_columns([(1, 3), (2, 4)]) == A
+    # empty shapes keep their dimensions through every derived operation
+    assert IntMatrix.zero(0, 3).transpose() == IntMatrix.zero(3, 0)
+    assert IntMatrix.zero(2, 0).transpose() == IntMatrix.zero(0, 2)
+    assert IntMatrix.zero(2, 0) * IntMatrix.zero(0, 3) == IntMatrix.zero(2, 3)
+    assert IntMatrix.zero(0, 2) * A == IntMatrix.zero(0, 2)
+    assert A.take_rows([]) == IntMatrix.zero(0, 2)
+    assert A.take_rows([1, 1, 0]) == IntMatrix.from_rows([[3, 4], [3, 4], [1, 2]])
+    assert IntMatrix.zero(0, 1).hstack(IntMatrix.zero(0, 2)) == IntMatrix.zero(0, 3)
+    assert IntMatrix.block_diag([]) == IntMatrix.zero(0, 0)
+    assert IntMatrix.block_diag([IntMatrix.zero(1, 0), B, IntMatrix.zero(0, 1)]) == (
+        IntMatrix.from_rows([[0, 0, 0], [0, 1, 0], [1, 0, 0]])
+    )
+
+
+def test_public_constructors_check_shapes_and_convert_entries():
+    with pytest.raises(ValueError, match="column count"):
+        IntMatrix(2, 2, [[1, 2], [3]])
+    with pytest.raises(ValueError, match="row count"):
+        IntMatrix(3, 2, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="column count"):
+        IntMatrix.from_rows([[1, 2], [3, 4, 5]])
+    M = IntMatrix(1, 2, [[True, 3.0]])
+    assert M.entries == ((1, 3),)
+    assert all(type(a) is int for a in M.entries[0])
+
+
+def naive_product(A, B, n):
+    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(n)] for i in range(len(A))]
+
+
+def naive_block_diag(blocks):
+    cols = sum(c for _, c in blocks)
+    out = []
+    c0 = 0
+    for rows, c in blocks:
+        for row in rows:
+            out.append([0] * c0 + list(row) + [0] * (cols - c0 - c))
+        c0 += c
+    return out
+
+
+def assert_same_matrix(result, rows, cols, expected):
+    """`result` equals, and hashes like, the checked matrix of `expected`."""
+    checked = IntMatrix(rows, cols, expected)
+    assert (result.rows, result.cols) == (rows, cols)
+    assert result == checked and hash(result) == hash(checked)
+    assert type(result.entries) is tuple
+    for row in result.entries:
+        assert type(row) is tuple and len(row) == cols
+        assert all(type(a) is int for a in row)
+
+
+def sparse_random_rows(rng, m, n):
+    fill = rng.choice([0.0, 0.1, 0.3, 1.0])
+    rows = [[rng.randint(-5, 5) if rng.random() < fill else 0 for _ in range(n)] for _ in range(m)]
+    if m and rng.random() < 0.3:
+        rows[rng.randrange(m)] = [0] * n
+    if n and rng.random() < 0.3:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+def test_derived_operations_match_naive_reference():
+    rng = random.Random(67)
+    for trial in range(300):
+        m, k, n = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a = sparse_random_rows(rng, m, k)
+        b = sparse_random_rows(rng, k, n)
+        c = sparse_random_rows(rng, m, k)
+        e = sparse_random_rows(rng, m, n)
+        A, B, C, E = IntMatrix(m, k, a), IntMatrix(k, n, b), IntMatrix(m, k, c), IntMatrix(m, n, e)
+        assert_same_matrix(A * B, m, n, naive_product(a, b, n))
+        assert_same_matrix(A + C, m, k, [[x + y for x, y in zip(r, s)] for r, s in zip(a, c)])
+        assert_same_matrix(A - C, m, k, [[x - y for x, y in zip(r, s)] for r, s in zip(a, c)])
+        assert_same_matrix(-A, m, k, [[-x for x in r] for r in a])
+        assert_same_matrix(A.transpose(), k, m, [[a[i][j] for i in range(m)] for j in range(k)])
+        assert_same_matrix(A.hstack(E), m, k + n, [r + s for r, s in zip(a, e)])
+        picks = [rng.randrange(m) for _ in range(rng.randint(0, 4))] if m else []
+        assert_same_matrix(A.take_rows(picks), len(picks), k, [a[i] for i in picks])
+        blocks = [(a, k), (b, n), (e, n)]
+        assert_same_matrix(
+            IntMatrix.block_diag([A, B, E]), m + k + m, k + n + n, naive_block_diag(blocks)
+        )
+        if k:
+            vector = [rng.randint(-3, 3) for _ in range(k)]
+            assert A * vector == tuple(r[0] for r in naive_product(a, [[v] for v in vector], 1))
 
 
 def sparse_columns(M):
@@ -172,3 +262,35 @@ def test_rank_and_torsion_matches_snf_and_minors():
         assert rank_and_torsion(sparse_columns(M)) == expected, rows
         if max(m, n) <= 4:
             assert factors == invariant_factors_by_minors(M)
+
+
+def test_batched_solve_matches_column_solves():
+    rng = random.Random(71)
+    solved = unsolvable = 0
+    for trial in range(200):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        scale = rng.choice([1, 1, 2, 3])
+        M = IntMatrix(m, n, [[scale * a for a in row] for row in sparse_random_rows(rng, m, n)])
+        dec = snf(M)
+        columns, images = [], []
+        for _ in range(rng.randint(0, 4)):
+            image = rng.random() < 0.7
+            if image:
+                columns.append(M.apply([rng.randint(-4, 4) for _ in range(n)]))
+            else:
+                columns.append(tuple(rng.randint(-6, 6) for _ in range(m)))
+            images.append(image)
+        B = IntMatrix.from_columns(columns, nrows=m)
+        one_by_one = [dec.solve(b) for b in columns]
+        assert all(x is not None for x, image in zip(one_by_one, images) if image)
+        X = dec.solve(B)
+        if None in one_by_one:
+            unsolvable += 1
+            assert X is None, trial
+        else:
+            solved += 1
+            assert X == IntMatrix.from_columns(one_by_one, nrows=n), trial
+            assert M * X == B
+    assert solved > 50 and unsolvable > 20
+    with pytest.raises(ValueError, match="2 rows, expected 3"):
+        snf(IntMatrix.zero(3, 1)).solve(IntMatrix.zero(2, 1))

@@ -165,6 +165,13 @@ def test_chains_deterministic_order():
     assert chains(P, 1).chains == chains(P, 1).chains
     listed = list(chains(P, 1))
     assert listed == sorted(listed)
+    # each degree is enumerated once per poset; a fresh, equal poset
+    # enumerates the same chains and still compares and hashes by value
+    assert chains(P, 2) is chains(P, 2)
+    fresh = builders.sphere()
+    assert fresh == P and hash(fresh) == hash(P)
+    for n in range(P.height() + 2):
+        assert chains(fresh, n).chains == chains(P, n).chains
 
 
 def test_induced_subposet():
