@@ -224,14 +224,12 @@ def is_isomorphism(hom):
     """Whether a well-defined homomorphism has trivial kernel and cokernel.
 
     The cokernel is presented by the map's columns joined with the target
-    relators, so it is trivial iff all their invariant factors are 1; the
-    kernel is the lattice of source vectors landing in the target relation
-    lattice, read off the same decomposition and reduced modulo the source
-    relators.
+    relators, so it is trivial iff all their invariant factors are 1.  A
+    surjection between isomorphic finitely generated abelian groups is
+    injective, since such groups are Hopfian, so once the map is onto it is
+    an isomorphism iff source and target have the same canonical form.
     """
     combined = hom.matrix.hstack(hom.target.relations)
-    dec = snf(combined)
-    if dec.invariant_factors() != (1,) * hom.target.generators:
+    if snf(combined).invariant_factors() != (1,) * hom.target.generators:
         return False
-    kernel = dec.kernel_basis().take_rows(range(hom.source.generators))
-    return hom.source.in_relation_lattice(kernel)
+    return canonical_form(hom.source) == canonical_form(hom.target)

@@ -59,6 +59,9 @@ class IntMatrix:
             if not cols:
                 raise ValueError("row count needed for a matrix with no columns")
             nrows = len(cols[0])
+        for k, c in enumerate(cols):
+            if len(c) != nrows:
+                raise ValueError("column %d has %d entries, expected %d" % (k, len(c), nrows))
         return cls(nrows, len(cols), [[c[i] for c in cols] for i in range(nrows)])
 
     @classmethod
@@ -179,21 +182,34 @@ class SmithDecomposition:
     The diagonal of D is nonnegative and each entry divides the next; the
     nonzero diagonal entries are the invariant factors of M.  The decomposition
     also answers solvability questions: it is the single factored object reused
-    for `solve` and `kernel_basis`.
+    for `solve` and `kernel_basis`.  U and V are kept as the logged row and
+    column operations of the elimination and built on first read.
     """
 
-    __slots__ = ("matrix", "U", "D", "V", "rank")
+    __slots__ = ("matrix", "D", "rank", "_row_ops", "_col_ops", "_U", "_V")
 
-    def __init__(self, matrix, U, D, V):
+    def __init__(self, matrix, D, row_ops, col_ops):
         self.matrix = matrix
-        self.U = U
         self.D = D
-        self.V = V
-        r = 0
-        for i in range(min(D.rows, D.cols)):
-            if D.entries[i][i]:
-                r += 1
-        self.rank = r
+        self._row_ops = row_ops
+        self._col_ops = col_ops
+        self._U = None
+        self._V = None
+        self.rank = sum(1 for i in range(min(D.rows, D.cols)) if D.entries[i][i])
+
+    @property
+    def U(self):
+        if self._U is None:
+            m = self.matrix.rows
+            self._U = IntMatrix._trusted(m, m, _dense(_replay(m, self._row_ops), m))
+        return self._U
+
+    @property
+    def V(self):
+        if self._V is None:
+            n = self.matrix.cols
+            self._V = IntMatrix._trusted(n, n, _dense(_replay(n, self._col_ops), n)).transpose()
+        return self._V
 
     def invariant_factors(self):
         return tuple(self.D.entries[i][i] for i in range(self.rank))
@@ -234,8 +250,40 @@ class SmithDecomposition:
         M = self.matrix
         diagonal = min(M.rows, M.cols)
         free = [j for j in range(M.cols) if j >= diagonal or self.D.entries[j][j] == 0]
-        entries = tuple(tuple(row[j] for j in free) for row in self.V.entries)
-        return IntMatrix._trusted(M.cols, len(free), entries)
+        columns = _replay(M.cols, self._col_ops)
+        kept = _dense([columns[j] for j in free], M.cols)
+        return IntMatrix._trusted(len(free), M.cols, kept).transpose()
+
+
+def _replay(size, ops):
+    """The lines (rows or columns) of the size x size identity after `ops`.
+
+    An operation (src, dst, q) adds q times line src to line dst; q == 0
+    swaps the two lines instead, and src == dst negates the line.  Lines are
+    dicts {index: entry}, so a transform with few nonzeros replays cheaply.
+    """
+    lines = [{k: 1} for k in range(size)]
+    for src, dst, q in ops:
+        if src == dst:
+            lines[dst] = {k: -a for k, a in lines[dst].items()}
+        elif q:
+            line = lines[dst]
+            for k, a in lines[src].items():
+                line[k] = line.get(k, 0) + q * a
+        else:
+            lines[src], lines[dst] = lines[dst], lines[src]
+    return lines
+
+
+def _dense(lines, size):
+    """Sparse lines as a tuple of `size`-long int tuples."""
+    out = []
+    for line in lines:
+        row = [0] * size
+        for k, a in line.items():
+            row[k] = a
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def snf(M):
@@ -244,40 +292,22 @@ def snf(M):
     Row and column eliminations use a pivot of minimal absolute value, which
     keeps intermediate entries small in practice.  Before a pivot is accepted,
     it is made to divide every remaining entry of the working submatrix, so
-    the divisibility chain on the diagonal holds by construction.
+    the divisibility chain on the diagonal holds by construction.  Only M is
+    eliminated; each row and column operation is logged, and U and V are
+    replayed from the logs when first read.
 
     >>> snf(IntMatrix.from_rows([[2, 4], [6, 8]])).invariant_factors()
     (2, 4)
     """
     m, n = M.rows, M.cols
     A = [list(r) for r in M.entries]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, k):
-        A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
+    row_ops = []  # (src, dst, q) as `_replay` reads them
+    col_ops = []
 
     def swap_cols(j, k):
         for row in A:
             row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
-
-    def add_row(src, dst, q):
-        # row[dst] += q * row[src]
-        As, Ad = A[src], A[dst]
-        for j in range(n):
-            Ad[j] += q * As[j]
-        Us, Ud = U[src], U[dst]
-        for j in range(m):
-            Ud[j] += q * Us[j]
-
-    def add_col(src, dst, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
+        col_ops.append((j, k, 0))
 
     def find_pivot(t):
         best = None
@@ -302,37 +332,48 @@ def snf(M):
             break
         i0, j0 = where
         if i0 != t:
-            swap_rows(t, i0)
+            A[t], A[i0] = A[i0], A[t]
+            row_ops.append((t, i0, 0))
         if j0 != t:
             swap_cols(t, j0)
         while True:
             # Euclidean elimination in column t, then row t.  A remainder
             # becomes the new, strictly smaller pivot, so this terminates.
+            At = A[t]
+            p = At[t]
             restart = False
             for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
+                Ai = A[i]
+                if Ai[t]:
+                    q = Ai[t] // p
                     if q:
-                        add_row(t, i, -q)
-                    if A[i][t]:
-                        swap_rows(t, i)
+                        A[i] = Ai = [a - q * b for a, b in zip(Ai, At)]
+                        row_ops.append((t, i, -q))
+                    if Ai[t]:
+                        A[t], A[i] = Ai, At
+                        row_ops.append((t, i, 0))
                         restart = True
                         break
             if restart:
                 continue
+            # column t is now zero off the diagonal, so subtracting it from
+            # column j changes A[t][j] alone
             for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
+                if At[j]:
+                    q = At[j] // p
                     if q:
-                        add_col(t, j, -q)
-                    if A[t][j]:
+                        At[j] -= q * p
+                        col_ops.append((t, j, -q))
+                    if At[j]:
                         swap_cols(t, j)
                         restart = True
                         break
             if restart:
                 continue
-            # pivot must divide the rest of the submatrix before we move on
-            p = A[t][t]
+            # pivot must divide the rest of the submatrix before we move on;
+            # a unit divides everything
+            if p == 1 or p == -1:
+                break
             offender = None
             for i in range(t + 1, m):
                 Ai = A[i]
@@ -344,20 +385,15 @@ def snf(M):
                     break
             if offender is None:
                 break
-            add_row(offender, t, 1)
+            A[t] = [a + b for a, b in zip(At, A[offender])]
+            row_ops.append((offender, t, 1))
         if A[t][t] < 0:
-            for j in range(n):
-                A[t][j] = -A[t][j]
-            for j in range(m):
-                U[t][j] = -U[t][j]
+            A[t] = [-a for a in A[t]]
+            row_ops.append((t, t, -1))
         t += 1
 
-    return SmithDecomposition(
-        M,
-        IntMatrix._trusted(m, m, tuple(map(tuple, U))),
-        IntMatrix._trusted(m, n, tuple(map(tuple, A))),
-        IntMatrix._trusted(n, n, tuple(map(tuple, V))),
-    )
+    D = IntMatrix._trusted(m, n, tuple(map(tuple, A)))
+    return SmithDecomposition(M, D, row_ops, col_ops)
 
 
 def rank_and_torsion(columns):

@@ -76,6 +76,123 @@ def random_matrix(rng, max_dim=8, max_entry=9):
     return IntMatrix(m, n, [[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(m)])
 
 
+def eager_snf(M):
+    """(U, D, V) with U * M * V = D, by eager elimination of M, U and V.
+
+    The Smith normal form as it was before the transforms were logged: the
+    same pivot rule and the same elementary operations, applied to U and V
+    as they happen.  `snf` must reproduce its U, D and V exactly.
+    """
+    m, n = M.rows, M.cols
+    A = [list(r) for r in M.entries]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, k):
+        A[i], A[k] = A[k], A[i]
+        U[i], U[k] = U[k], U[i]
+
+    def swap_cols(j, k):
+        for row in A:
+            row[j], row[k] = row[k], row[j]
+        for row in V:
+            row[j], row[k] = row[k], row[j]
+
+    def add_row(src, dst, q):
+        # row[dst] += q * row[src]
+        As, Ad = A[src], A[dst]
+        for j in range(n):
+            Ad[j] += q * As[j]
+        Us, Ud = U[src], U[dst]
+        for j in range(m):
+            Ud[j] += q * Us[j]
+
+    def add_col(src, dst, q):
+        for row in A:
+            row[dst] += q * row[src]
+        for row in V:
+            row[dst] += q * row[src]
+
+    def find_pivot(t):
+        best = None
+        where = None
+        for i in range(t, m):
+            Ai = A[i]
+            for j in range(t, n):
+                a = Ai[j]
+                if a:
+                    a = -a if a < 0 else a
+                    if best is None or a < best:
+                        best = a
+                        where = (i, j)
+                        if a == 1:
+                            return where
+        return where
+
+    t = 0
+    while t < min(m, n):
+        where = find_pivot(t)
+        if where is None:
+            break
+        i0, j0 = where
+        if i0 != t:
+            swap_rows(t, i0)
+        if j0 != t:
+            swap_cols(t, j0)
+        while True:
+            # Euclidean elimination in column t, then row t.  A remainder
+            # becomes the new, strictly smaller pivot, so this terminates.
+            restart = False
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    if q:
+                        add_row(t, i, -q)
+                    if A[i][t]:
+                        swap_rows(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    if q:
+                        add_col(t, j, -q)
+                    if A[t][j]:
+                        swap_cols(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            # pivot must divide the rest of the submatrix before we move on
+            p = A[t][t]
+            offender = None
+            for i in range(t + 1, m):
+                Ai = A[i]
+                for j in range(t + 1, n):
+                    if Ai[j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+        if A[t][t] < 0:
+            for j in range(n):
+                A[t][j] = -A[t][j]
+            for j in range(m):
+                U[t][j] = -U[t][j]
+        t += 1
+
+    return (
+        IntMatrix(m, m, U),
+        IntMatrix(m, n, A),
+        IntMatrix(n, n, V),
+    )
+
+
 class LatticeMembership:
     """Membership test for the column lattice of a relation matrix."""
 
@@ -84,6 +201,23 @@ class LatticeMembership:
 
     def contains(self, c):
         return self.dec.solve(c) is not None
+
+
+def is_isomorphism_by_kernel(hom):
+    """Isomorphism test of a well-defined hom that computes its kernel.
+
+    Onto iff the map's columns with the target relators have only unit
+    invariant factors; one-to-one iff every source vector sent into the
+    target relation lattice (the kernel of that joined matrix, projected to
+    its source block) already lies in the source relation lattice.
+    """
+    combined = hom.matrix.hstack(hom.target.relations)
+    dec = snf(combined)
+    if dec.invariant_factors() != (1,) * hom.target.generators:
+        return False
+    kernel = dec.kernel_basis().take_rows(range(hom.source.generators))
+    source = LatticeMembership(hom.source.relations)
+    return all(source.contains(kernel.column(j)) for j in range(kernel.cols))
 
 
 def _unimodular_inverse(U):

@@ -13,7 +13,7 @@ from posetcoh.groups import (
     is_isomorphism,
     is_zero_hom,
 )
-from posetcoh.linalg import IntMatrix
+from posetcoh.linalg import IntMatrix, snf
 
 import oracles
 
@@ -192,3 +192,63 @@ def test_is_isomorphism_decomposes_each_matrix_once(monkeypatch):
         combined = hom.matrix.hstack(hom.target.relations)
         assert decomposed.count(combined) == 1
         assert len(decomposed) == len(set(decomposed))
+
+
+def _random_unimodular(rng, n):
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, k = rng.sample(range(n), 2)
+        rows[k] = [a + rng.choice((-2, -1, 1, 2)) * b for a, b in zip(rows[k], rows[i])]
+    return IntMatrix.from_rows(rows)
+
+
+def test_is_isomorphism_matches_kernel_oracle():
+    z2_z4 = group(2, [(2, 0), (0, 4)])
+    explicit = [
+        # Z -> Z/2: onto, not one-to-one
+        (GroupHom(group(1, []), group(1, [(2,)]), IntMatrix.from_rows([[1]])), False),
+        # Z^2 -> Z by (1, 0): onto, kernel Z
+        (GroupHom(group(2, []), group(1, []), IntMatrix.from_rows([[1, 0]])), False),
+        # Z -> Z times 2: one-to-one, not onto
+        (GroupHom(group(1, []), group(1, []), IntMatrix.from_rows([[2]])), False),
+        # Z/2 -> Z/2 + Z/2: one-to-one, not onto
+        (GroupHom(group(1, [(2,)]), group(2, [(2, 0), (0, 2)]), IntMatrix.from_rows([[1], [0]])), False),
+        # an automorphism of Z/2 + Z/4
+        (GroupHom(z2_z4, z2_z4, IntMatrix.from_rows([[1, 1], [2, 1]])), True),
+    ]
+    for hom, expected in explicit:
+        assert hom_well_defined(hom)
+        assert oracles.is_isomorphism_by_kernel(hom) == expected
+        assert is_isomorphism(hom) == expected
+
+    rng = random.Random(83)
+    verdicts = {True: 0, False: 0}
+    onto_not_into = 0
+    for trial in range(300):
+        g = rng.randint(1, 4)
+        relators = [[rng.randint(-4, 4) for _ in range(g)] for _ in range(rng.randint(0, 3))]
+        source = group(g, relators)
+        P = _random_unimodular(rng, g)
+        images = [list(P.apply(r)) for r in relators]
+        kind = rng.randrange(3)
+        if kind == 0:
+            # P carries the source relators onto the target's: an isomorphism
+            target_relators = images
+        elif kind == 1:
+            # extra target relators: onto, one-to-one only if they add nothing
+            target_relators = images + [[rng.randint(-3, 3) for _ in range(g)]]
+        else:
+            # a random matrix; the target relators hold the source relators' images
+            P = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(g)] for _ in range(g)])
+            target_relators = [list(P.apply(r)) for r in relators]
+            target_relators += [[rng.randint(-3, 3) for _ in range(g)] for _ in range(rng.randint(0, 2))]
+        hom = GroupHom(source, group(g, target_relators), P)
+        assert hom_well_defined(hom)
+        expected = oracles.is_isomorphism_by_kernel(hom)
+        assert is_isomorphism(hom) == expected, trial
+        verdicts[expected] += 1
+        combined = hom.matrix.hstack(hom.target.relations)
+        if not expected and snf(combined).invariant_factors() == (1,) * g:
+            onto_not_into += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
+    assert onto_not_into > 20

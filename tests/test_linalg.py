@@ -12,7 +12,7 @@ from posetcoh.linalg import (
     solve,
 )
 
-from oracles import invariant_factors_by_minors, laplace_det, random_matrix
+from oracles import eager_snf, invariant_factors_by_minors, laplace_det, random_matrix
 
 
 def check_decomposition(M, dec):
@@ -164,6 +164,10 @@ def test_public_constructors_check_shapes_and_convert_entries():
         IntMatrix(3, 2, [[1, 2], [3, 4]])
     with pytest.raises(ValueError, match="column count"):
         IntMatrix.from_rows([[1, 2], [3, 4, 5]])
+    with pytest.raises(ValueError, match="column 0 has 3 entries, expected 2"):
+        IntMatrix.from_columns([(1, 2, 9), (3, 4)], nrows=2)
+    with pytest.raises(ValueError, match="column 1 has 1 entries, expected 2"):
+        IntMatrix.from_columns([(1, 2), (3,)], nrows=2)
     M = IntMatrix(1, 2, [[True, 3.0]])
     assert M.entries == ((1, 3),)
     assert all(type(a) is int for a in M.entries[0])
@@ -294,3 +298,57 @@ def test_batched_solve_matches_column_solves():
     assert solved > 50 and unsolvable > 20
     with pytest.raises(ValueError, match="2 rows, expected 3"):
         snf(IntMatrix.zero(3, 1)).solve(IntMatrix.zero(2, 1))
+
+
+def solve_by(U, D, V, B):
+    """`SmithDecomposition.solve` on a matrix, from explicit U, D and V."""
+    C = U * B
+    diagonal = min(D.rows, D.cols)
+    Y = []
+    for i, row in enumerate(C.entries):
+        d = D[i, i] if i < diagonal else 0
+        if any(c % d if d else c for c in row):
+            return None
+        if i < D.cols:
+            Y.append([c // d if d else 0 for c in row])
+    Y.extend([[0] * B.cols] * (D.cols - len(Y)))
+    return V * IntMatrix(D.cols, B.cols, Y)
+
+
+def test_snf_repeats_the_eager_elimination_exactly():
+    # U, D and V fix the homology generators, so the logged elimination must
+    # reproduce the eager one entry for entry
+    rng = random.Random(89)
+    matrices = [
+        IntMatrix.from_rows([[2, 0], [0, 3]]),  # pivot 2 must be fixed to divide 3
+        IntMatrix.from_rows([[-2, 0, 0], [0, -3, 0], [0, 0, 5]]),
+        IntMatrix.from_rows([[0, 0], [0, -4], [0, 6]]),
+        IntMatrix.zero(3, 2),
+        IntMatrix.zero(0, 3),
+        IntMatrix.zero(2, 0),
+    ]
+    for trial in range(450):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        scale = rng.choice([1, 1, 2, 3, 6])
+        rows = [[scale * a for a in row] for row in sparse_random_rows(rng, m, n)]
+        if trial % 5 == 0:
+            # distinct non-unit diagonals mostly need the divisibility fix
+            rows = [[rng.choice([-6, -4, 2, 3, 9]) if i == j else 0 for j in range(n)] for i in range(m)]
+        matrices.append(IntMatrix(m, n, rows))
+    for M in matrices:
+        U, D, V = eager_snf(M)
+        dec = snf(M)
+        assert (dec.U, dec.D, dec.V) == (U, D, V), M
+        assert dec.U is dec.U and dec.V is dec.V
+        free = [j for j in range(M.cols) if j >= min(M.rows, M.cols) or D[j, j] == 0]
+        assert kernel_basis(M) == IntMatrix(M.cols, len(free), [[row[j] for j in free] for row in V.entries])
+        B = IntMatrix.from_columns(
+            [M.apply([rng.randint(-3, 3) for _ in range(M.cols)]) for _ in range(2)]
+            + [[rng.randint(-4, 4) for _ in range(M.rows)]],
+            nrows=M.rows,
+        )
+        assert snf(M).solve(B) == solve_by(U, D, V, B)
+        for j in range(B.cols):
+            b = B.column(j)
+            X = solve_by(U, D, V, IntMatrix(M.rows, 1, [[a] for a in b]))
+            assert snf(M).solve(b) == (None if X is None else X.column(0))
