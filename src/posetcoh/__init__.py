@@ -34,6 +34,7 @@ from .cuts import Cut, CriterionReport, criterion, enumerate_cuts, upper_section
 from .diagrams import (
     Diagram,
     DiagramError,
+    colimit_complex,
     derived_colimit,
     derived_limit,
     full_complex_truncated,

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import ChainMap, Complex, ProductGroup, induced_on_homology
+from .complexes import ChainMap, induced_on_homology
 from .diagrams import (
     Diagram,
     DiagramError,
+    _cell_complex,
     derived_limit,
     random_diagram,
     sheafify_value,
@@ -133,50 +134,21 @@ def cech_ordered_complex(presheaf, order=None):
         if sorted(sequence) != list(range(len(space))):
             raise DiagramError("order must list every element exactly once")
     node_at = {node.indices: k for k, node in enumerate(presheaf.intersection.nodes)}
-
-    def meet(tup):
-        common = space.down[tup[0]]
-        for i in tup[1:]:
-            common = common & space.down[i]
-        return node_at[common] if common else None
-
-    levels = []
-    degree = 0
+    node_of = {}
+    cells = []
     while True:
         here = []
-        for tup in combinations(sequence, degree + 1):
-            node = meet(tup)
-            if node is not None:
-                here.append((tup, node))
+        for tup in combinations(sequence, len(cells) + 1):
+            common = space.down[tup[0]]
+            for i in tup[1:]:
+                common = common & space.down[i]
+            if common:
+                node_of[tup] = node_at[common]
+                here.append(tup)
         if not here:
             break
-        levels.append(here)
-        degree += 1
-
-    groups = []
-    for here in levels:
-        names = ["&".join(space.elements[i] for i in tup) for tup, _ in here]
-        groups.append(ProductGroup(names, [presheaf.node_value(w) for _, w in here]))
-    diffs = [
-        groups[n].hom_to(
-            groups[n + 1], _ordered_coboundary(presheaf.diagram, levels[n], levels[n + 1])
-        )
-        for n in range(len(levels) - 1)
-    ]
-    return Complex(groups, diffs)
-
-
-def _ordered_coboundary(diagram, lower, upper):
-    """Blocks of the ordered Cech differential between (tuple, node) levels.
-
-    Dropping entry i of a tuple restricts from the face's node to the tuple's
-    node, with sign (-1)^i.
-    """
-    position = {tup: k for k, (tup, _) in enumerate(lower)}
-    for row, (tup, node) in enumerate(upper):
-        for drop in range(len(tup)):
-            col = position[tup[:drop] + tup[drop + 1 :]]
-            yield row, col, (-1) ** drop, diagram.map(lower[col][1], node).matrix
+        cells.append(here)
+    return _cell_complex(presheaf.diagram, cells, node_of.__getitem__, space.elements, "&")
 
 
 class ComparisonRow:
@@ -208,14 +180,24 @@ def compare_report(presheaf, cap=None):
 
     The default cap is the top degree of the base poset's chain complex;
     above it the topos side is identically zero.  The Cech complex lives on
-    the node poset, which can be taller; that the Cech side vanishes above
-    the cap as well is checked on samples (random presheaves on the square
-    and the 3-element crown), not proven.
+    the node poset, which can be taller, so whenever the cap reaches the
+    base height the Cech groups above the cap are computed too, and a
+    nonzero one raises `DiagramError`; they add no rows.
     """
+    height = presheaf.space.height()
     if cap is None:
-        cap = presheaf.space.height()
+        cap = height
     if cap < 0:
         raise DiagramError("degree cap must be nonnegative")
+    if cap >= height:
+        cech = presheaf.cech_complex()
+        for n in range(cap + 1, cech.top_degree() + 1):
+            group = cech.homology_group(n)
+            if not group.is_trivial():
+                raise DiagramError(
+                    "Cech cohomology is nonzero above the degree cap %d: H^%d = %s"
+                    % (cap, n, group.render())
+                )
     rows = [ComparisonRow(n, comparison_map(presheaf, n)) for n in range(cap + 1)]
     return ComparisonReport(rows, cap)
 

@@ -14,13 +14,7 @@ import json
 import random
 import sys
 
-from .cech import (
-    cech_cohomology,
-    cech_ordered_complex,
-    compare_report,
-    random_presheaf,
-    topos_cohomology,
-)
+from .cech import cech_ordered_complex, compare_report, random_presheaf
 from .cuts import criterion, enumerate_cuts
 from .diagrams import derived_limit, full_complex_truncated
 from .documents import (
@@ -202,11 +196,6 @@ def cmd_skeleton(args):
     return 0
 
 
-def _cohomology_rows(args, space, value_at):
-    low, high = _degree_window(args, space.height())
-    return [(n, value_at(n)) for n in range(low, high + 1)]
-
-
 def _print_groups(args, fmt, rows):
     if args.json:
         _machine(
@@ -244,24 +233,18 @@ def _route_problem(diagram, degrees, ordered=None):
     return None
 
 
-def cmd_cech(args):
+def cmd_cohomology(args):
+    """`cech` and `topos`: derived limits of the presheaf's diagram or of its
+    pull-back to the base, cross-checked by the ordered Cech route or the
+    unreduced route."""
     space, ps = _load_presheaf(args)
-    rows = _cohomology_rows(args, space, lambda n: cech_cohomology(ps, n))
+    low, high = _degree_window(args, space.height())
+    cech = args.command == "cech"
+    diagram = ps.diagram if cech else ps.pulled_diagram()
+    rows = [(n, derived_limit(diagram, n)) for n in range(low, high + 1)]
     if args.oracle:
-        ordered = cech_ordered_complex(ps, _order_list(args, space))
-        problem = _route_problem(ps.diagram, [n for n, _ in rows], ordered)
-        if problem:
-            print("oracle mismatch: %s" % problem, file=sys.stderr)
-            return 2
-    _print_groups(args, "H^%d = %s", rows)
-    return 0
-
-
-def cmd_topos(args):
-    space, ps = _load_presheaf(args)
-    rows = _cohomology_rows(args, space, lambda n: topos_cohomology(ps, n))
-    if args.oracle:
-        problem = _route_problem(ps.pulled_diagram(), [n for n, _ in rows])
+        ordered = cech_ordered_complex(ps, _order_list(args, space)) if cech else None
+        problem = _route_problem(diagram, [n for n, _ in rows], ordered)
         if problem:
             print("oracle mismatch: %s" % problem, file=sys.stderr)
             return 2
@@ -431,14 +414,14 @@ def build_parser():
         help="skip the structural fast paths and test every cut",
     )
     add("skeleton", cmd_skeleton, "emit a presheaf authoring template")
-    cech = add("cech", cmd_cech, "Cech cohomology of a presheaf", presheaf=True)
+    cech = add("cech", cmd_cohomology, "Cech cohomology of a presheaf", presheaf=True)
     cech.add_argument("--degrees", help="degree window A..B")
     cech.add_argument("--order", help="total order for the oracle route, comma list")
     cech.add_argument(
         "--oracle", action="store_true", help="cross-check via the ordered complex"
     )
     topos = add(
-        "topos", cmd_topos, "topos cohomology of the generated sheaf", presheaf=True
+        "topos", cmd_cohomology, "topos cohomology of the generated sheaf", presheaf=True
     )
     topos.add_argument("--degrees", help="degree window A..B")
     topos.add_argument(

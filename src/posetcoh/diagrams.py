@@ -6,24 +6,26 @@ maps are derived and path independence is validated, so diagrams are honest
 functors.  Derived limits are cohomology of the cochain complex over strictly
 decreasing chains; the unreduced complex over weakly decreasing chains is kept
 as an independent route; derived colimits are homology of the chain complex
-with coefficients at the chain's first element.
+with coefficients at the chain's first element.  These complexes and the
+ordered Cech complex of `cech` differ only in their cells and in the node
+whose value a cell carries; one face builder, `_cell_complex`, makes them all.
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
-from .complexes import Complex, HomologyData, ProductGroup, homology_at
+from .complexes import Complex, ProductGroup, homology_at
 from .groups import (
     CanonicalGroup,
     GroupHom,
     PresentedAbGroup,
-    canonical_form,
     hom_well_defined,
     homs_equal,
 )
 from .linalg import IntMatrix
-from .poset import PosetError, Subset, chains
+from .poset import Subset, chains
 
 
 class DiagramError(ValueError):
@@ -71,14 +73,18 @@ class Diagram:
     def _validate_functoriality(self):
         """All composites along covers must agree; checked on every diamond."""
         base = self.base
+        covers_out = {}
+        for (a, c), edge in self.edge_maps.items():
+            covers_out.setdefault(a, []).append((c, edge))
         for a in base.linear_extension():
             for b in base.down[a]:
                 if b == a:
                     continue
-                candidates = []
-                for (x, c), edge in self.edge_maps.items():
-                    if x == a and base.leq(b, c):
-                        candidates.append((c, self.map(c, b).compose(edge)))
+                candidates = [
+                    (c, self.map(c, b).compose(edge))
+                    for c, edge in covers_out[a]
+                    if base.leq(b, c)
+                ]
                 first_via, first = candidates[0]
                 for via, other in candidates[1:]:
                     if not homs_equal(first, other):
@@ -112,82 +118,78 @@ class Diagram:
         return self._reduced
 
 
-def _coboundary(F, lower, upper):
-    """Blocks of the differential from chains `lower` to chains `upper`.
+def _faces(lower, upper, node):
+    """Every face of the cells `upper` among the cells `lower`.
 
-    Faces 0..n of a target chain drop one element and contribute the sign
-    alone (the coefficient group is attached to the last element, which
-    survives); the last face truncates the chain and applies the structure
-    map of the final arrow.
+    Face i of a cell drops entry i and carries the sign (-1)^i.  Yields
+    (upper index, lower index, sign, lower node, upper node), where the
+    nodes are `node(face)` and `node(cell)`.
     """
-    pos = {chain: k for k, chain in enumerate(lower.chains)}
-    n = lower.degree
-    for row, e in enumerate(upper.chains):
-        for i in range(n + 1):
-            yield row, pos[e[:i] + e[i + 1 :]], (-1) ** i, None
-        yield row, pos[e[:-1]], (-1) ** (n + 1), F.map(e[-2], e[-1]).matrix
+    position = {cell: k for k, cell in enumerate(lower)}
+    for row, cell in enumerate(upper):
+        top = node(cell)
+        for i in range(len(cell)):
+            face = cell[:i] + cell[i + 1 :]
+            yield row, position[face], (-1) ** i, node(face), top
 
 
-class _WeakChainSet:
-    """Weakly decreasing (n+1)-tuples; the index set of the unreduced complex."""
+def _cell_complex(F, cells, node, elements, separator, colimit=False):
+    """The complex of products over `cells[n]`, one cell list per degree.
 
-    def __init__(self, poset, degree):
-        self.poset = poset
-        self.degree = degree
-        out = []
-
-        def extend(prefix, last):
-            if len(prefix) == degree + 1:
-                out.append(tuple(prefix))
-                return
-            for j in sorted(poset.down[last]):
-                prefix.append(j)
-                extend(prefix, j)
-                prefix.pop()
-
-        for c0 in range(len(poset.elements)):
-            extend([c0], c0)
-        self.chains = tuple(out)
-
-    def __len__(self):
-        return len(self.chains)
-
-    def name(self, chain):
-        return ">=".join(self.poset.elements[i] for i in chain)
-
-
-def _chain_product(F, chain_set, at=-1):
-    """The product over chains of the value at each chain's element `at`."""
-    names = [chain_set.name(c) for c in chain_set.chains]
-    factors = [F.value(c[at]) for c in chain_set.chains]
-    return ProductGroup(names, factors)
-
-
-def _cochain_complex(F, chain_sets):
-    """The cochain complex with one chain set per degree, from degree 0."""
-    groups = [_chain_product(F, cs) for cs in chain_sets]
-    diffs = [
-        groups[n].hom_to(groups[n + 1], _coboundary(F, chain_sets[n], chain_sets[n + 1]))
-        for n in range(len(chain_sets) - 1)
+    A cell is a tuple of indices into `elements`, named by joining their
+    names with `separator`, and contributes the value of F at `node(cell)`.
+    The differentials are alternating sums of faces (`_faces`); a face's
+    block is the sign alone when the face keeps the node and the sign times
+    the structure map between the two nodes otherwise.  A cochain complex
+    maps faces to cells, restricting from the face's node to the cell's.
+    With `colimit` the blocks are transposed: the boundary maps cells to
+    faces along the map from the cell's node, and the degrees are listed
+    top degree first.
+    """
+    groups = [
+        ProductGroup(
+            [separator.join(elements[i] for i in c) for c in level],
+            [F.value(node(c)) for c in level],
+        )
+        for level in cells
     ]
+    diffs = []
+    for n in range(len(cells) - 1):
+        blocks = []
+        for row, col, sign, source, target in _faces(cells[n], cells[n + 1], node):
+            if colimit:
+                row, col, source, target = col, row, target, source
+            matrix = None if source == target else F.map(source, target).matrix
+            blocks.append((row, col, sign, matrix))
+        source, target = (groups[n + 1], groups[n]) if colimit else (groups[n], groups[n + 1])
+        diffs.append(source.hom_to(target, blocks))
+    if colimit:
+        groups.reverse()
+        diffs.reverse()
     return Complex(groups, diffs)
 
 
 def reduced_complex(F):
     """The cochain complex over strictly decreasing chains of the base."""
-    return _cochain_complex(F, [chains(F.base, n) for n in range(F.base.height() + 1)])
+    cells = [chains(F.base, n).chains for n in range(F.base.height() + 1)]
+    return _cell_complex(F, cells, itemgetter(-1), F.base.elements, ">")
 
 
 def full_complex_truncated(F, N):
     """The unreduced complex through degree N+1 (trustworthy through N).
 
-    Chains here may repeat elements; a repeated element contributes the
-    identity structure map, which is why this complex does not terminate at
-    the poset height and must be truncated.
+    Chains here are weakly decreasing tuples that may repeat elements; a
+    repeated element contributes the identity structure map, which is why
+    this complex does not terminate at the poset height and must be
+    truncated.
     """
     if N < 0:
         raise DiagramError("degree cap must be nonnegative")
-    return _cochain_complex(F, [_WeakChainSet(F.base, n) for n in range(N + 2)])
+    below = [sorted(down) for down in F.base.down]
+    cells = [[(i,) for i in range(len(below))]]
+    for _ in range(N + 1):
+        cells.append([c + (j,) for c in cells[-1] for j in below[c[-1]]])
+    return _cell_complex(F, cells, itemgetter(-1), F.base.elements, ">=")
 
 
 def derived_limit(F, n):
@@ -197,17 +199,15 @@ def derived_limit(F, n):
     return F.reduced_complex().homology_group(n)
 
 
-def _boundary(F, upper, lower):
-    """Chain-complex boundary from degree n to n-1 for the derived colimit."""
-    pos = {chain: k for k, chain in enumerate(lower.chains)}
+def colimit_complex(F):
+    """The chain complex over strictly decreasing chains, top degree first.
 
-    def blocks():
-        for col, c in enumerate(upper.chains):
-            yield pos[c[1:]], col, 1, F.map(c[0], c[1]).matrix
-            for i in range(1, upper.degree + 1):
-                yield pos[c[:i] + c[i + 1 :]], col, (-1) ** i, None
-
-    return _chain_product(F, upper, at=0).hom_to(_chain_product(F, lower, at=0), blocks())
+    A chain carries the value at its first element; dropping that element
+    applies the structure map of the first arrow.  Entry k of the complex
+    is degree height - k.
+    """
+    cells = [chains(F.base, n).chains for n in range(F.base.height() + 1)]
+    return _cell_complex(F, cells, itemgetter(0), F.base.elements, ">", colimit=True)
 
 
 def derived_colimit(F, n):
@@ -218,17 +218,7 @@ def derived_colimit(F, n):
     height = F.base.height()
     if n > height:
         return CanonicalGroup(0)
-    here = chains(F.base, n)
-    middle = _chain_product(F, here, at=0)
-    if n == 0:
-        d_out = GroupHom.zero(middle.group, PresentedAbGroup.zero())
-    else:
-        d_out = _boundary(F, here, chains(F.base, n - 1))
-    if n + 1 > height:
-        d_in = GroupHom.zero(PresentedAbGroup.zero(), middle.group)
-    else:
-        d_in = _boundary(F, chains(F.base, n + 1), here)
-    return canonical_form(homology_at(d_in, d_out).group)
+    return colimit_complex(F).homology_group(height - n)
 
 
 class LimitCone:

@@ -11,9 +11,16 @@ from posetcoh.cech import (
     random_presheaf,
     sheaf_presheaf,
 )
+from posetcoh.complexes import Complex, ProductGroup
 from posetcoh.diagrams import DiagramError, random_diagram, sheafify_value
 from posetcoh.documents import load_presheaf
-from posetcoh.groups import CanonicalGroup, canonical_form, is_isomorphism
+from posetcoh.groups import (
+    CanonicalGroup,
+    GroupHom,
+    PresentedAbGroup,
+    canonical_form,
+    is_isomorphism,
+)
 from posetcoh.linalg import IntMatrix, snf
 from posetcoh.poset import IntersectionPoset, random_poset
 
@@ -159,6 +166,27 @@ def test_cech_vanishes_above_the_default_cap():
         for ps in presheaves:
             for n in above:
                 assert cech_cohomology(ps, n).is_trivial()
+
+
+def test_compare_report_raises_on_cech_cohomology_above_the_cap(monkeypatch):
+    built = Presheaf.cech_complex
+
+    def one_degree_more(self):
+        cx = built(self)
+        extra = ProductGroup(["extra"], [PresentedAbGroup.free(1)])
+        top = cx.groups[-1].group
+        return Complex(cx.groups + [extra], cx.diffs + [GroupHom.zero(top, extra.group)])
+
+    monkeypatch.setattr(Presheaf, "cech_complex", one_degree_more)
+    ps = load_presheaf(builders.CONSTANT_SQUARE_DOC)
+    assert (ps.space.height(), built(ps).top_degree()) == (1, 2)
+    with pytest.raises(DiagramError, match=r"above the degree cap 1: H\^3 = Z$"):
+        compare_report(ps)
+    with pytest.raises(DiagramError, match=r"above the degree cap 2: H\^3 = Z$"):
+        compare_report(load_presheaf(builders.CONSTANT_SQUARE_DOC), cap=2)
+    # below the base height the cap is a window, not a claim about the degrees above
+    report = compare_report(load_presheaf(builders.CONSTANT_SQUARE_DOC), cap=0)
+    assert [row.degree for row in report.rows] == [0]
 
 
 def per_column_solves(data, vectors, rows):

@@ -1,13 +1,14 @@
+import itertools
 import random
 
 import pytest
 
-from posetcoh.cech import Presheaf, cech_ordered_complex
+from posetcoh.cech import Presheaf, cech_ordered_complex, random_presheaf
 from posetcoh.complexes import acyclicity_check, simplicial_homology
 from posetcoh.diagrams import (
     Diagram,
     DiagramError,
-    _boundary,
+    colimit_complex,
     derived_colimit,
     derived_limit,
     full_complex_truncated,
@@ -99,7 +100,7 @@ def test_vee_chain_indexed_block_layouts():
     F = vee_diagram([[3]], [[5]])
     P = F.base
     # derived-colimit boundary: rows p0, p1, p2; columns p0>p2, p1>p2
-    assert _boundary(F, chains(P, 1), chains(P, 0)).matrix.entries == (
+    assert colimit_complex(F).diffs[0].matrix.entries == (
         (-1, 0),
         (0, -1),
         (3, 5),
@@ -185,7 +186,7 @@ def test_diagram_validation_errors():
         )
 
     build(1)
-    with pytest.raises(DiagramError, match="routes via"):
+    with pytest.raises(DiagramError, match="from top to bot: routes via m1 and m2 differ"):
         build(2)
 
 
@@ -200,6 +201,118 @@ def test_diagram_composite_maps():
     )
     assert F.map(chain.index["a"], chain.index["c"]).matrix.entries == ((6,),)
     assert F.map(0, 0).matrix == IntMatrix.identity(1)
+
+
+def face_differential(F, lower, upper, node, colimit=False):
+    """The differential between two degrees, entry by entry from the face formula.
+
+    Face i of a cell drops entry i with sign (-1)^i and contributes the
+    structure map between the face's node and the cell's node (the identity
+    when they agree).  A cochain differential maps the faces `lower` to the
+    cells `upper`; the colimit boundary maps `upper` to `lower`.
+    """
+
+    def offsets(cells):
+        out, total = [], 0
+        for cell in cells:
+            out.append(total)
+            total += F.value(node(cell)).generators
+        return out, total
+
+    (low_at, low_total), (up_at, up_total) = offsets(lower), offsets(upper)
+    rows, cols = (low_total, up_total) if colimit else (up_total, low_total)
+    dense = [[0] * cols for _ in range(rows)]
+    for u, cell in enumerate(upper):
+        for i in range(len(cell)):
+            face = cell[:i] + cell[i + 1 :]
+            k = lower.index(face)
+            if colimit:
+                block, row0, col0 = F.map(node(cell), node(face)), low_at[k], up_at[u]
+            else:
+                block, row0, col0 = F.map(node(face), node(cell)), up_at[u], low_at[k]
+            for p, line in enumerate(block.matrix.entries):
+                for q, a in enumerate(line):
+                    dense[row0 + p][col0 + q] += (-1) ** i * a
+    return tuple(map(tuple, dense))
+
+
+def test_chain_indexed_complexes_match_entrywise_faces():
+    posets = [
+        builders.vee(),
+        builders.square(),
+        builders.crown3(),
+        random_poset(5, 0.5, seed=41),
+        random_poset(6, 0.4, seed=42),
+    ]
+    rng = random.Random(43)
+    for seed, P in enumerate(posets):
+        n = len(P)
+
+        def tuples(length, keep):
+            return [c for c in itertools.product(range(n), repeat=length) if keep(c)]
+
+        def descending(strict):
+            return lambda c: all(
+                P.leq(b, a) and (a != b or not strict) for a, b in zip(c, c[1:])
+            )
+
+        strict = [tuples(k + 1, descending(True)) for k in range(P.height() + 1)]
+        weak = [tuples(k + 1, descending(False)) for k in range(4)]
+        F = random_diagram(P, seed=seed)
+
+        def first(cell):
+            return cell[0]
+
+        def last(cell):
+            return cell[-1]
+
+        reduced = F.reduced_complex()
+        assert [g.names for g in reduced.groups] == [
+            tuple(">".join(P.elements[i] for i in c) for c in cells) for cells in strict
+        ]
+        for k, d in enumerate(reduced.diffs):
+            assert d.matrix.entries == face_differential(F, strict[k], strict[k + 1], last)
+        unreduced = full_complex_truncated(F, 2)
+        assert [g.names for g in unreduced.groups] == [
+            tuple(">=".join(P.elements[i] for i in c) for c in cells) for cells in weak
+        ]
+        for k, d in enumerate(unreduced.diffs):
+            assert d.matrix.entries == face_differential(F, weak[k], weak[k + 1], last)
+        # listed top degree first: differential k is the boundary out of degree height - k
+        colimit = colimit_complex(F)
+        assert [g.names for g in colimit.groups] == [g.names for g in reduced.groups[::-1]]
+        for k, d in enumerate(colimit.diffs):
+            top = P.height() - k
+            expected = face_differential(F, strict[top - 1], strict[top], first, colimit=True)
+            assert d.matrix.entries == expected
+
+        I = IntersectionPoset(P)
+        ps = random_presheaf(I, seed=100 + seed)
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        for order in (None, shuffled):
+            sequence = list(range(n)) if order is None else order
+            node_of = {}
+            levels = []
+            for k in range(n):
+                here = []
+                for c in itertools.combinations(sequence, k + 1):
+                    common = frozenset.intersection(*(P.down[i] for i in c))
+                    if common:
+                        node_of[c] = I.node_of(common)
+                        here.append(c)
+                if here:
+                    levels.append(here)
+            names = None if order is None else [P.elements[i] for i in order]
+            ordered = cech_ordered_complex(ps, names)
+            assert [g.names for g in ordered.groups] == [
+                tuple("&".join(P.elements[i] for i in c) for c in cells) for cells in levels
+            ]
+            for k, d in enumerate(ordered.diffs):
+                expected = face_differential(
+                    ps.diagram, levels[k], levels[k + 1], node_of.__getitem__
+                )
+                assert d.matrix.entries == expected
 
 
 def test_full_complex_matches_reduced_on_samples():
