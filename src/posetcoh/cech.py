@@ -24,6 +24,7 @@ from .diagrams import (
     sheafify_value,
 )
 from .groups import GroupHom, PresentedAbGroup, canonical_form, is_isomorphism
+from .linalg import IntMatrix
 from .poset import IntersectionPoset, chains
 
 
@@ -232,22 +233,14 @@ def sheaf_presheaf(F):
     intersection = IntersectionPoset(F.base)
     cones = [sheafify_value(F, node.indices) for node in intersection.nodes]
     values = [cone.group for cone in cones]
-    offsets = []
-    for node in intersection.nodes:
-        table = {}
-        at = 0
-        for i in sorted(node.indices):
-            table[i] = at
-            at += F.value(i).generators
-        offsets.append(table)
     maps = {}
     for low, high in intersection.poset.covers():
-        kept = [
-            offsets[high][i] + k
+        kept = tuple(
+            row
             for i in sorted(intersection.nodes[low].indices)
-            for k in range(F.value(i).generators)
-        ]
-        threads = cones[high].data.cycles.take_rows(kept)
+            for row in cones[high].projections[i].matrix.entries
+        )
+        threads = IntMatrix._trusted(len(kept), values[high].generators, kept)
         matrix = cones[low].data.coordinates(threads)
         maps[(high, low)] = GroupHom(values[high], values[low], matrix)
     diagram = Diagram(intersection.poset, values, maps)

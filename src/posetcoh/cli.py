@@ -4,6 +4,11 @@ Exit codes: 0 for an affirmative result, 1 for a negative verdict or a
 comparison mismatch, 2 for input errors and failed cross-checks.  With
 `--json` every command prints one canonical JSON object (sorted keys, compact
 separators), byte-identical for identical inputs and seeds.
+
+Every command returns (exit code, payload, text) and `main` alone writes the
+result: the payload as canonical JSON under `--json`, else the text, to
+`--out` or stdout.  A text of None means the command reported on stderr and
+there is no result to write.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .poset import (
     random_poset,
     serialize_poset,
 )
-from .complexes import simplicial_homology
+from .complexes import order_complex_homology
 
 
 def _read_json(path):
@@ -53,27 +58,10 @@ def _load_presheaf(args):
     return space, load_presheaf(_read_json(args.presheaf), space=space)
 
 
-def _emit(args, text):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
-
-
-def _machine(args, payload):
-    _emit(args, json.dumps(payload, sort_keys=True, separators=(",", ":")))
-
-
-def _document(args, doc):
-    _emit(args, json.dumps(doc, indent=2))
-
-
 def _degree_window(args, default_top):
-    window = getattr(args, "degrees", None)
-    if window is None:
+    if args.degrees is None:
         return 0, default_top
-    parts = window.split("..")
+    parts = args.degrees.split("..")
     if len(parts) == 1:
         parts = [parts[0], parts[0]]
     try:
@@ -86,7 +74,7 @@ def _degree_window(args, default_top):
 
 
 def _order_list(args, space):
-    if getattr(args, "order", None) is None:
+    if args.order is None:
         return None
     names = [part for part in args.order.split(",") if part]
     for name in names:
@@ -95,119 +83,78 @@ def _order_list(args, space):
     return names
 
 
+def _cut_names(cut):
+    return "<%s, %s>" % (cut.lower.canonical_name(), cut.upper.canonical_name())
+
+
 def cmd_validate(args):
     P = _load_poset(args.poset)
-    covers = P.covers()
-    longest = P.height() + 1
-    if args.json:
-        _machine(
-            args,
-            {
-                "elements": len(P.elements),
-                "cover_relations": len(covers),
-                "longest_chain": longest,
-            },
-        )
-    else:
-        _emit(
-            args,
-            "%d elements, %d cover relations, longest chain %d"
-            % (len(P.elements), len(covers), longest),
-        )
-    return 0
+    shape = (len(P.elements), len(P.covers()), P.height() + 1)
+    payload = dict(zip(("elements", "cover_relations", "longest_chain"), shape))
+    return 0, payload, "%d elements, %d cover relations, longest chain %d" % shape
 
 
 def cmd_cuts(args):
     P = _load_poset(args.poset)
-    cuts = enumerate_cuts(P)
-    if args.json:
-        payload = [
-            {
-                "lower": cut.lower.names(),
-                "upper": cut.upper.names(),
-                "witness": sorted(P.elements[i] for i in cut.witness),
-            }
-            for cut in cuts
+    cuts = [(cut, sorted(P.elements[i] for i in cut.witness)) for cut in enumerate_cuts(P)]
+    payload = {
+        "cuts": [
+            {"lower": cut.lower.names(), "upper": cut.upper.names(), "witness": witness}
+            for cut, witness in cuts
         ]
-        _machine(args, {"cuts": payload})
-    else:
-        lines = ["%d cuts with nonempty lower half" % len(cuts)]
-        for cut in cuts:
-            lines.append(
-                "cut <%s, %s> witness %s"
-                % (
-                    cut.lower.canonical_name(),
-                    cut.upper.canonical_name(),
-                    "{%s}" % ",".join(sorted(P.elements[i] for i in cut.witness)),
-                )
-            )
-        _emit(args, "\n".join(lines))
-    return 0
+    }
+    lines = ["%d cuts with nonempty lower half" % len(cuts)]
+    lines += [
+        "cut %s witness {%s}" % (_cut_names(cut), ",".join(witness))
+        for cut, witness in cuts
+    ]
+    return 0, payload, "\n".join(lines)
 
 
 def cmd_criterion(args):
     P = _load_poset(args.poset)
     report = criterion(P, shortcuts=not args.no_shortcut)
-    if args.json:
-        payload = {
-            "verdict": report.verdict,
-            "cuts_examined": report.cuts_examined,
-            "shortcut": report.shortcut,
-            "failures": [
-                {
-                    "lower": cut.lower.names(),
-                    "upper": cut.upper.names(),
-                    "degree": degree,
-                    "group": render_group(group),
-                }
-                for cut, degree, group in report.failures
-            ],
-        }
-        _machine(args, payload)
-    elif report.verdict == "PASS":
-        _emit(
-            args,
+    payload = {
+        "verdict": report.verdict,
+        "cuts_examined": report.cuts_examined,
+        "shortcut": report.shortcut,
+        "failures": [
+            {
+                "lower": cut.lower.names(),
+                "upper": cut.upper.names(),
+                "degree": degree,
+                "group": render_group(group),
+            }
+            for cut, degree, group in report.failures
+        ],
+    }
+    if report.verdict == "PASS":
+        text = (
             "PASS: all tested upper sections are acyclic"
             " (cuts examined: %d, shortcut: %s)"
-            % (report.cuts_examined, report.shortcut),
+            % (report.cuts_examined, report.shortcut)
         )
-    else:
-        lines = [
-            "FAIL: %d of %d cuts have non-acyclic upper sections"
-            % (len(report.failures), report.cuts_examined)
-        ]
-        for cut, degree, group in report.failures:
-            lines.append(
-                "cut <%s, %s>: H_%d = %s"
-                % (
-                    cut.lower.canonical_name(),
-                    cut.upper.canonical_name(),
-                    degree,
-                    group.render(),
-                )
-            )
-        _emit(args, "\n".join(lines))
-    return 0 if report.verdict == "PASS" else 1
+        return 0, payload, text
+    lines = [
+        "FAIL: %d of %d cuts have non-acyclic upper sections"
+        % (len(report.failures), report.cuts_examined)
+    ]
+    lines += [
+        "cut %s: H_%d = %s" % (_cut_names(cut), degree, group.render())
+        for cut, degree, group in report.failures
+    ]
+    return 1, payload, "\n".join(lines)
 
 
 def cmd_skeleton(args):
-    P = _load_poset(args.poset)
-    _document(args, skeleton(P))
-    return 0
+    doc = skeleton(_load_poset(args.poset))
+    return 0, doc, json.dumps(doc, indent=2)
 
 
-def _print_groups(args, fmt, rows):
-    if args.json:
-        _machine(
-            args,
-            {
-                "groups": [
-                    {"degree": n, "group": render_group(g)} for n, g in rows
-                ]
-            },
-        )
-    else:
-        _emit(args, "\n".join(fmt % (n, g.render()) for n, g in rows))
+def _groups(fmt, rows):
+    """The result of a command that lists (degree, canonical group) rows."""
+    payload = {"groups": [{"degree": n, "group": render_group(g)} for n, g in rows]}
+    return 0, payload, "\n".join(fmt % (n, g.render()) for n, g in rows)
 
 
 def _route_problem(diagram, degrees, ordered=None):
@@ -233,6 +180,11 @@ def _route_problem(diagram, degrees, ordered=None):
     return None
 
 
+def _oracle_mismatch(problem):
+    print("oracle mismatch: %s" % problem, file=sys.stderr)
+    return 2, None, None
+
+
 def cmd_cohomology(args):
     """`cech` and `topos`: derived limits of the presheaf's diagram or of its
     pull-back to the base, cross-checked by the ordered Cech route or the
@@ -246,10 +198,8 @@ def cmd_cohomology(args):
         ordered = cech_ordered_complex(ps, _order_list(args, space)) if cech else None
         problem = _route_problem(diagram, [n for n, _ in rows], ordered)
         if problem:
-            print("oracle mismatch: %s" % problem, file=sys.stderr)
-            return 2
-    _print_groups(args, "H^%d = %s", rows)
-    return 0
+            return _oracle_mismatch(problem)
+    return _groups("H^%d = %s", rows)
 
 
 def cmd_compare(args):
@@ -266,54 +216,46 @@ def cmd_compare(args):
             or _route_problem(ps.pulled_diagram(), degrees)
         )
         if problem:
-            print("oracle mismatch: %s" % problem, file=sys.stderr)
-            return 2
+            return _oracle_mismatch(problem)
     all_iso = all(row.iso for row in rows)
-    if args.json:
-        payload = {
-            "cap": high,
-            "all_isomorphic": all_iso,
-            "degrees": [
-                {
-                    "degree": row.degree,
-                    "cech": render_group(row.cech),
-                    "topos": render_group(row.topos),
-                    "map": [list(r) for r in row.map.matrix.entries],
-                    "isomorphism": row.iso,
-                }
-                for row in rows
-            ],
-        }
-        _machine(args, payload)
-    else:
-        lines = []
-        for row in rows:
-            lines.append(
-                "degree %d: cech %s | topos %s | %s"
-                % (
-                    row.degree,
-                    row.cech.render(),
-                    row.topos.render(),
-                    "isomorphic" if row.iso else "NOT isomorphic",
-                )
-            )
-        lines.append(
-            "comparison map is an isomorphism in every listed degree"
-            if all_iso
-            else "comparison fails at degrees %s"
-            % ",".join(str(row.degree) for row in rows if not row.iso)
+    payload = {
+        "cap": high,
+        "all_isomorphic": all_iso,
+        "degrees": [
+            {
+                "degree": row.degree,
+                "cech": render_group(row.cech),
+                "topos": render_group(row.topos),
+                "map": [list(r) for r in row.map.matrix.entries],
+                "isomorphism": row.iso,
+            }
+            for row in rows
+        ],
+    }
+    lines = [
+        "degree %d: cech %s | topos %s | %s"
+        % (
+            row.degree,
+            row.cech.render(),
+            row.topos.render(),
+            "isomorphic" if row.iso else "NOT isomorphic",
         )
-        _emit(args, "\n".join(lines))
-    return 0 if all_iso else 1
+        for row in rows
+    ]
+    lines.append(
+        "comparison map is an isomorphism in every listed degree"
+        if all_iso
+        else "comparison fails at degrees %s"
+        % ",".join(str(row.degree) for row in rows if not row.iso)
+    )
+    return (0 if all_iso else 1), payload, "\n".join(lines)
 
 
 def cmd_homology(args):
     P = _load_poset(args.poset)
-    complex_chains = [chains(P, k) for k in range(P.height() + 1)]
     low, high = _degree_window(args, P.height())
-    rows = [(n, simplicial_homology(complex_chains, n)) for n in range(low, high + 1)]
-    _print_groups(args, "H_%d = %s", rows)
-    return 0
+    homology = order_complex_homology(lambda k: chains(P, k), P.height())
+    return _groups("H_%d = %s", [(n, homology(n)) for n in range(low, high + 1)])
 
 
 def cmd_random_poset(args):
@@ -321,9 +263,8 @@ def cmd_random_poset(args):
         raise DocumentError("element count must be positive")
     if not 0.0 <= args.density <= 1.0:
         raise DocumentError("density must lie in [0, 1]")
-    P = random_poset(args.elements, args.density, args.seed)
-    _document(args, serialize_poset(P))
-    return 0
+    doc = serialize_poset(random_poset(args.elements, args.density, args.seed))
+    return 0, doc, json.dumps(doc, indent=2)
 
 
 def cmd_fuzz(args):
@@ -364,22 +305,19 @@ def cmd_fuzz(args):
             % path,
             file=sys.stderr,
         )
-        return 1
+        return 1, None, None
     summary = {
         "posets": args.count,
         "criterion_passes": passes,
         "comparisons": comparisons,
         "violations": 0,
     }
-    if args.json:
-        _machine(args, summary)
-    else:
-        _emit(
-            args,
-            "%d posets, %d criterion passes, %d comparisons, 0 violations"
-            % (args.count, passes, comparisons),
-        )
-    return 0
+    text = "%d posets, %d criterion passes, %d comparisons, 0 violations" % (
+        args.count,
+        passes,
+        comparisons,
+    )
+    return 0, summary, text
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,7 +332,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, poset=True, presheaf=False):
+    def add(name, func, help_text, poset=True, presheaf=False, degrees=False,
+            order=False, oracle=None):
+        """A subcommand; `oracle` is the help text of its --oracle flag."""
         cmd = sub.add_parser(name, help=help_text)
         if poset:
             cmd.add_argument("poset", help="path to a poset JSON document")
@@ -402,6 +342,12 @@ def build_parser():
             cmd.add_argument("presheaf", help="path to a presheaf JSON document")
         cmd.add_argument("--json", action="store_true", help="machine output")
         cmd.add_argument("--out", help="write output to a file instead of stdout")
+        if degrees:
+            cmd.add_argument("--degrees", help="degree window A..B")
+        if order:
+            cmd.add_argument("--order", help="total order for the oracle route, comma list")
+        if oracle:
+            cmd.add_argument("--oracle", action="store_true", help=oracle)
         cmd.set_defaults(func=func)
         return cmd
 
@@ -414,32 +360,14 @@ def build_parser():
         help="skip the structural fast paths and test every cut",
     )
     add("skeleton", cmd_skeleton, "emit a presheaf authoring template")
-    cech = add("cech", cmd_cohomology, "Cech cohomology of a presheaf", presheaf=True)
-    cech.add_argument("--degrees", help="degree window A..B")
-    cech.add_argument("--order", help="total order for the oracle route, comma list")
-    cech.add_argument(
-        "--oracle", action="store_true", help="cross-check via the ordered complex"
-    )
-    topos = add(
-        "topos", cmd_cohomology, "topos cohomology of the generated sheaf", presheaf=True
-    )
-    topos.add_argument("--degrees", help="degree window A..B")
-    topos.add_argument(
-        "--oracle", action="store_true", help="cross-check via the unreduced complex"
-    )
-    comp = add(
-        "compare",
-        cmd_compare,
-        "compare both cohomologies through the canonical map",
-        presheaf=True,
-    )
-    comp.add_argument("--degrees", help="degree window A..B")
-    comp.add_argument("--order", help="total order for the oracle route, comma list")
-    comp.add_argument(
-        "--oracle", action="store_true", help="cross-check both routes independently"
-    )
-    hom = add("homology", cmd_homology, "integer homology of the order complex")
-    hom.add_argument("--degrees", help="degree window A..B")
+    add("cech", cmd_cohomology, "Cech cohomology of a presheaf", presheaf=True,
+        degrees=True, order=True, oracle="cross-check via the ordered complex")
+    add("topos", cmd_cohomology, "topos cohomology of the generated sheaf", presheaf=True,
+        degrees=True, oracle="cross-check via the unreduced complex")
+    add("compare", cmd_compare, "compare both cohomologies through the canonical map",
+        presheaf=True, degrees=True, order=True,
+        oracle="cross-check both routes independently")
+    add("homology", cmd_homology, "integer homology of the order complex", degrees=True)
     rand = add("random-poset", cmd_random_poset, "emit a reproducible random poset", poset=False)
     rand.add_argument("elements", type=int, help="number of elements")
     rand.add_argument("--density", type=float, default=0.35, help="relation density")
@@ -459,11 +387,18 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+        code, payload, text = args.func(args)
+        if text is None:
+            return code
+        if args.json:
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
+        return code
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

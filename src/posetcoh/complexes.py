@@ -234,9 +234,10 @@ def simplicial_homology(chain_sets, n):
     """H_n of the chain complex of free groups on strict chains.
 
     `chain_sets` lists the ChainSets of an order complex by degree; boundaries
-    are alternating sums of face deletions.
+    are alternating sums of face deletions.  Each call reduces the boundaries
+    afresh; `order_complex_homology` reads many degrees from one reduction.
     """
-    return _order_complex_homology(chain_sets.__getitem__, len(chain_sets) - 1)(n)
+    return order_complex_homology(chain_sets.__getitem__, len(chain_sets) - 1)(n)
 
 
 def _boundary_columns(lower, upper):
@@ -252,7 +253,7 @@ def _boundary_columns(lower, upper):
     ]
 
 
-def _order_complex_homology(chain_set, top):
+def order_complex_homology(chain_set, top):
     """H_n as a function of n, reducing each boundary at most once.
 
     `chain_set(k)` gives the chains of degree k, for 0 <= k <= top; it is
@@ -332,7 +333,7 @@ def acyclicity_check(poset, shortcuts=True):
             if len(poset.up[i]) == n:
                 return AcyclicityVerdict(True, via="least-element")
     height = poset.height()
-    homology = _order_complex_homology(lambda k: chains(poset, k), height)
+    homology = order_complex_homology(lambda k: chains(poset, k), height)
     start = 0 if not shortcuts else 1
     for degree in range(start, height + 1):
         h = homology(degree)

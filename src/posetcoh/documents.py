@@ -19,6 +19,20 @@ class DocumentError(ValueError):
     """Raised for malformed or inconsistent document content."""
 
 
+def _is_int(value):
+    """Whether a JSON value is an integer; JSON true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(value, length=None):
+    """Whether a value is a list of integers, of the given length if any."""
+    return (
+        isinstance(value, (list, tuple))
+        and all(_is_int(v) for v in value)
+        and (length is None or len(value) == length)
+    )
+
+
 def parse_group(literal):
     """A group literal: {"rank", "torsion"} or {"generators", "relators"}."""
     if not isinstance(literal, dict):
@@ -26,20 +40,19 @@ def parse_group(literal):
     if "generators" in literal:
         gens = literal["generators"]
         relators = literal.get("relators", [])
-        if not isinstance(gens, int) or gens < 0:
+        if not _is_int(gens) or gens < 0:
             raise DocumentError("generator count must be a nonnegative integer")
-        cols = []
-        for rel in relators:
-            if len(rel) != gens or not all(isinstance(v, int) for v in rel):
-                raise DocumentError("each relator needs one integer per generator")
-            cols.append(list(rel))
-        matrix = IntMatrix.from_columns(cols, nrows=gens) if cols else None
+        if not isinstance(relators, (list, tuple)):
+            raise DocumentError("relators must be a list of integer lists")
+        if not all(_int_list(rel, gens) for rel in relators):
+            raise DocumentError("each relator needs one integer per generator")
+        matrix = IntMatrix.from_columns(relators, nrows=gens) if relators else None
         return PresentedAbGroup(gens, matrix)
     rank = literal.get("rank")
     torsion = literal.get("torsion", [])
-    if not isinstance(rank, int) or rank < 0:
+    if not _is_int(rank) or rank < 0:
         raise DocumentError("rank must be a nonnegative integer")
-    if not all(isinstance(d, int) and d >= 2 for d in torsion):
+    if not _int_list(torsion) or not all(d >= 2 for d in torsion):
         raise DocumentError("torsion orders must be integers of size at least 2")
     return PresentedAbGroup.from_invariants(rank, torsion)
 
@@ -52,12 +65,14 @@ def parse_matrix(rows, target, source, label):
     """An integer matrix literal shaped target generators x source generators."""
     if rows is None:
         raise DocumentError("map %s is still a null placeholder" % label)
+    if not isinstance(rows, (list, tuple)):
+        raise DocumentError("map %s must be a list of integer rows" % label)
     if len(rows) != target.generators:
         raise DocumentError(
             "map %s needs %d rows, got %d" % (label, target.generators, len(rows))
         )
     for row in rows:
-        if len(row) != source.generators or not all(isinstance(v, int) for v in row):
+        if not _int_list(row, source.generators):
             raise DocumentError(
                 "map %s needs %d integer columns per row" % (label, source.generators)
             )
@@ -72,6 +87,9 @@ def _arrow(key):
 
 
 def _diagram_from_fields(poset, groups_field, maps_field, what):
+    for field, value in (("groups", groups_field), ("maps", maps_field)):
+        if not isinstance(value, dict):
+            raise DocumentError("%s must be an object keyed by %s" % (field, what))
     values = []
     seen = set(groups_field)
     for name in poset.elements:
@@ -97,6 +115,8 @@ def _diagram_from_fields(poset, groups_field, maps_field, what):
 
 def load_presheaf(doc, space=None):
     """Build a presheaf from a document, optionally against a known base poset."""
+    if not isinstance(doc, dict):
+        raise DocumentError("presheaf document must be an object")
     if "base" not in doc:
         raise DocumentError("presheaf document needs an embedded base poset")
     base = parse_poset(doc["base"])

@@ -142,9 +142,6 @@ class CanonicalGroup:
         parts.extend("Z/%d" % d for d in self.torsion)
         return " ⊕ ".join(parts) if parts else "0"
 
-    def to_literal(self):
-        return {"rank": self.rank, "torsion": list(self.torsion)}
-
     def __repr__(self):
         return "CanonicalGroup(%d, %r)" % (self.rank, list(self.torsion))
 

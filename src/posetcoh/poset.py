@@ -341,12 +341,15 @@ def parse_poset(doc):
     index = {name: i for i, name in enumerate(elements)}
     n = len(elements)
     preds = [set() for _ in range(n)]
-    for pair in doc.get("relations", []):
+    relations = doc.get("relations", [])
+    if not isinstance(relations, (list, tuple)):
+        raise PosetError("'relations' must be a list of [low, high] pairs")
+    for pair in relations:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise PosetError("relation entries must be [low, high] pairs, got %r" % (pair,))
         low, high = pair
         for name in (low, high):
-            if name not in index:
+            if not isinstance(name, str) or name not in index:
                 raise PosetError("unknown element in relation: %r" % (name,))
         preds[index[high]].add(index[low])
 

@@ -6,12 +6,12 @@ import sys
 import pytest
 
 import posetcoh
-from posetcoh import cli
+from posetcoh import cli, complexes
 from posetcoh.cech import random_presheaf
 from posetcoh.cli import build_parser, main
 from posetcoh.documents import render_presheaf
 from posetcoh.groups import CanonicalGroup
-from posetcoh.poset import IntersectionPoset
+from posetcoh.poset import IntersectionPoset, random_poset, serialize_poset
 
 import builders
 
@@ -280,3 +280,81 @@ def test_module_entry_point(write, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1 elements, 0 cover relations, longest chain 1"
+
+
+def _with_group(node, literal):
+    groups = dict(builders.SKYSCRAPER_DOC["groups"], **{node: literal})
+    return dict(builders.SKYSCRAPER_DOC, groups=groups)
+
+
+def _with_map(key, rows):
+    maps = dict(builders.SKYSCRAPER_DOC["maps"], **{key: rows})
+    return dict(builders.SKYSCRAPER_DOC, maps=maps)
+
+
+# name: (poset document, presheaf document or None, text the error must name)
+MALFORMED = {
+    "relations-int": ({"elements": ["a"], "relations": 5}, None, "relations"),
+    "relation-unhashable": ({"elements": ["a"], "relations": [[["a"], "a"]]}, None, "relation"),
+    "relators-int": (
+        builders.SQUARE_DOC, _with_group("{p2}", {"generators": 1, "relators": 5}), "relators"
+    ),
+    "relator-int": (
+        builders.SQUARE_DOC, _with_group("{p2}", {"generators": 1, "relators": [2]}), "relator"
+    ),
+    "relator-bool": (
+        builders.SQUARE_DOC, _with_group("{p2}", {"generators": 1, "relators": [[True]]}), "relator"
+    ),
+    "torsion-int": (builders.SQUARE_DOC, _with_group("{p2}", {"rank": 0, "torsion": 3}), "torsion"),
+    "rank-bool": (builders.SQUARE_DOC, _with_group("{p2}", {"rank": True}), "rank"),
+    "generators-bool": (builders.SQUARE_DOC, _with_group("{p2}", {"generators": True}), "generator"),
+    "maps-list": (builders.SQUARE_DOC, dict(builders.SKYSCRAPER_DOC, maps=[1]), "maps"),
+    "map-int": (builders.SQUARE_DOC, _with_map("{p0,p2,p3}->{p2,p3}", 7), "{p0,p2,p3}->{p2,p3}"),
+    "map-row-int": (builders.SQUARE_DOC, _with_map("{p0,p2,p3}->{p2,p3}", [1]), "{p0,p2,p3}->{p2,p3}"),
+    "map-bool": (builders.SQUARE_DOC, _with_map("{p0,p2,p3}->{p2,p3}", [[True]]), "{p0,p2,p3}->{p2,p3}"),
+    "groups-list": (
+        builders.SQUARE_DOC, dict(builders.SKYSCRAPER_DOC, groups=["{p2}", "{p3}"]), "groups"
+    ),
+    "presheaf-int": (builders.SQUARE_DOC, 5, "presheaf document"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents_exit_2_naming_the_field(write, capsys, name):
+    # Exit 1 means a negative verdict, so malformed input must never reach it.
+    poset, presheaf, field = MALFORMED[name]
+    argv = ["validate", write("poset.json", poset)]
+    if presheaf is not None:
+        argv = ["compare", argv[1], write("presheaf.json", presheaf)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
+def test_document_commands_print_one_canonical_line_with_json(write, capsys):
+    path = write("square.json", builders.SQUARE_DOC)
+    for argv in (("skeleton", path), ("random-poset", "5", "--seed", "3")):
+        code, text, _ = run(capsys, *argv)
+        assert code == 0 and text.startswith("{\n  ")
+        code, line, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        doc = json.loads(text)
+        assert line == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_homology_reduces_each_boundary_once(write, capsys, monkeypatch):
+    P = random_poset(12, 0.5, 7)
+    path = write("p.json", serialize_poset(P))
+    calls = []
+    original = complexes.rank_and_torsion
+
+    def counted(columns):
+        calls.append(len(columns))
+        return original(columns)
+
+    monkeypatch.setattr(complexes, "rank_and_torsion", counted)
+    code, out, _ = run(capsys, "homology", path)
+    assert code == 0 and len(out.splitlines()) == P.height() + 1
+    # one boundary into each degree below the top
+    assert 0 < len(calls) <= P.height()
