@@ -35,7 +35,7 @@ class Presheaf:
 
     def __init__(self, intersection, diagram):
         nodes = intersection.poset
-        if diagram.base.elements != nodes.elements or diagram.base.down != nodes.down:
+        if diagram.base != nodes:
             raise DiagramError("presheaf diagram must live on the intersection poset")
         self.intersection = intersection
         self.diagram = diagram
@@ -73,7 +73,9 @@ class Presheaf:
         A cochain on strictly decreasing node chains is read off on the chains
         of principal opens; every block is an identity because the coordinate
         groups agree.  The chain sets are the ones both complexes were built
-        on, kept on their base posets by `chains`.  `ChainMap` checks
+        on, kept on their base posets by `chains`; above the base's top degree
+        there are no principal chains and the map goes to the empty product
+        of `Complex.product`.  `ChainMap` checks
         commutation with both differentials in all degrees when it is built,
         before any induced map is taken.
         """
@@ -83,15 +85,12 @@ class Presheaf:
             lam = self.intersection.lambda_map
             maps = []
             for n, src in enumerate(source.groups):
-                if n > target.top_degree():
-                    maps.append(GroupHom.zero(src.group, PresentedAbGroup.zero()))
-                    continue
                 position = {c: k for k, c in enumerate(chains(self.diagram.base, n).chains)}
                 blocks = (
                     (row, position[tuple(lam[i] for i in chain)], 1, None)
                     for row, chain in enumerate(chains(self.space, n).chains)
                 )
-                maps.append(src.hom_to(target.groups[n], blocks))
+                maps.append(src.hom_to(target.product(n), blocks))
             rho = ChainMap(source, target, maps)
             self._rho = rho
         return self._rho
@@ -131,6 +130,9 @@ def cech_ordered_complex(presheaf, order=None):
     if order is None:
         sequence = list(range(len(space)))
     else:
+        unknown = [name for name in order if name not in space.index]
+        if unknown:
+            raise DiagramError("order names unknown element %r" % (unknown[0],))
         sequence = [space.index[name] for name in order]
         if sorted(sequence) != list(range(len(space))):
             raise DiagramError("order must list every element exactly once")
@@ -203,24 +205,12 @@ def compare_report(presheaf, cap=None):
     return ComparisonReport(rows, cap)
 
 
-def random_presheaf(
-    intersection,
-    seed,
-    max_generators=3,
-    max_relators=2,
-    max_coefficient=3,
-    constant=False,
-):
-    """A reproducible random presheaf on the given intersection poset."""
-    diagram = random_diagram(
-        intersection.poset,
-        seed,
-        max_generators=max_generators,
-        max_relators=max_relators,
-        max_coefficient=max_coefficient,
-        constant=constant,
-    )
-    return Presheaf(intersection, diagram)
+def random_presheaf(intersection, seed, **options):
+    """A reproducible random presheaf on the given intersection poset.
+
+    `options` are those of `random_diagram`, with its defaults.
+    """
+    return Presheaf(intersection, random_diagram(intersection.poset, seed, **options))
 
 
 def sheaf_presheaf(F):

@@ -63,24 +63,20 @@ def _degree_window(args, default_top):
         return 0, default_top
     parts = args.degrees.split("..")
     if len(parts) == 1:
-        parts = [parts[0], parts[0]]
+        parts = parts * 2
     try:
-        low, high = int(parts[0]), int(parts[1])
-    except ValueError:
+        low, high = map(int, parts)
+    except ValueError:  # a part that is no integer, or more than two parts
         raise DocumentError("--degrees expects A..B with integers")
     if low < 0 or high < low:
         raise DocumentError("--degrees window must satisfy 0 <= A <= B")
     return low, high
 
 
-def _order_list(args, space):
+def _order_list(args):
     if args.order is None:
         return None
-    names = [part for part in args.order.split(",") if part]
-    for name in names:
-        if name not in space.index:
-            raise DocumentError("--order names unknown element %r" % name)
-    return names
+    return [part for part in args.order.split(",") if part]
 
 
 def _cut_names(cut):
@@ -195,7 +191,7 @@ def cmd_cohomology(args):
     diagram = ps.diagram if cech else ps.pulled_diagram()
     rows = [(n, derived_limit(diagram, n)) for n in range(low, high + 1)]
     if args.oracle:
-        ordered = cech_ordered_complex(ps, _order_list(args, space)) if cech else None
+        ordered = cech_ordered_complex(ps, _order_list(args)) if cech else None
         problem = _route_problem(diagram, [n for n, _ in rows], ordered)
         if problem:
             return _oracle_mismatch(problem)
@@ -209,7 +205,7 @@ def cmd_compare(args):
     rows = [row for row in report.rows if low <= row.degree <= high]
     if args.oracle:
         degrees = [row.degree for row in rows]
-        ordered = cech_ordered_complex(ps, _order_list(args, space))
+        ordered = cech_ordered_complex(ps, _order_list(args))
         problem = (
             _route_problem(ps.diagram, degrees, ordered)
             or _route_problem(ps.diagram, degrees)
@@ -259,15 +255,17 @@ def cmd_homology(args):
 
 
 def cmd_random_poset(args):
-    if args.elements < 1:
-        raise DocumentError("element count must be positive")
-    if not 0.0 <= args.density <= 1.0:
-        raise DocumentError("density must lie in [0, 1]")
     doc = serialize_poset(random_poset(args.elements, args.density, args.seed))
     return 0, doc, json.dumps(doc, indent=2)
 
 
 def cmd_fuzz(args):
+    for flag, value, least in [
+        ("--count", args.count, 0), ("--max-elements", args.max_elements, 1),
+        ("--presheaves", args.presheaves, 0),
+    ]:
+        if value < least:
+            raise DocumentError("%s must be at least %d" % (flag, least))
     rng = random.Random(args.seed)
     passes = 0
     comparisons = 0

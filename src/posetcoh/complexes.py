@@ -114,24 +114,26 @@ class Complex:
     def top_degree(self):
         return len(self.groups) - 1
 
+    def product(self, n):
+        """The product in degree n; above the top degree it has no factors."""
+        if n < 0:
+            raise ComplexError("degree %d outside the built range" % n)
+        return self.groups[n] if n < len(self.groups) else ProductGroup((), ())
+
     def incoming(self, n):
         if 1 <= n <= len(self.diffs):
             return self.diffs[n - 1]
-        return GroupHom.zero(PresentedAbGroup.zero(), self.groups[n].group)
+        return GroupHom.zero(PresentedAbGroup.zero(), self.product(n).group)
 
     def outgoing(self, n):
-        if n < len(self.diffs):
+        if 0 <= n < len(self.diffs):
             return self.diffs[n]
-        return GroupHom.zero(self.groups[n].group, PresentedAbGroup.zero())
+        return GroupHom.zero(self.product(n).group, PresentedAbGroup.zero())
 
     def homology(self, n):
-        if not 0 <= n <= self.top_degree():
-            raise ComplexError("degree %d outside the built range" % n)
         return homology_at(self.incoming(n), self.outgoing(n))
 
     def homology_group(self, n):
-        if n > self.top_degree():
-            return CanonicalGroup(0)
         return canonical_form(self.homology(n).group)
 
 
@@ -207,9 +209,9 @@ class ChainMap:
 
     def verify(self):
         """Check commutation with the differentials, naming the bad degree."""
-        for n in range(min(len(self.source.diffs), self.target.top_degree())):
-            left = self.target.diffs[n].compose(self.maps[n])
-            right = self.maps[n + 1].compose(self.source.diffs[n])
+        for n, d in enumerate(self.source.diffs):
+            left = self.target.outgoing(n).compose(self.maps[n])
+            right = self.maps[n + 1].compose(d)
             if not homs_equal(left, right):
                 raise ComplexError("chain map does not commute at degree %d" % n)
 
@@ -217,11 +219,6 @@ class ChainMap:
 def induced_on_homology(chain_map, n):
     """The well-defined map on degree-n homology along a chain map."""
     src = chain_map.source.homology(n)
-    if n > chain_map.target.top_degree():
-        # target complex is zero there; so is its homology
-        tgt_group = PresentedAbGroup.zero()
-        matrix = IntMatrix.zero(0, src.group.generators)
-        return GroupHom(src.group, tgt_group, matrix)
     tgt = chain_map.target.homology(n)
     matrix = tgt.coordinates(chain_map.maps[n].matrix * src.cycles)
     hom = GroupHom(src.group, tgt.group, matrix)

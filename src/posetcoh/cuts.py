@@ -29,8 +29,6 @@ class Cut:
 
 def enumerate_cuts(P):
     """All cuts with nonempty lower half, one per intersection-poset node."""
-    if len(P.elements) == 0:
-        raise PosetError("cut enumeration needs a nonempty poset")
     intersection = IntersectionPoset(P)
     cuts = []
     for k, node in enumerate(intersection.nodes):
@@ -102,8 +100,6 @@ def _meet_semilattice_after_adjoining_bottom(P):
 
 def criterion(P, shortcuts=True):
     """PASS exactly when every cut's upper section is acyclic."""
-    if len(P.elements) == 0:
-        raise PosetError("criterion needs a nonempty poset")
     if shortcuts:
         if _components_upward_directed(P):
             return CriterionReport("PASS", 0, [], "directed-components")

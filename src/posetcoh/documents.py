@@ -121,17 +121,13 @@ def load_presheaf(doc, space=None):
         raise DocumentError("presheaf document needs an embedded base poset")
     base = parse_poset(doc["base"])
     if space is not None:
-        if set(base.elements) != set(space.elements) or any(
-            base.leq(base.index[a], base.index[b])
-            != space.leq(space.index[a], space.index[b])
-            for a in base.elements
-            for b in base.elements
-        ):
+        if serialize_poset(base) != serialize_poset(space):
             raise DocumentError("embedded base poset differs from the given poset")
         base = space
     mode = doc.get("mode")
-    groups_field = doc.get("groups") or {}
-    maps_field = doc.get("maps") or {}
+    # an absent or null field is empty; any other value meets the object check
+    groups_field = {} if doc.get("groups") is None else doc["groups"]
+    maps_field = {} if doc.get("maps") is None else doc["maps"]
     if mode == "presheaf":
         intersection = IntersectionPoset(base)
         diagram = _diagram_from_fields(

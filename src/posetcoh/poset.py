@@ -50,7 +50,7 @@ class Poset:
             for j in s:
                 if j != i and i in self.down[j]:
                     raise PosetError(
-                        "antisymmetry violated by %r and %r"
+                        "antisymmetry violated by %r and %r (relation cycle)"
                         % (self.elements[i], self.elements[j])
                     )
                 if not self.down[j] <= s:
@@ -257,28 +257,21 @@ def intersection_poset(poset):
 def chains(poset, n):
     """All strictly decreasing chains c_0 > c_1 > ... > c_n.
 
-    Each degree is enumerated once per poset; later calls return the same
-    ChainSet.
+    Degree k follows each cached chain of degree k-1 by every element
+    strictly below its last one, in increasing order, which keeps every
+    degree sorted; each degree is enumerated once per poset and later calls
+    return the same ChainSet.
     """
     if n < 0:
         raise PosetError("chain degree must be nonnegative")
-    if n in poset._chains:
-        return poset._chains[n]
-    out = []
-
-    def extend(prefix, last):
-        if len(prefix) == n + 1:
-            out.append(tuple(prefix))
-            return
-        for j in sorted(poset.down[last] - {last}):
-            prefix.append(j)
-            extend(prefix, j)
-            prefix.pop()
-
-    for c0 in range(len(poset.elements)):
-        extend([c0], c0)
-    poset._chains[n] = ChainSet(poset, n, out)
-    return poset._chains[n]
+    cache = poset._chains
+    if n not in cache:
+        below = [sorted(down - {i}) for i, down in enumerate(poset.down)]
+        if not cache:
+            cache[0] = ChainSet(poset, 0, [(i,) for i in range(len(below))])
+        for k in range(len(cache), n + 1):
+            cache[k] = ChainSet(poset, k, [c + (j,) for c in cache[k - 1] for j in below[c[-1]]])
+    return cache[n]
 
 
 def components(poset):
@@ -322,8 +315,8 @@ def parse_poset(doc):
 
     Relation pairs [a, b] assert a <= b; they may be arbitrary assertions, not
     only covers, and the reflexive-transitive closure is taken.  Raises
-    PosetError naming the offenders for duplicate elements, unknown names and
-    antisymmetry (cycle) violations.
+    PosetError naming the offenders for duplicate elements and unknown names;
+    `Poset` names the two elements of a relation cycle.
     """
     if not isinstance(doc, dict):
         raise PosetError("poset document must be an object")
@@ -364,13 +357,6 @@ def parse_poset(doc):
                     reach.add(k)
                     stack.append(k)
         down.append(frozenset(reach))
-    for i in range(n):
-        for j in down[i]:
-            if j != i and i in down[j]:
-                raise PosetError(
-                    "antisymmetry violated by %r and %r (relation cycle)"
-                    % (elements[i], elements[j])
-                )
     return Poset(elements, down)
 
 
@@ -391,7 +377,7 @@ def random_poset(n, density, seed):
     antichain.
     """
     if n < 1:
-        raise PosetError("need at least one element")
+        raise PosetError("element count must be positive")
     if not 0 <= density <= 1:
         raise PosetError("density must lie in [0, 1]")
     rng = random.Random(seed)

@@ -125,6 +125,8 @@ def test_ordered_complex_point_and_validation():
     assert cx.homology_group(0) == cech_cohomology(ps, 0)
     with pytest.raises(DiagramError, match="every element exactly once"):
         cech_ordered_complex(ps, ["a", "a"])
+    with pytest.raises(DiagramError, match="order names unknown element 'zz'"):
+        cech_ordered_complex(ps, ["zz"])
 
 
 def test_point_comparison_all_iso():

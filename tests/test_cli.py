@@ -9,9 +9,9 @@ import posetcoh
 from posetcoh import cli, complexes
 from posetcoh.cech import random_presheaf
 from posetcoh.cli import build_parser, main
-from posetcoh.documents import render_presheaf
+from posetcoh.documents import load_presheaf, render_presheaf
 from posetcoh.groups import CanonicalGroup
-from posetcoh.poset import IntersectionPoset, random_poset, serialize_poset
+from posetcoh.poset import IntersectionPoset, parse_poset, random_poset, serialize_poset
 
 import builders
 
@@ -196,11 +196,14 @@ def test_sphere_compare_disagrees_at_two(write, capsys):
 def test_degree_window_validation(write, capsys):
     poset = write("square.json", builders.SQUARE_DOC)
     sheaf = write("constant.json", builders.CONSTANT_SQUARE_DOC)
-    code, _, err = run(capsys, "cech", poset, sheaf, "--degrees", "2..1")
-    assert code == 2
+    for window in ("2..1", "x..y", "1..2..9", "3..", "..3"):
+        code, out, err = run(capsys, "cech", poset, sheaf, "--degrees", window)
+        assert (code, out) == (2, ""), window
+        assert err.startswith("error: --degrees"), window
+    sphere = write("sphere.json", builders.SPHERE_DOC)
+    code, out, err = run(capsys, "homology", sphere, "--degrees", "1..2..9")
+    assert (code, out) == (2, "")
     assert "--degrees" in err
-    code, _, err = run(capsys, "cech", poset, sheaf, "--degrees", "x..y")
-    assert code == 2
 
 
 def test_homology_command(write, capsys):
@@ -224,6 +227,8 @@ def test_random_poset_command(write, capsys, tmp_path):
     code, _, err = run(capsys, "random-poset", "3", "--seed", "1", "--density", "2.0")
     assert code == 2
     assert "density" in err
+    code, out, err = run(capsys, "random-poset", "0", "--seed", "1")
+    assert (code, out, err) == (2, "", "error: element count must be positive\n")
 
 
 def test_fuzz_command(write, capsys):
@@ -241,6 +246,43 @@ def test_fuzz_command(write, capsys):
                        "--max-elements", "4", "--presheaves", "1")
     assert code == 0
     assert out.strip().endswith("0 violations")
+    # the smallest counts each flag accepts
+    code, out, _ = run(capsys, "fuzz", "--count", "1", "--seed", "1", "--max-elements", "1",
+                       "--presheaves", "0")
+    assert (code, out) == (0, "1 posets, 1 criterion passes, 0 comparisons, 0 violations\n")
+    code, out, _ = run(capsys, "fuzz", "--count", "0", "--seed", "1")
+    assert (code, out) == (0, "0 posets, 0 criterion passes, 0 comparisons, 0 violations\n")
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--count", "-1"), ("--max-elements", "0"), ("--presheaves", "-3")]
+)
+def test_fuzz_rejects_out_of_range_counts(capsys, flag, value):
+    code, out, err = run(capsys, "fuzz", "--seed", "1", "--count", "2", flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s must be at least " % flag)
+
+
+def test_fuzz_violation_writes_a_reloadable_bundle(capsys, monkeypatch, tmp_path):
+    class Row:
+        degree, iso = 1, False
+
+    class Report:
+        all_iso, rows = False, [Row]
+
+    monkeypatch.setattr(cli, "compare_report", lambda ps: Report)
+    path = tmp_path / "bundle.json"
+    code, out, err = run(capsys, "fuzz", "--count", "4", "--seed", "1", "--max-elements", "3",
+                         "--presheaves", "1", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "violation: criterion PASS but comparison failed; bundle written to %s\n" % path
+    )
+    bundle = json.loads(path.read_text())
+    assert bundle["failing_degrees"] == [1]
+    ps = load_presheaf(bundle["presheaf"], space=parse_poset(bundle["poset"]))
+    rebuilt = random_presheaf(IntersectionPoset(ps.space), bundle["presheaf_seed"])
+    assert render_presheaf(rebuilt) == bundle["presheaf"]
 
 
 def test_parser_is_built_once_and_shared_by_later_calls(write, capsys):
@@ -316,6 +358,29 @@ MALFORMED = {
         builders.SQUARE_DOC, dict(builders.SKYSCRAPER_DOC, groups=["{p2}", "{p3}"]), "groups"
     ),
     "presheaf-int": (builders.SQUARE_DOC, 5, "presheaf document"),
+    "element-int": ({"elements": ["a", 3]}, None, "element names must be strings"),
+    "relation-single": ({"elements": ["a", "b"], "relations": [["a"]]}, None, "relation entries"),
+    "groups-empty-list": (builders.SQUARE_DOC, dict(builders.SKYSCRAPER_DOC, groups=[]), "groups"),
+    "maps-false": (
+        builders.POINT_DOC,
+        {"base": builders.POINT_DOC, "mode": "presheaf", "groups": {"{a}": {"rank": 1}},
+         "maps": False},
+        "maps",
+    ),
+    "map-breaks-relator": (
+        builders.SQUARE_DOC,
+        _with_group("{p0,p2,p3}", {"rank": 0, "torsion": [2]}),
+        "map {p0,p2,p3}->{p2,p3} does not respect relations",
+    ),
+    "map-not-cover": (
+        builders.SQUARE_DOC, _with_map("{p0,p2,p3}->{p2}", []), "{p0,p2,p3}->{p2} is not a cover"
+    ),
+    "map-row-count": (
+        builders.SQUARE_DOC, _with_map("{p0,p2,p3}->{p2,p3}", [[1], [1]]), "needs 1 rows, got 2"
+    ),
+    "map-key-unknown": (
+        builders.SQUARE_DOC, _with_map("{p9}->{p2}", []), "'{p9}->{p2}' names an unknown node"
+    ),
 }
 
 

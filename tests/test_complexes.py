@@ -185,6 +185,10 @@ def test_complex_homology_ends():
     assert cx.homology_group(0).is_trivial()
     assert cx.homology_group(1) == CanonicalGroup(0, (2,))
     assert cx.homology_group(5) == CanonicalGroup(0)
+    assert cx.product(1) is cx.groups[1] and len(cx.product(5)) == 0
+    for at_degree in (cx.product, cx.incoming, cx.outgoing, cx.homology):
+        with pytest.raises(ComplexError, match="degree -1"):
+            at_degree(-1)
 
 
 def test_induced_identity_and_zero():
@@ -215,6 +219,9 @@ def test_chain_map_verification_failure_names_degree():
     cx = build_complex([Z, Z], [IntMatrix.from_rows([[2]])])
     with pytest.raises(ComplexError, match="degree 0"):
         ChainMap(cx, cx, [hom(Z, Z, [[1]]), hom(Z, Z, [[2]])])
+    cx = build_complex([Z, Z, Z], [IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[1]])])
+    with pytest.raises(ComplexError, match="degree 1"):
+        ChainMap(cx, cx, [hom(Z, Z, [[1]]), hom(Z, Z, [[1]]), hom(Z, Z, [[2]])])
 
 
 def test_acyclicity_tree_and_antichain():

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from posetcoh.poset import (
+    Poset,
     PosetError,
     bounds,
     chains,
@@ -53,6 +55,15 @@ def test_parse_errors():
         parse_poset({"elements": ["a"], "relations": [["a", "z"]]})
     with pytest.raises(PosetError):
         parse_poset({"elements": [], "relations": []})
+
+
+def test_poset_checks_the_order_axioms_of_its_down_sets():
+    with pytest.raises(PosetError, match=r"antisymmetry .* 'a' and 'b' \(relation cycle\)"):
+        Poset(["a", "b"], [{0, 1}, {0, 1}])
+    with pytest.raises(PosetError, match="transitivity violated below 'c' at 'b'"):
+        Poset(["a", "b", "c"], [{0}, {0, 1}, {1, 2}])
+    with pytest.raises(PosetError, match="invalid down-set for 'b'"):
+        Poset(["a", "b"], [{0}, {0}])
 
 
 def test_bounds_square():
@@ -150,6 +161,21 @@ def test_chains_edge_cases():
     assert len(chains(P, P.height())) > 0
     assert len(chains(P, P.height() + 1)) == 0
     assert list(chains(P, 0)) == [(i,) for i in range(len(P))]
+
+
+def test_chains_are_every_strict_chain_in_lexicographic_order():
+    rng = random.Random(29)
+    for trial in range(30):
+        P = random_poset(rng.randint(1, 7), rng.random(), seed=2900 + trial)
+        degrees = list(range(P.height() + 2))
+        rng.shuffle(degrees)  # a later degree may be asked for before an earlier one
+        for n in degrees:
+            expected = [
+                c
+                for c in itertools.permutations(range(len(P)), n + 1)
+                if all(P.leq(b, a) for a, b in zip(c, c[1:]))
+            ]
+            assert list(chains(P, n)) == expected
 
 
 def test_components():
