@@ -4,8 +4,8 @@ A finite poset I carries the topology whose open sets are the downward closed
 subsets; the minimal basic open at i is the principal down-set L(i) = {j : j <= i}
 and these form the canonical covering of the space.  This module owns the
 carrier type, the bound operators X^- and X^+, the poset of distinct nonempty
-intersections of the L(i) (the values of X^-), strict-chain enumeration, and
-the plumbing needed to build and serialize posets.
+intersections of the L(i) (the values of X^-), strict-chain enumeration,
+cores, and the plumbing needed to build and serialize posets.
 """
 
 from __future__ import annotations
@@ -297,6 +297,38 @@ def components(poset):
                     stack.append(j)
         out.append(sorted(comp))
     return out
+
+
+def core(poset):
+    """What remains after removing beat points one at a time.
+
+    A beat point has exactly one lower cover or exactly one upper cover among
+    the elements still present.  Removing one is a strong deformation retract
+    of the order complex (Stong, "Finite topological spaces", Trans. AMS 123,
+    1966), so the core has the homology of the poset.  Returns the induced
+    subposet, or the poset itself when nothing is removed.
+    """
+    present = set(range(len(poset.elements)))
+
+    def is_beat(i):
+        # the others below (above) i have one cover exactly when they have a
+        # greatest (least) element
+        for table in (poset.down, poset.up):
+            others = (table[i] & present) - {i}
+            if others and any(others <= table[j] for j in others):
+                return True
+        return False
+
+    removed = True
+    while removed:
+        removed = False
+        for i in sorted(present):
+            if is_beat(i):
+                present.discard(i)
+                removed = True
+    if len(present) == len(poset.elements):
+        return poset
+    return induced_subposet(poset, present)
 
 
 def induced_subposet(poset, subset):

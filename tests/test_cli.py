@@ -156,6 +156,26 @@ def test_oracle_mismatch_names_the_route_and_degree(write, capsys, monkeypatch):
         assert err == "oracle mismatch: ordered route disagrees at degree 0: Z vs Z/2\n"
 
 
+def test_unreduced_oracle_route_is_built_only_to_the_height(write, capsys, monkeypatch):
+    P = random_poset(6, 0.5, 4)
+    assert len(P) == 6 and P.height() == 3
+    poset = write("p.json", serialize_poset(P))
+    sheaf = write("f.json", render_presheaf(random_presheaf(IntersectionPoset(P), 0)))
+    caps = []
+    build = cli.full_complex_truncated
+
+    def recording(diagram, cap):
+        caps.append(cap)
+        return build(diagram, cap)
+
+    monkeypatch.setattr(cli, "full_complex_truncated", recording)
+    code, out, err = run(capsys, "topos", poset, sheaf, "--oracle", "--degrees", "0..7")
+    assert (code, err, caps) == (0, "", [3])
+    lines = out.splitlines()
+    assert lines[0] == "H^0 = Z"
+    assert lines[4:] == ["H^%d = 0" % n for n in range(4, 8)]
+
+
 def test_compare_command_negative(write, capsys):
     poset = write("square.json", builders.SQUARE_DOC)
     sky = write("sky.json", builders.SKYSCRAPER_DOC)

@@ -21,7 +21,7 @@ from posetcoh.groups import (
     is_isomorphism,
 )
 from posetcoh.linalg import IntMatrix
-from posetcoh.poset import chains, parse_poset, random_poset
+from posetcoh.poset import chains, core, parse_poset, random_poset
 
 import builders
 from oracles import brute_force_homology
@@ -249,12 +249,21 @@ def test_acyclicity_projective_plane_fails_at_one_with_torsion():
 
 
 def test_acyclicity_sweep_enumerates_only_the_degrees_it_reads(monkeypatch):
-    # a 4-cycle with a tail: H_1 = Z, longest chain p0 < p3 < q1 < q2 < q3
+    # a 4-cycle with a tail: H_1 = Z, longest chain p0 < p3 < q1 < q2 < q3;
+    # the tail is all beat points, so the sweep runs on the cycle alone
     cycle = [["p0", "p2"], ["p0", "p3"], ["p1", "p2"], ["p1", "p3"]]
     tail = [["p3", "q1"], ["q1", "q2"], ["q2", "q3"]]
     elements = ["p0", "p1", "p2", "p3", "q1", "q2", "q3"]
     P = parse_poset({"elements": elements, "relations": cycle + tail})
     assert P.height() == 4
+    # a 4-cycle whose maximal point c1 is the bottom of the minimal model
+    # of the 3-sphere: its own core, H_1 = Z and height 4
+    levels = [["c1", "c2"], ["d1", "d2"], ["e1", "e2"], ["f1", "f2"]]
+    joins = [[a, b] for low, high in zip(levels, levels[1:]) for a in low for b in high]
+    cycle = [["a1", "c1"], ["a2", "c1"], ["a1", "b2"], ["a2", "b2"]]
+    elements = ["a1", "a2", "b2"] + [x for level in levels for x in level]
+    Q = parse_poset({"elements": elements, "relations": cycle + joins})
+    assert Q.height() == 4 and core(Q) is Q
     import posetcoh.poset
 
     asked = []
@@ -265,11 +274,12 @@ def test_acyclicity_sweep_enumerates_only_the_degrees_it_reads(monkeypatch):
         return enumerate_chains(poset, n)
 
     monkeypatch.setattr(posetcoh.poset, "chains", counting_chains)
-    for shortcuts in (True, False):
-        asked.clear()
-        verdict = acyclicity_check(P, shortcuts=shortcuts)
-        assert verdict.degree == 1 and verdict.group == CanonicalGroup(1)
-        assert sorted(asked) == [0, 1, 2]
+    for poset, read in ((P, [0, 1]), (Q, [0, 1, 2])):
+        for shortcuts in (True, False):
+            asked.clear()
+            verdict = acyclicity_check(poset, shortcuts=shortcuts)
+            assert verdict.degree == 1 and verdict.group == CanonicalGroup(1)
+            assert sorted(asked) == read
 
 
 def test_acyclicity_cone_shortcut_and_recheck():

@@ -2,9 +2,17 @@ import random
 
 import pytest
 
+from posetcoh.complexes import order_complex_homology
 from posetcoh.cuts import CriterionReport, criterion, enumerate_cuts, upper_section_acyclicity
 from posetcoh.groups import CanonicalGroup
-from posetcoh.poset import PosetError, bounds, parse_poset, random_poset
+from posetcoh.poset import (
+    PosetError,
+    bounds,
+    chains,
+    induced_subposet,
+    parse_poset,
+    random_poset,
+)
 
 import builders
 from oracles import brute_force_cuts
@@ -135,3 +143,41 @@ def test_directed_and_semilattice_posets_pass():
 def test_criterion_report_rejects_fail_without_failures():
     with pytest.raises(PosetError, match="FAIL with 0 failing cuts"):
         CriterionReport("FAIL", 1, [], "none")
+
+
+def full_sweep(P, cut):
+    """(acyclic, first failing degree, group) over every chain of the upper
+    section, with no core and no shortcut."""
+    Q = induced_subposet(P, cut.upper)
+    homology = order_complex_homology(lambda k: chains(Q, k), Q.height())
+    for n in range(Q.height() + 1):
+        h = homology(n)
+        if h != (CanonicalGroup(1) if n == 0 else CanonicalGroup(0)):
+            return False, n, h
+    return True, None, None
+
+
+def test_core_sweep_matches_the_full_sweep():
+    rng = random.Random(73)
+    failing_posets = 0
+    for trial in range(40):
+        P = random_poset(rng.randint(8, 12), rng.uniform(0.3, 0.5), seed=5400 + trial)
+        failing = False
+        for cut in enumerate_cuts(P):
+            verdict = upper_section_acyclicity(P, cut, shortcuts=False)
+            assert (verdict.acyclic, verdict.degree, verdict.group) == full_sweep(P, cut)
+            failing |= not verdict
+        failing_posets += failing
+    assert failing_posets >= 5
+
+
+def test_full_recheck_of_a_thirty_element_poset():
+    # its upper sections have 493,089 chains in all, its cores 101
+    P = random_poset(30, 0.4, seed=30)
+    report = criterion(P, shortcuts=False)
+    assert (report.verdict, report.cuts_examined, report.shortcut) == ("FAIL", 42, "none")
+    found = [(degree, group) for _, degree, group in report.failures]
+    Z, Z2 = CanonicalGroup(1), CanonicalGroup(2)
+    assert found == [(2, Z), (2, Z), (1, Z), (0, Z2), (0, Z2)]
+    for cut, degree, group in report.failures:
+        assert full_sweep(P, cut) == (False, degree, group)

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from posetcoh.complexes import simplicial_homology
 from posetcoh.poset import (
     Poset,
     PosetError,
     bounds,
     chains,
     components,
+    core,
     induced_subposet,
     intersection_poset,
     parse_poset,
@@ -198,6 +200,51 @@ def test_chains_deterministic_order():
     assert fresh == P and hash(fresh) == hash(P)
     for n in range(P.height() + 2):
         assert chains(fresh, n).chains == chains(P, n).chains
+
+
+def test_core_of_a_poset_with_a_least_element_is_a_point():
+    # one pass in index order strips c and d and leaves a and b above z,
+    # where each of them has become a beat point
+    P = parse_poset(
+        {
+            "elements": ["a", "b", "c", "d", "z"],
+            "relations": [["c", "a"], ["d", "a"], ["c", "b"], ["d", "b"],
+                          ["z", "c"], ["z", "d"]],
+        }
+    )
+    assert len(core(P)) == 1
+    assert len(core(builders.vee())) == 1
+
+
+def test_minimal_models_are_their_own_cores():
+    for P in (builders.point(), builders.sphere(), builders.crown3()):
+        assert core(P) is P
+
+
+def test_core_keeps_the_components():
+    # a chain, a sphere and a 4-cycle with a tail, side by side
+    sphere = builders.SPHERE_DOC
+    doc = {
+        "elements": ["u0", "u1", "u2"] + sphere["elements"] + ["p0", "p1", "p2", "p3", "q"],
+        "relations": [["u0", "u1"], ["u1", "u2"]] + sphere["relations"]
+        + [["p0", "p2"], ["p0", "p3"], ["p1", "p2"], ["p1", "p3"], ["p3", "q"]],
+    }
+    P = parse_poset(doc)
+    C = core(P)
+    assert len(components(P)) == len(components(C)) == 3
+    assert len(C) == 1 + 6 + 4
+
+
+def test_core_has_the_homology_of_the_poset():
+    rng = random.Random(79)
+    for trial in range(20):
+        P = random_poset(rng.randint(1, 9), rng.random(), seed=5500 + trial)
+        C = core(P)
+        assert core(C) is C
+        for n in range(P.height() + 2):
+            assert simplicial_homology([chains(C, k) for k in range(C.height() + 1)], n) == (
+                simplicial_homology([chains(P, k) for k in range(P.height() + 1)], n)
+            )
 
 
 def test_induced_subposet():
