@@ -59,7 +59,7 @@ from .groups import (
     homs_equal,
     is_isomorphism,
 )
-from .linalg import IntMatrix, SmithDecomposition, kernel_basis, snf, solve
+from .linalg import IntMatrix, SmithDecomposition, snf
 from .poset import (
     IntersectionPoset,
     Poset,

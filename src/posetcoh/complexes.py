@@ -152,9 +152,6 @@ class HomologyData:
         self.cycles = cycles
         self._dec = None
 
-    def lift(self, j):
-        return self.cycles.column(j)
-
     def coordinates(self, cycles):
         """Express middle-group cycles on homology generators.
 
@@ -308,29 +305,29 @@ class AcyclicityVerdict:
         )
 
 
-def acyclicity_check(poset, shortcuts=True):
+def acyclicity_check(poset, shortcuts=True, members=None):
     """Whether the order complex has the homology of a point.
 
-    A disconnected comparability graph fails at degree 0 before any matrix
-    work; a least element makes the complex a cone and, with shortcuts on,
-    settles the verdict without homology.  Otherwise H_n of the core, which
-    has the same homology and usually far fewer chains, is computed degree
-    by degree up to the core's longest chain length (it vanishes above);
-    each degree's chains are enumerated and each boundary matrix is built
-    and reduced at most once, on first use, so a sweep that stops early
-    never enumerates the higher degrees.
+    `members` is the set of element indices to work within (default: every
+    element); the answer is then that of the subposet they induce, which is
+    never built itself.  A disconnected comparability graph fails at degree
+    0 before any matrix work; a least element makes the complex a cone and,
+    with shortcuts on, settles the verdict without homology.  Otherwise H_n
+    of the core, which has the same homology and usually far fewer chains,
+    is computed degree by degree up to the core's longest chain length (it
+    vanishes above); each degree's chains are enumerated and each boundary
+    matrix is built and reduced at most once, on first use, so a sweep that
+    stops early never enumerates the higher degrees.
     """
     from .poset import chains, components, core
 
-    parts = components(poset)
+    members = frozenset(range(len(poset.elements)) if members is None else members)
+    parts = components(poset, members)
     if len(parts) > 1:
         return AcyclicityVerdict(False, 0, CanonicalGroup(len(parts)), via="components")
-    n = len(poset.elements)
-    if shortcuts:
-        for i in range(n):
-            if len(poset.up[i]) == n:
-                return AcyclicityVerdict(True, via="least-element")
-    poset = core(poset)
+    if shortcuts and any(members <= poset.up[i] for i in members):
+        return AcyclicityVerdict(True, via="least-element")
+    poset = core(poset, members)
     height = poset.height()
     homology = order_complex_homology(lambda k: chains(poset, k), height)
     start = 0 if not shortcuts else 1

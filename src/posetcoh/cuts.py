@@ -10,7 +10,7 @@ any homology work and can be disabled for a full recheck.
 from __future__ import annotations
 
 from .complexes import acyclicity_check
-from .poset import IntersectionPoset, PosetError, bounds, components, induced_subposet
+from .poset import IntersectionPoset, PosetError, bounds, components
 
 
 class Cut:
@@ -50,7 +50,7 @@ def enumerate_cuts(P):
 
 def upper_section_acyclicity(P, cut, shortcuts=True):
     """Whether the cut's upper section has point homology."""
-    return acyclicity_check(induced_subposet(P, cut.upper), shortcuts=shortcuts)
+    return acyclicity_check(P, shortcuts=shortcuts, members=cut.upper.indices)
 
 
 class CriterionReport:

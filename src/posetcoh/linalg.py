@@ -474,44 +474,3 @@ def rank_and_torsion(columns):
     factors = snf(IntMatrix.from_columns(dense, nrows=len(rows))).invariant_factors()
     return rank + len(factors), tuple(d for d in factors if d > 1)
 
-
-def solve(M, b):
-    """Some integer solution of M x = b, or None."""
-    return snf(M).solve(b)
-
-
-def kernel_basis(M):
-    """Lattice basis of the integer kernel of M, as matrix columns."""
-    return snf(M).kernel_basis()
-
-
-def determinant(M):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    A = [list(r) for r in M.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = A[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * pivot - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = pivot
-    return sign * A[n - 1][n - 1]
-
-
-def is_unimodular(M):
-    return M.rows == M.cols and determinant(M) in (1, -1)

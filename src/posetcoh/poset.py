@@ -22,11 +22,11 @@ class Poset:
 
     `down[i]` is the index set {j : j <= i} and `up[i]` is {j : j >= i}; all
     order queries reduce to membership in these frozen sets.  Instances are
-    immutable and compare by value; `chains` keeps each degree's chain set
-    on the instance, outside that value.
+    immutable and compare by value; `chains` and `covers` keep what they
+    compute on the instance, outside that value.
     """
 
-    __slots__ = ("elements", "index", "down", "up", "_chains")
+    __slots__ = ("elements", "index", "down", "up", "_chains", "_covers")
 
     def __init__(self, elements, down):
         self.elements = tuple(elements)
@@ -44,8 +44,9 @@ class Poset:
         if len(self.down) != n:
             raise PosetError("down-set count mismatch")
         ups = [set() for _ in range(n)]
+        everything = set(range(n))
         for i, s in enumerate(self.down):
-            if i not in s or not s <= set(range(n)):
+            if i not in s or not s <= everything:
                 raise PosetError("invalid down-set for %r" % self.elements[i])
             for j in s:
                 if j != i and i in self.down[j]:
@@ -61,6 +62,7 @@ class Poset:
                 ups[j].add(i)
         self.up = tuple(frozenset(s) for s in ups)
         self._chains = {}
+        self._covers = None
 
     def __len__(self):
         return len(self.elements)
@@ -83,15 +85,20 @@ class Poset:
         return i in self.down[j]
 
     def covers(self):
-        """Hasse cover pairs (low, high), low covered by high, sorted by name."""
-        pairs = []
-        for j in range(len(self.elements)):
-            strictly_below = self.down[j] - {j}
-            for i in strictly_below:
-                if not any(k != i and i in self.down[k] for k in strictly_below):
-                    pairs.append((i, j))
-        named = sorted((self.elements[i], self.elements[j]) for i, j in pairs)
-        return [(self.index[a], self.index[b]) for a, b in named]
+        """Hasse cover pairs (low, high), low covered by high, sorted by name.
+
+        Computed once per instance; later calls return the same tuple.
+        """
+        if self._covers is None:
+            pairs = []
+            for j in range(len(self.elements)):
+                strictly_below = self.down[j] - {j}
+                for i in strictly_below:
+                    if not any(k != i and i in self.down[k] for k in strictly_below):
+                        pairs.append((i, j))
+            named = sorted((self.elements[i], self.elements[j]) for i, j in pairs)
+            self._covers = tuple((self.index[a], self.index[b]) for a, b in named)
+        return self._covers
 
     def height(self):
         """Length in edges of the longest strict chain."""
@@ -176,6 +183,13 @@ class IntersectionPoset:
     enumerates exactly the candidate lower halves of cuts.  Nodes are ordered
     by inclusion; `lambda_map` locates L(i), and each node remembers one
     generating subset of the base poset as a witness.
+
+    The closure runs in rounds.  Each round sweeps the pairs (a, b) of the
+    sets found before it, both in order of their sorted members, and a new
+    set keeps the witnesses of the first pair that meets to it.  A pair of
+    sets that were both known a round earlier was swept then, so after the
+    first round only pairs with a member of the last round's new sets are
+    met; the sweep order, and so every witness, is that of the full sweep.
     """
 
     __slots__ = ("base", "poset", "nodes", "lambda_map", "witnesses")
@@ -185,16 +199,18 @@ class IntersectionPoset:
         found = {}
         for i in range(len(base.elements)):
             found.setdefault(base.down[i], (i,))
-        changed = True
-        while changed:
-            changed = False
-            current = sorted(found, key=lambda s: sorted(s))
+        last = set(found)
+        while last:
+            current = sorted(found, key=sorted)
+            last_sorted = [s for s in current if s in last]
+            new = set()
             for a in current:
-                for b in current:
+                for b in (current if a in last else last_sorted):
                     c = a & b
                     if c and c not in found:
                         found[c] = tuple(sorted(set(found[a]) | set(found[b])))
-                        changed = True
+                        new.add(c)
+            last = new
 
         def node_key(s):
             return (len(s), sorted(base.elements[i] for i in s))
@@ -274,41 +290,45 @@ def chains(poset, n):
     return cache[n]
 
 
-def components(poset):
+def components(poset, members=None):
     """Connected components of the comparability graph, as sorted index lists.
 
-    Components are listed by their smallest element index.
+    `members` is the set of element indices to work within (default: every
+    element); the graph is then that of the subposet they induce, given in
+    the poset's own indices.  Components are listed by their smallest
+    element index.
     """
-    n = len(poset.elements)
-    seen = [False] * n
+    todo = set(range(len(poset.elements)) if members is None else members)
     out = []
-    for start in range(n):
-        if seen[start]:
+    for start in sorted(todo):
+        if start not in todo:
             continue
+        todo.discard(start)
         comp = []
         stack = [start]
-        seen[start] = True
         while stack:
             i = stack.pop()
             comp.append(i)
-            for j in poset.down[i] | poset.up[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
+            reached = (poset.down[i] | poset.up[i]) & todo
+            todo -= reached
+            stack.extend(reached)
         out.append(sorted(comp))
     return out
 
 
-def core(poset):
+def core(poset, members=None):
     """What remains after removing beat points one at a time.
 
     A beat point has exactly one lower cover or exactly one upper cover among
     the elements still present.  Removing one is a strong deformation retract
     of the order complex (Stong, "Finite topological spaces", Trans. AMS 123,
-    1966), so the core has the homology of the poset.  Returns the induced
-    subposet, or the poset itself when nothing is removed.
+    1966), so the core has the homology of the poset.  `members` is the set
+    of element indices to work within (default: every element), so the core
+    of an induced subposet is found without building that subposet.  Returns
+    the subposet induced on what remains, or the poset itself when every
+    element remains.
     """
-    present = set(range(len(poset.elements)))
+    present = set(range(len(poset.elements)) if members is None else members)
 
     def is_beat(i):
         # the others below (above) i have one cover exactly when they have a

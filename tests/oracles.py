@@ -2,7 +2,7 @@
 
 These deliberately avoid the package's kernel-projection and presentation
 machinery: invariant factors come from gcds of minors, determinants from
-Laplace expansion, and homology of tiny complexes from direct enumeration of
+Laplace expansion or fraction-free (Bareiss) elimination, and homology of tiny complexes from direct enumeration of
 group elements with the isomorphism class reconstructed from element-order
 counts.
 """
@@ -32,6 +32,31 @@ def brute_force_cuts(P):
     return found
 
 
+def intersection_closure_by_full_sweep(base):
+    """Nodes and witnesses of the intersection poset, by the full pairwise sweep.
+
+    Every round meets every pair of the sets found so far, both in order of
+    their sorted members, until a round adds nothing; a new set keeps the
+    witnesses of the first pair that meets to it.  Nodes are member index
+    sets listed by size, then by sorted member names.
+    """
+    found = {}
+    for i in range(len(base.elements)):
+        found.setdefault(base.down[i], (i,))
+    changed = True
+    while changed:
+        changed = False
+        current = sorted(found, key=lambda s: sorted(s))
+        for a in current:
+            for b in current:
+                c = a & b
+                if c and c not in found:
+                    found[c] = tuple(sorted(set(found[a]) | set(found[b])))
+                    changed = True
+    ordered = sorted(found, key=lambda s: (len(s), sorted(base.elements[i] for i in s)))
+    return ordered, [found[s] for s in ordered]
+
+
 def laplace_det(rows):
     """Determinant by first-row Laplace expansion (fine for n <= 5)."""
     n = len(rows)
@@ -46,6 +71,38 @@ def laplace_det(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * a * laplace_det(minor)
     return total
+
+
+def determinant(M):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = M.rows
+    if n == 0:
+        return 1
+    A = [list(r) for r in M.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = A[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * pivot - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = pivot
+    return sign * A[n - 1][n - 1]
+
+
+def is_unimodular(M):
+    return M.rows == M.cols and determinant(M) in (1, -1)
 
 
 def invariant_factors_by_minors(M):

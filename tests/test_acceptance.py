@@ -36,11 +36,11 @@ from posetcoh.groups import (
     canonical_form,
     is_isomorphism,
 )
-from posetcoh.linalg import IntMatrix, is_unimodular, snf
+from posetcoh.linalg import IntMatrix, snf
 from posetcoh.poset import IntersectionPoset, chains, random_poset
 
 import builders
-from oracles import brute_force_cuts, invariant_factors_by_minors, random_matrix
+from oracles import brute_force_cuts, invariant_factors_by_minors, is_unimodular, random_matrix
 
 
 def _vee_diagram(m0_rows, m1_rows, ranks):

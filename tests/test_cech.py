@@ -207,7 +207,7 @@ def test_comparison_map_matches_per_generator_solves():
             rho = ps.comparison_chain_map()
             for n in range(min(rho.source.top_degree(), rho.target.top_degree()) + 1):
                 src, tgt = rho.source.homology(n), rho.target.homology(n)
-                images = [rho.maps[n].apply(src.lift(j)) for j in range(src.group.generators)]
+                images = [rho.maps[n].apply(src.cycles.column(j)) for j in range(src.group.generators)]
                 expected = per_column_solves(tgt, images, tgt.group.generators)
                 assert comparison_map(ps, n).matrix == expected, (P, seed, n)
 
@@ -226,7 +226,7 @@ def test_sheaf_presheaf_restrictions_match_per_column_solves():
                     at += F.value(i).generators
                 restricted = [
                     [
-                        cones[high].data.lift(j)[start[i] + k]
+                        cones[high].data.cycles.column(j)[start[i] + k]
                         for i in sorted(nodes[low].indices)
                         for k in range(F.value(i).generators)
                     ]

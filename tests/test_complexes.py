@@ -127,7 +127,7 @@ def test_cycle_lift_round_trip():
     assert canonical_form(h.group) == CanonicalGroup(1)
     free_part = [j for j in range(h.group.generators)]
     for j in free_part:
-        z = h.lift(j)
+        z = h.cycles.column(j)
         assert d_out.apply(z) == (0,) * d_out.target.generators
         assert h.coordinates(z) is not None
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from posetcoh.complexes import order_complex_homology
+from posetcoh import poset
+from posetcoh.complexes import acyclicity_check, order_complex_homology
 from posetcoh.cuts import CriterionReport, criterion, enumerate_cuts, upper_section_acyclicity
 from posetcoh.groups import CanonicalGroup
 from posetcoh.poset import (
@@ -181,3 +182,35 @@ def test_full_recheck_of_a_thirty_element_poset():
     assert found == [(2, Z), (2, Z), (1, Z), (0, Z2), (0, Z2)]
     for cut, degree, group in report.failures:
         assert full_sweep(P, cut) == (False, degree, group)
+
+
+def test_cut_verdicts_match_those_of_the_built_upper_sections():
+    # each cut is decided on its indices inside P; building the upper
+    # section as a poset of its own must give the same answer
+    rng = random.Random(83)
+    for trial in range(40):
+        P = random_poset(rng.randint(6, 12), rng.uniform(0.3, 0.6), seed=8300 + trial)
+        for cut in enumerate_cuts(P):
+            for shortcuts in (True, False):
+                got = upper_section_acyclicity(P, cut, shortcuts=shortcuts)
+                want = acyclicity_check(induced_subposet(P, cut.upper), shortcuts=shortcuts)
+                assert (got.acyclic, got.degree, got.group, got.via) == (
+                    want.acyclic, want.degree, want.group, want.via
+                )
+
+
+def test_criterion_builds_no_poset_per_upper_section(monkeypatch):
+    # one Poset for the intersection poset and one core per cut; a poset
+    # built for every upper section would double the count
+    P = random_poset(14, 0.4, seed=14)
+    built = []
+    init = poset.Poset.__init__
+
+    def counting(self, elements, down):
+        built.append(len(down))
+        init(self, elements, down)
+
+    monkeypatch.setattr(poset.Poset, "__init__", counting)
+    report = criterion(P, shortcuts=False)
+    assert report.cuts_examined == 15
+    assert len(built) <= report.cuts_examined + 2

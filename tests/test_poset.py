@@ -19,6 +19,7 @@ from posetcoh.poset import (
 )
 
 import builders
+from oracles import intersection_closure_by_full_sweep
 
 
 def names_of(subset):
@@ -146,6 +147,30 @@ def test_intersection_poset_matches_brute_force():
         assert node_sets == brute
 
 
+def test_intersection_closure_matches_the_full_sweep():
+    # only the sets new in the last round are met after the first round;
+    # nodes, their order and the witnesses `cuts` prints stay those of the
+    # full pairwise sweep
+    rng = random.Random(61)
+    for trial in range(220):
+        P = random_poset(rng.randint(1, 14), rng.uniform(0.2, 0.7), seed=6100 + trial)
+        U = intersection_poset(P)
+        nodes, witnesses = intersection_closure_by_full_sweep(P)
+        assert [node.indices for node in U.nodes] == nodes
+        assert list(U.witnesses) == witnesses
+        assert U.lambda_map == tuple(nodes.index(P.down[i]) for i in range(len(P)))
+    # height-one posets on 7 + 7 elements: their later rounds add sets, and
+    # some sets are reached by pairs with different witnesses
+    for trial in range(70):
+        pick = random.Random(6200 + trial)
+        bottoms, tops = ["b%d" % i for i in range(7)], ["t%d" % j for j in range(7)]
+        relations = [[b, t] for t in tops for b in bottoms if pick.random() < 0.7]
+        P = parse_poset({"elements": bottoms + tops, "relations": relations})
+        nodes, witnesses = intersection_closure_by_full_sweep(P)
+        U = intersection_poset(P)
+        assert ([node.indices for node in U.nodes], list(U.witnesses)) == (nodes, witnesses)
+
+
 def test_chains_square():
     P = builders.square()
     one = chains(P, 1)
@@ -186,6 +211,19 @@ def test_components():
         {"elements": ["a", "b", "c", "d"], "relations": [["a", "c"], ["b", "d"]]}
     )
     assert components(P) == [[0, 2], [1, 3]]
+
+
+def test_components_and_core_within_members_match_the_induced_subposet():
+    rng = random.Random(67)
+    for trial in range(60):
+        P = random_poset(rng.randint(1, 12), rng.uniform(0.2, 0.7), seed=6700 + trial)
+        members = {i for i in range(len(P)) if rng.random() < 0.7} or {0}
+        Q = induced_subposet(P, members)
+        named = [[P.elements[i] for i in comp] for comp in components(P, members)]
+        assert named == [[Q.elements[i] for i in comp] for comp in components(Q)]
+        assert core(P, members) == core(Q)
+    P = builders.sphere()
+    assert core(P, range(len(P))) is P
 
 
 def test_chains_deterministic_order():
