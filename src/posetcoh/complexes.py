@@ -312,14 +312,16 @@ def acyclicity_check(poset, shortcuts=True, members=None):
     element); the answer is then that of the subposet they induce, which is
     never built itself.  A disconnected comparability graph fails at degree
     0 before any matrix work; a least element makes the complex a cone and,
-    with shortcuts on, settles the verdict without homology.  Otherwise H_n
-    of the core, which has the same homology and usually far fewer chains,
-    is computed degree by degree up to the core's longest chain length (it
-    vanishes above); each degree's chains are enumerated and each boundary
-    matrix is built and reduced at most once, on first use, so a sweep that
-    stops early never enumerates the higher degrees.
+    with shortcuts on, settles the verdict without homology.  Otherwise the
+    verdict is that of the core, which has the same homology and usually far
+    fewer chains.  A one-point core has the homology of a point, read off
+    directly; a larger core is built as a poset and H_n is computed degree
+    by degree up to its longest chain length (it vanishes above); each
+    degree's chains are enumerated and each boundary matrix is built and
+    reduced at most once, on first use, so a sweep that stops early never
+    enumerates the higher degrees.
     """
-    from .poset import chains, components, core
+    from .poset import chains, components, core, induced_subposet
 
     members = frozenset(range(len(poset.elements)) if members is None else members)
     parts = components(poset, members)
@@ -327,7 +329,11 @@ def acyclicity_check(poset, shortcuts=True, members=None):
         return AcyclicityVerdict(False, 0, CanonicalGroup(len(parts)), via="components")
     if shortcuts and any(members <= poset.up[i] for i in members):
         return AcyclicityVerdict(True, via="least-element")
-    poset = core(poset, members)
+    kept = core(poset, members)
+    if len(kept) == 1:
+        return AcyclicityVerdict(True, via="homology")
+    if len(kept) < len(poset.elements):
+        poset = induced_subposet(poset, kept)
     height = poset.height()
     homology = order_complex_homology(lambda k: chains(poset, k), height)
     start = 0 if not shortcuts else 1

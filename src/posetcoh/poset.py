@@ -22,11 +22,11 @@ class Poset:
 
     `down[i]` is the index set {j : j <= i} and `up[i]` is {j : j >= i}; all
     order queries reduce to membership in these frozen sets.  Instances are
-    immutable and compare by value; `chains` and `covers` keep what they
-    compute on the instance, outside that value.
+    immutable and compare by value; `chains`, `covers` and `height` keep what
+    they compute on the instance, outside that value.
     """
 
-    __slots__ = ("elements", "index", "down", "up", "_chains", "_covers")
+    __slots__ = ("elements", "index", "down", "up", "_chains", "_covers", "_height")
 
     def __init__(self, elements, down):
         self.elements = tuple(elements)
@@ -63,6 +63,7 @@ class Poset:
         self.up = tuple(frozenset(s) for s in ups)
         self._chains = {}
         self._covers = None
+        self._height = None
 
     def __len__(self):
         return len(self.elements)
@@ -101,13 +102,14 @@ class Poset:
         return self._covers
 
     def height(self):
-        """Length in edges of the longest strict chain."""
-        order = self.linear_extension()
-        best = [0] * len(self.elements)
-        for i in order:
-            below = [best[j] + 1 for j in self.down[i] if j != i]
-            best[i] = max(below, default=0)
-        return max(best)
+        """Length in edges of the longest strict chain, computed once per instance."""
+        if self._height is None:
+            best = [0] * len(self.elements)
+            for i in self.linear_extension():
+                below = [best[j] + 1 for j in self.down[i] if j != i]
+                best[i] = max(below, default=0)
+            self._height = max(best)
+        return self._height
 
     def linear_extension(self):
         """Element indices in an order listing smaller elements first."""
@@ -190,6 +192,7 @@ class IntersectionPoset:
     sets that were both known a round earlier was swept then, so after the
     first round only pairs with a member of the last round's new sets are
     met; the sweep order, and so every witness, is that of the full sweep.
+    Each set's sorted members and sorted member names are computed once.
     """
 
     __slots__ = ("base", "poset", "nodes", "lambda_map", "witnesses")
@@ -199,9 +202,10 @@ class IntersectionPoset:
         found = {}
         for i in range(len(base.elements)):
             found.setdefault(base.down[i], (i,))
+        members = {s: sorted(s) for s in found}
         last = set(found)
         while last:
-            current = sorted(found, key=sorted)
+            current = sorted(found, key=members.__getitem__)
             last_sorted = [s for s in current if s in last]
             new = set()
             for a in current:
@@ -209,31 +213,30 @@ class IntersectionPoset:
                     c = a & b
                     if c and c not in found:
                         found[c] = tuple(sorted(set(found[a]) | set(found[b])))
+                        members[c] = sorted(c)
                         new.add(c)
             last = new
 
-        def node_key(s):
-            return (len(s), sorted(base.elements[i] for i in s))
-
-        ordered = sorted(found, key=node_key)
+        names = {s: sorted(base.elements[i] for i in s) for s in found}
+        ordered = sorted(found, key=lambda s: (len(s), names[s]))
         self.nodes = tuple(Subset(base, s) for s in ordered)
-        names = [n.canonical_name() for n in self.nodes]
-        down_sets = []
-        for s in ordered:
-            down_sets.append(frozenset(k for k, t in enumerate(ordered) if t <= s))
-        self.poset = Poset(names, down_sets)
+        # a subset is never longer, so it sits at or before its superset
+        down_sets = [
+            frozenset(j for j in range(k + 1) if ordered[j] <= s) for k, s in enumerate(ordered)
+        ]
+        self.poset = Poset(["{" + ",".join(names[s]) + "}" for s in ordered], down_sets)
         position = {s: k for k, s in enumerate(ordered)}
         self.lambda_map = tuple(position[base.down[i]] for i in range(len(base.elements)))
         self.witnesses = tuple(found[s] for s in ordered)
         for i in range(len(base.elements)):
-            for j in range(len(base.elements)):
-                if base.leq(i, j):
-                    a, b = self.lambda_map[i], self.lambda_map[j]
-                    if not self.poset.leq(a, b) or (i != j and a == b):
-                        raise PosetError(
-                            "intersection poset does not embed %r <= %r"
-                            % (base.elements[i], base.elements[j])
-                        )
+            # the pairs i <= j, in the order of the all-pairs scan
+            for j in sorted(base.up[i]):
+                a, b = self.lambda_map[i], self.lambda_map[j]
+                if not self.poset.leq(a, b) or (i != j and a == b):
+                    raise PosetError(
+                        "intersection poset does not embed %r <= %r"
+                        % (base.elements[i], base.elements[j])
+                    )
 
     def node_of(self, member_indices):
         """Node index whose member set equals the given base indices, if any."""
@@ -257,11 +260,15 @@ def bounds(poset, subset, direction):
     if direction not in ("lower", "upper"):
         raise PosetError("direction must be 'lower' or 'upper'")
     table = poset.down if direction == "lower" else poset.up
+    n = len(poset.elements)
     indices = subset.indices if isinstance(subset, Subset) else frozenset(subset)
-    result = set(range(len(poset.elements)))
+    if not (isinstance(subset, Subset) and subset.poset is poset):
+        # a Subset of this poset had its range checked when it was made
+        for x in indices:
+            if not 0 <= x < n:
+                raise PosetError("subset index %r out of range" % (x,))
+    result = set(range(n))
     for x in indices:
-        if not 0 <= x < len(poset.elements):
-            raise PosetError("subset index %r out of range" % (x,))
         result &= table[x]
     return Subset(poset, result)
 
@@ -322,11 +329,11 @@ def core(poset, members=None):
     A beat point has exactly one lower cover or exactly one upper cover among
     the elements still present.  Removing one is a strong deformation retract
     of the order complex (Stong, "Finite topological spaces", Trans. AMS 123,
-    1966), so the core has the homology of the poset.  `members` is the set
-    of element indices to work within (default: every element), so the core
-    of an induced subposet is found without building that subposet.  Returns
-    the subposet induced on what remains, or the poset itself when every
-    element remains.
+    1966), so the subposet induced on the core has the homology of the poset.
+    `members` is the set of element indices to work within (default: every
+    element), so the core of an induced subposet is found without building
+    that subposet.  Returns the sorted indices that remain, in the poset's
+    own indices.
     """
     present = set(range(len(poset.elements)) if members is None else members)
 
@@ -346,9 +353,7 @@ def core(poset, members=None):
             if is_beat(i):
                 present.discard(i)
                 removed = True
-    if len(present) == len(poset.elements):
-        return poset
-    return induced_subposet(poset, present)
+    return sorted(present)
 
 
 def induced_subposet(poset, subset):

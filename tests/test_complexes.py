@@ -263,7 +263,7 @@ def test_acyclicity_sweep_enumerates_only_the_degrees_it_reads(monkeypatch):
     cycle = [["a1", "c1"], ["a2", "c1"], ["a1", "b2"], ["a2", "b2"]]
     elements = ["a1", "a2", "b2"] + [x for level in levels for x in level]
     Q = parse_poset({"elements": elements, "relations": cycle + joins})
-    assert Q.height() == 4 and core(Q) is Q
+    assert Q.height() == 4 and core(Q) == list(range(len(Q)))
     import posetcoh.poset
 
     asked = []

@@ -10,6 +10,8 @@ from posetcoh.poset import (
     PosetError,
     bounds,
     chains,
+    components,
+    core,
     induced_subposet,
     parse_poset,
     random_poset,
@@ -200,9 +202,11 @@ def test_cut_verdicts_match_those_of_the_built_upper_sections():
 
 
 def test_criterion_builds_no_poset_per_upper_section(monkeypatch):
-    # one Poset for the intersection poset and one core per cut; a poset
-    # built for every upper section would double the count
+    # one Poset for the intersection poset and one per core of two or more
+    # elements; a poset built for every upper section or every one-point
+    # core would exceed the count
     P = random_poset(14, 0.4, seed=14)
+    larger_cores = sum(len(core(P, cut.upper.indices)) >= 2 for cut in enumerate_cuts(P))
     built = []
     init = poset.Poset.__init__
 
@@ -213,4 +217,47 @@ def test_criterion_builds_no_poset_per_upper_section(monkeypatch):
     monkeypatch.setattr(poset.Poset, "__init__", counting)
     report = criterion(P, shortcuts=False)
     assert report.cuts_examined == 15
-    assert len(built) <= report.cuts_examined + 2
+    assert len(built) <= 1 + larger_cores < 1 + report.cuts_examined
+
+
+def swept_on_the_built_core(P, members, shortcuts):
+    """(acyclic, degree, group, via) with the core built as a poset and
+    swept, a one-point core too; the components and least-element tests
+    come first, as in acyclicity_check."""
+    members = frozenset(members)
+    parts = components(P, members)
+    if len(parts) > 1:
+        return False, 0, CanonicalGroup(len(parts)), "components"
+    if shortcuts and any(members <= P.up[i] for i in members):
+        return True, None, None, "least-element"
+    Q = induced_subposet(P, core(P, members))
+    homology = order_complex_homology(lambda k: chains(Q, k), Q.height())
+    for n in range(1 if shortcuts else 0, Q.height() + 1):
+        h = homology(n)
+        if h != (CanonicalGroup(1) if n == 0 else CanonicalGroup(0)):
+            return False, n, h, "homology"
+    return True, None, None, "homology"
+
+
+def test_one_point_cores_read_off_match_the_sweep_of_the_built_core():
+    chain_posets = [
+        parse_poset({"elements": names, "relations": [list(p) for p in zip(names, names[1:])]})
+        for names in (["c%d" % i for i in range(n)] for n in range(1, 6))
+    ]
+    rng = random.Random(89)
+    seeded = [
+        random_poset(rng.randint(1, 12), rng.uniform(0.2, 0.7), seed=8900 + trial)
+        for trial in range(40)
+    ]
+    single = [builders.point(), random_poset(1, 0.5, seed=0)]
+    point_cores = {True: 0, False: 0}
+    for P in single + [builders.vee()] + chain_posets + seeded:
+        cases = [range(len(P))] + [cut.upper.indices for cut in enumerate_cuts(P)]
+        for members in cases:
+            for shortcuts in (True, False):
+                got = acyclicity_check(P, shortcuts=shortcuts, members=members)
+                want = swept_on_the_built_core(P, members, shortcuts)
+                assert (got.acyclic, got.degree, got.group, got.via) == want
+                point_cores[shortcuts] += want[3] == "homology" and len(core(P, members)) == 1
+    # with shortcuts on and with them off, some cuts end at a one-point core
+    assert min(point_cores.values()) > 0

@@ -7,6 +7,7 @@ from posetcoh.complexes import simplicial_homology
 from posetcoh.poset import (
     Poset,
     PosetError,
+    Subset,
     bounds,
     chains,
     components,
@@ -86,6 +87,14 @@ def test_bounds_edge_cases():
         assert x in bounds(P, [x], "lower")
     with pytest.raises(PosetError):
         bounds(P, [0], "sideways")
+    # raw indices and Subsets of another poset are range-checked here; a
+    # Subset of P was checked when it was made
+    with pytest.raises(PosetError, match="subset index 3 out of range"):
+        bounds(P, [0, 3], "upper")
+    wider = builders.square()
+    with pytest.raises(PosetError, match="subset index 3 out of range"):
+        bounds(P, Subset(wider, [3]), "lower")
+    assert bounds(P, Subset(P, [1, 2]), "upper") == bounds(P, [1, 2], "upper")
 
 
 def test_bounds_galois_idempotence():
@@ -147,6 +156,17 @@ def test_intersection_poset_matches_brute_force():
         assert node_sets == brute
 
 
+def assert_ordered_by_inclusion(U, P, nodes):
+    # the intersection poset's order is inclusion of the oracle's nodes and
+    # its elements are their canonical names
+    assert U.poset.down == tuple(
+        frozenset(k for k, t in enumerate(nodes) if t <= s) for s in nodes
+    )
+    assert U.poset.elements == tuple(
+        "{" + ",".join(sorted(P.elements[i] for i in s)) + "}" for s in nodes
+    )
+
+
 def test_intersection_closure_matches_the_full_sweep():
     # only the sets new in the last round are met after the first round;
     # nodes, their order and the witnesses `cuts` prints stay those of the
@@ -159,6 +179,7 @@ def test_intersection_closure_matches_the_full_sweep():
         assert [node.indices for node in U.nodes] == nodes
         assert list(U.witnesses) == witnesses
         assert U.lambda_map == tuple(nodes.index(P.down[i]) for i in range(len(P)))
+        assert_ordered_by_inclusion(U, P, nodes)
     # height-one posets on 7 + 7 elements: their later rounds add sets, and
     # some sets are reached by pairs with different witnesses
     for trial in range(70):
@@ -169,6 +190,7 @@ def test_intersection_closure_matches_the_full_sweep():
         nodes, witnesses = intersection_closure_by_full_sweep(P)
         U = intersection_poset(P)
         assert ([node.indices for node in U.nodes], list(U.witnesses)) == (nodes, witnesses)
+        assert_ordered_by_inclusion(U, P, nodes)
 
 
 def test_chains_square():
@@ -221,9 +243,11 @@ def test_components_and_core_within_members_match_the_induced_subposet():
         Q = induced_subposet(P, members)
         named = [[P.elements[i] for i in comp] for comp in components(P, members)]
         assert named == [[Q.elements[i] for i in comp] for comp in components(Q)]
-        assert core(P, members) == core(Q)
+        # the two index spaces differ, so the cores are compared by name
+        assert [P.elements[i] for i in core(P, members)] == [Q.elements[i] for i in core(Q)]
+        assert set(core(P, members)) <= members
     P = builders.sphere()
-    assert core(P, range(len(P))) is P
+    assert core(P, range(len(P))) == list(range(len(P)))
 
 
 def test_chains_deterministic_order():
@@ -256,7 +280,7 @@ def test_core_of_a_poset_with_a_least_element_is_a_point():
 
 def test_minimal_models_are_their_own_cores():
     for P in (builders.point(), builders.sphere(), builders.crown3()):
-        assert core(P) is P
+        assert core(P) == list(range(len(P)))
 
 
 def test_core_keeps_the_components():
@@ -268,17 +292,17 @@ def test_core_keeps_the_components():
         + [["p0", "p2"], ["p0", "p3"], ["p1", "p2"], ["p1", "p3"], ["p3", "q"]],
     }
     P = parse_poset(doc)
-    C = core(P)
-    assert len(components(P)) == len(components(C)) == 3
-    assert len(C) == 1 + 6 + 4
+    kept = core(P)
+    assert len(components(P)) == len(components(P, kept)) == 3
+    assert len(kept) == 1 + 6 + 4
 
 
 def test_core_has_the_homology_of_the_poset():
     rng = random.Random(79)
     for trial in range(20):
         P = random_poset(rng.randint(1, 9), rng.random(), seed=5500 + trial)
-        C = core(P)
-        assert core(C) is C
+        C = induced_subposet(P, core(P))
+        assert core(C) == list(range(len(C)))
         for n in range(P.height() + 2):
             assert simplicial_homology([chains(C, k) for k in range(C.height() + 1)], n) == (
                 simplicial_homology([chains(P, k) for k in range(P.height() + 1)], n)
