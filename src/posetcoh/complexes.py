@@ -131,7 +131,8 @@ class Complex:
         return GroupHom.zero(self.product(n).group, PresentedAbGroup.zero())
 
     def homology(self, n):
-        return homology_at(self.incoming(n), self.outgoing(n))
+        """Homology in degree n; the constructor already checked d after d."""
+        return _homology(self.incoming(n), self.outgoing(n))
 
     def homology_group(self, n):
         return canonical_form(self.homology(n).group)
@@ -177,14 +178,18 @@ def homology_at(d_in, d_out):
     """
     if d_in.target != d_out.source:
         raise ComplexError("homology needs a shared middle group")
-    middle = d_out.source
     if not is_zero_hom(d_out.compose(d_in)):
         raise ComplexError("differentials do not compose to zero")
-    g = middle.generators
+    return _homology(d_in, d_out)
+
+
+def _homology(d_in, d_out):
+    """`homology_at` for differentials already known to compose to zero."""
+    middle = d_out.source
     out_combined = d_out.matrix.hstack(d_out.target.relations)
-    cycles = snf(out_combined).kernel_basis().take_rows(range(g))
+    cycles = snf(out_combined).kernel_basis(middle.generators)
     boundary_sources = cycles.hstack(d_in.matrix).hstack(middle.relations)
-    relations = snf(boundary_sources).kernel_basis().take_rows(range(cycles.cols))
+    relations = snf(boundary_sources).kernel_basis(cycles.cols)
     return HomologyData(PresentedAbGroup(cycles.cols, relations), middle, cycles)
 
 
@@ -214,9 +219,19 @@ class ChainMap:
 
 
 def induced_on_homology(chain_map, n):
-    """The well-defined map on degree-n homology along a chain map."""
+    """The well-defined map on degree-n homology along a chain map.
+
+    Where the two complexes agree on everything `_homology` reads at degree
+    n, the source's homology serves the target too.
+    """
+
+    def around(c):
+        d_in, d_out = c.incoming(n), c.outgoing(n)
+        return d_in.matrix, d_out.matrix, d_out.source, d_out.target
+
     src = chain_map.source.homology(n)
-    tgt = chain_map.target.homology(n)
+    same = around(chain_map.source) == around(chain_map.target)
+    tgt = src if same else chain_map.target.homology(n)
     matrix = tgt.coordinates(chain_map.maps[n].matrix * src.cycles)
     hom = GroupHom(src.group, tgt.group, matrix)
     if not hom_well_defined(hom):

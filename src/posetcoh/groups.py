@@ -62,9 +62,9 @@ class PresentedAbGroup:
 
         With U * relations * V = D, a column v lies in the relation lattice
         iff each entry of U v is divisible by the matching invariant factor
-        and is zero past the rank; V is never needed.  Rows whose factor is
-        1 always pass, so only the rows after them are formed, and a zero
-        matrix needs no decomposition at all.
+        and is zero past the rank; V is never needed, and U v is formed by
+        replaying the row operations on the columns.  Rows whose factor is
+        1 always pass, and a zero matrix needs no decomposition at all.
 
         >>> g = PresentedAbGroup.from_invariants(1, (2,))
         >>> g.in_relation_lattice(IntMatrix.from_rows([[0, 0], [2, -4]]))
@@ -77,8 +77,7 @@ class PresentedAbGroup:
         dec = self.relation_dec()
         factors = dec.invariant_factors()
         units = factors.count(1)
-        image = dec.U.take_rows(range(units, self.generators)) * vectors
-        for k, row in enumerate(image.entries, start=units):
+        for k, row in enumerate(dec.left(vectors).entries[units:], start=units):
             d = factors[k] if k < len(factors) else 0
             if any(a % d if d else a for a in row):
                 return False

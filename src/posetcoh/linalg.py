@@ -66,11 +66,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._trusted(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._trusted(rows, cols, ((0,) * cols,) * rows)
 
     def __eq__(self, other):
         return (
@@ -183,7 +183,8 @@ class SmithDecomposition:
     nonzero diagonal entries are the invariant factors of M.  The decomposition
     also answers solvability questions: it is the single factored object reused
     for `solve` and `kernel_basis`.  U and V are kept as the logged row and
-    column operations of the elimination and built on first read.
+    column operations of the elimination: `left` and `right` apply them to a
+    matrix directly, and U and V themselves are built only when read.
     """
 
     __slots__ = ("matrix", "D", "rank", "_row_ops", "_col_ops", "_U", "_V")
@@ -200,16 +201,23 @@ class SmithDecomposition:
     @property
     def U(self):
         if self._U is None:
-            m = self.matrix.rows
-            self._U = IntMatrix._trusted(m, m, _dense(_replay(m, self._row_ops), m))
+            self._U = self.left(IntMatrix.identity(self.matrix.rows))
         return self._U
 
     @property
     def V(self):
         if self._V is None:
-            n = self.matrix.cols
-            self._V = IntMatrix._trusted(n, n, _dense(_replay(n, self._col_ops), n)).transpose()
+            self._V = self.right(IntMatrix.identity(self.matrix.cols))
         return self._V
+
+    def left(self, B):
+        """U * B: the row operations applied to the rows of B in logged order."""
+        return _operate(B, self.matrix.rows, self._row_ops)
+
+    def right(self, Y):
+        """V * Y: the column operations act on the rows of Y last first, and
+        (src, dst, q) then adds q times row dst to row src."""
+        return _operate(Y, self.matrix.cols, [(d, s, q) for s, d, q in reversed(self._col_ops)])
 
     def invariant_factors(self):
         return tuple(self.D.entries[i][i] for i in range(self.rank))
@@ -231,7 +239,7 @@ class SmithDecomposition:
             b = IntMatrix(M.rows, 1, [[a] for a in b])
         elif b.rows != M.rows:
             raise ValueError("right-hand side has %d rows, expected %d" % (b.rows, M.rows))
-        C = self.U * b
+        C = self.left(b)
         diagonal = min(M.rows, M.cols)
         zero = (0,) * b.cols
         Y = []
@@ -242,17 +250,16 @@ class SmithDecomposition:
             if i < M.cols:
                 Y.append(tuple(c // d for c in row) if d else zero)
         Y.extend([zero] * (M.cols - len(Y)))
-        X = self.V * IntMatrix._trusted(M.cols, b.cols, tuple(Y))
+        X = self.right(IntMatrix._trusted(M.cols, b.cols, tuple(Y)))
         return X.column(0) if vector else X
 
-    def kernel_basis(self):
-        """Columns forming a lattice basis of {x : M x = 0}."""
-        M = self.matrix
-        diagonal = min(M.rows, M.cols)
-        free = [j for j in range(M.cols) if j >= diagonal or self.D.entries[j][j] == 0]
-        columns = _replay(M.cols, self._col_ops)
-        kept = _dense([columns[j] for j in free], M.cols)
-        return IntMatrix._trusted(len(free), M.cols, kept).transpose()
+    def kernel_basis(self, rows=None):
+        """Columns forming a lattice basis of {x : M x = 0}: the columns of V
+        past the rank, or only their leading `rows` entries when given."""
+        lines = _replay(self.matrix.cols, self._col_ops)[self.rank :]
+        rows = self.matrix.cols if rows is None else rows
+        entries = tuple(tuple([line.get(i, 0) for line in lines]) for i in range(rows))
+        return IntMatrix._trusted(rows, len(lines), entries)
 
 
 def _replay(size, ops):
@@ -275,15 +282,19 @@ def _replay(size, ops):
     return lines
 
 
-def _dense(lines, size):
-    """Sparse lines as a tuple of `size`-long int tuples."""
-    out = []
-    for line in lines:
-        row = [0] * size
-        for k, a in line.items():
-            row[k] = a
-        out.append(tuple(row))
-    return tuple(out)
+def _operate(B, size, ops):
+    """B after the row operations `ops`, each read as `_replay` reads it."""
+    if B.rows != size:
+        raise ValueError("shape mismatch in product")
+    rows = [list(r) for r in B.entries]
+    for src, dst, q in ops:
+        if src == dst:
+            rows[dst] = [-a for a in rows[dst]]
+        elif q:
+            rows[dst] = [a + q * b for a, b in zip(rows[dst], rows[src])]
+        else:
+            rows[src], rows[dst] = rows[dst], rows[src]
+    return IntMatrix._trusted(B.rows, B.cols, tuple(map(tuple, rows)))
 
 
 def snf(M):
@@ -300,6 +311,8 @@ def snf(M):
     (2, 4)
     """
     m, n = M.rows, M.cols
+    if not m or not n:
+        return SmithDecomposition(M, M, [], [])
     A = [list(r) for r in M.entries]
     row_ops = []  # (src, dst, q) as `_replay` reads them
     col_ops = []

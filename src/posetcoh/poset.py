@@ -191,8 +191,9 @@ class IntersectionPoset:
     set keeps the witnesses of the first pair that meets to it.  A pair of
     sets that were both known a round earlier was swept then, so after the
     first round only pairs with a member of the last round's new sets are
-    met; the sweep order, and so every witness, is that of the full sweep.
-    Each set's sorted members and sorted member names are computed once.
+    met, and only partners b at or after a: meets and witness unions are
+    symmetric, so every witness is that of the full sweep.  Each set's
+    sorted members and sorted member names are computed once.
     """
 
     __slots__ = ("base", "poset", "nodes", "lambda_map", "witnesses")
@@ -208,8 +209,10 @@ class IntersectionPoset:
             current = sorted(found, key=members.__getitem__)
             last_sorted = [s for s in current if s in last]
             new = set()
-            for a in current:
-                for b in (current if a in last else last_sorted):
+            seen = 0  # members of last_sorted at or before a
+            for k, a in enumerate(current):
+                seen += a in last
+                for b in current[k:] if a in last else last_sorted[seen:]:
                     c = a & b
                     if c and c not in found:
                         found[c] = tuple(sorted(set(found[a]) | set(found[b])))

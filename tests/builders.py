@@ -11,6 +11,10 @@ crown3     complete bipartite 3 x 3: three bottoms b0, b1, b2 each below
            three tops t0, t1, t2.
 pass8      8-element poset whose cuts all have acyclic upper sections.
 pass7      7-element poset, same verdict, no helpful semilattice structure.
+capped_square
+           the square with a top: c, d < a, b < t.  L(a) & L(b) = {c, d} is
+           a non-principal intersection, so it has 6 nodes for 5 elements;
+           every cut has an acyclic upper section.
 cells9     face-style 9-element poset with a cut whose upper section is the
            2-antichain {0, 1}; the agreement criterion fails on it.
 projective_plane
@@ -70,6 +74,11 @@ PASS7_DOC = {
     ],
 }
 
+CAPPED_SQUARE_DOC = {
+    "elements": ["a", "b", "c", "d", "t"],
+    "relations": [["c", "a"], ["d", "a"], ["c", "b"], ["d", "b"], ["a", "t"], ["b", "t"]],
+}
+
 CELLS9_DOC = {
     "elements": ["0", "1", "2", "3", "4", "5", "6", "7", "8"],
     "relations": [
@@ -126,6 +135,10 @@ def pass8():
 
 def pass7():
     return parse_poset(PASS7_DOC)
+
+
+def capped_square():
+    return parse_poset(CAPPED_SQUARE_DOC)
 
 
 def cells9():

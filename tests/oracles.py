@@ -260,6 +260,23 @@ class LatticeMembership:
         return self.dec.solve(c) is not None
 
 
+def in_relation_lattice_by_U(group, vectors):
+    """Whether every column of `vectors` lies in the group's relation lattice.
+
+    With U * relations * V = D from the eager elimination, a column v lies in
+    the lattice iff every entry of the explicit product U v is divisible by
+    the matching diagonal entry of D, and is zero where that entry is zero
+    or missing.
+    """
+    U, D, _ = eager_snf(group.relations)
+    diagonal = min(D.rows, D.cols)
+    for i, row in enumerate((U * vectors).entries):
+        d = D[i, i] if i < diagonal else 0
+        if any(a % d if d else a for a in row):
+            return False
+    return True
+
+
 def is_isomorphism_by_kernel(hom):
     """Isomorphism test of a well-defined hom that computes its kernel.
 

@@ -1,8 +1,9 @@
 """End-to-end acceptance checks, one test per shipped guarantee.
 
 The first six pin exact groups and verdicts on the reference fixtures from
-builders; the last six replay the package's structural guarantees (dual
-routes, criterion soundness, cut completeness, nerve duality, normal-form
+builders; the last seven replay the package's structural guarantees (dual
+routes, criterion soundness, on random posets and on posets with
+non-principal intersections, cut completeness, nerve duality, normal-form
 contract) on fuzzed inputs at desk scale.  A verbose run reports one
 pass/fail line per guarantee.
 """
@@ -172,6 +173,19 @@ def test_criterion_pass_forces_isomorphic_comparison_maps():
                 violations.append((trial, k, [r.degree for r in report.rows if not r.iso]))
     assert passes >= 20 and comparisons == 5 * passes
     assert violations == []
+
+
+def test_criterion_pass_forces_isomorphic_comparison_maps_past_principal_nodes():
+    # where every intersection is principal, the node poset is the base
+    # poset up to names and the comparison map only permutes coordinates;
+    # these three have more nodes than elements, so it does more
+    for P in (builders.pass7(), builders.pass8(), builders.capped_square()):
+        assert criterion(P)
+        U = IntersectionPoset(P)
+        assert len(U.nodes) > len(P)
+        for k in range(4):
+            ps = random_presheaf(U, seed=1700 + k, max_generators=2, max_relators=1)
+            assert compare_report(ps).all_iso, (P.elements, k)
 
 
 def test_cut_enumeration_is_complete_at_small_scale():

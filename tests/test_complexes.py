@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from posetcoh.cech import random_presheaf
 from posetcoh.complexes import (
     AcyclicityVerdict,
     ChainMap,
@@ -21,7 +22,7 @@ from posetcoh.groups import (
     is_isomorphism,
 )
 from posetcoh.linalg import IntMatrix
-from posetcoh.poset import chains, core, parse_poset, random_poset
+from posetcoh.poset import IntersectionPoset, chains, core, parse_poset, random_poset
 
 import builders
 from oracles import brute_force_homology
@@ -213,6 +214,54 @@ def test_induced_respects_composition():
     lhs = induced_on_homology(g, 1).compose(induced_on_homology(f, 1))
     rhs = induced_on_homology(gf, 1)
     assert homs_equal(lhs, rhs)
+
+
+def induced_from_separate_homologies(chain_map, n):
+    """The induced map with the target's homology computed on its own."""
+    src = homology_at(chain_map.source.incoming(n), chain_map.source.outgoing(n))
+    tgt = homology_at(chain_map.target.incoming(n), chain_map.target.outgoing(n))
+    return GroupHom(src.group, tgt.group, tgt.coordinates(chain_map.maps[n].matrix * src.cycles))
+
+
+def test_induced_on_homology_reuses_only_where_the_complexes_agree():
+    # comparison maps, whose two complexes agree in every degree for most
+    # posets with principal intersections only, and quotient maps
+    # Cech -> Cech / (c d y) that change one group only, so the complexes
+    # agree in some degrees and not in the two next to the changed group
+    rng = random.Random(83)
+    reused = separate = 0
+    for trial in range(120):
+        P = random_poset(rng.randint(1, 5), rng.random(), seed=8300 + trial)
+        ps = random_presheaf(IntersectionPoset(P), seed=trial, max_generators=2, max_relators=1)
+        rho = ps.comparison_chain_map()
+        maps = [rho]
+        C = rho.source
+        if C.top_degree() >= 1:
+            j = rng.randint(1, C.top_degree())
+            y = [rng.randint(-2, 2) for _ in range(C.groups[j - 1].group.generators)]
+            c = rng.choice([1, 1, 2, 3])
+            r = [c * a for a in C.diffs[j - 1].matrix.apply(y)]
+            groups = [g.group for g in C.groups]
+            groups[j] = PresentedAbGroup(
+                groups[j].generators, groups[j].relations.hstack(IntMatrix.from_columns([r]))
+            )
+            diffs = [d.matrix for d in C.diffs]
+            S, Q = build_complex([g.group for g in C.groups], diffs), build_complex(groups, diffs)
+            identities = [
+                GroupHom(s.group, q.group, IntMatrix.identity(s.group.generators))
+                for s, q in zip(S.groups, Q.groups)
+            ]
+            maps.append(ChainMap(S, Q, identities))
+        for chain_map in maps:
+            for n in range(chain_map.source.top_degree() + 1):
+                h = induced_on_homology(chain_map, n)
+                expected = induced_from_separate_homologies(chain_map, n)
+                assert (h.source, h.target, h.matrix) == (expected.source, expected.target, expected.matrix)
+                if h.target is h.source:
+                    reused += 1
+                else:
+                    separate += 1
+    assert reused > 100 and separate > 100, (reused, separate)
 
 
 def test_chain_map_verification_failure_names_degree():

@@ -145,6 +145,31 @@ def test_in_relation_lattice_matches_per_column_solve():
     assert answers.count(True) > 100 and answers.count(False) > 100
 
 
+def test_in_relation_lattice_matches_the_explicit_U_oracle():
+    # the row log replayed on the columns must answer as the eager U does,
+    # also for groups without generators or without relators
+    rng = random.Random(31)
+    answers = []
+    empty = 0
+    for _ in range(5000):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        scale = rng.choice([1, 1, 2, 3, 6])
+        R = IntMatrix(m, n, [[scale * rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+        g = PresentedAbGroup(m, R)
+        cols = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                cols.append(R.apply([rng.randint(-3, 3) for _ in range(n)]))
+            else:
+                cols.append(tuple(rng.randint(-6, 6) for _ in range(m)))
+        vectors = IntMatrix.from_columns(cols, nrows=m)
+        answer = g.in_relation_lattice(vectors)
+        assert answer == oracles.in_relation_lattice_by_U(g, vectors), R
+        answers.append(answer)
+        empty += m == 0 or n == 0
+    assert answers.count(True) > 1500 and answers.count(False) > 1500 and empty > 1000
+
+
 def test_in_relation_lattice_edge_cases():
     assert PresentedAbGroup.zero().in_relation_lattice(IntMatrix.zero(0, 3))
     assert PresentedAbGroup.zero().in_relation_lattice(IntMatrix.zero(0, 0))

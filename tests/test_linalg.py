@@ -351,3 +351,33 @@ def test_snf_repeats_the_eager_elimination_exactly():
             b = B.column(j)
             X = solve_by(U, D, V, IntMatrix(M.rows, 1, [[a] for a in b]))
             assert snf(M).solve(b) == (None if X is None else X.column(0))
+
+
+def test_transforms_applied_from_the_logs_match_explicit_products():
+    # U and V here come from the eager elimination, so a log replayed in the
+    # wrong order or from the wrong end cannot agree with itself by accident
+    rng = random.Random(97)
+    shapes = {"no rows": 0, "no columns": 0, "kernel cut": 0}
+    for trial in range(5000):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        scale = rng.choice([1, 1, 2, 3])
+        M = IntMatrix(m, n, [[scale * a for a in row] for row in sparse_random_rows(rng, m, n)])
+        U, D, V = eager_snf(M)
+        dec = snf(M)
+        assert dec.D == D, M
+        k = rng.randint(0, 3)
+        B = IntMatrix(m, k, [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)])
+        Y = IntMatrix(n, k, [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)])
+        assert dec.left(B) == U * B, M
+        assert dec.right(Y) == V * Y, M
+        kernel = dec.kernel_basis()
+        r = rng.randint(0, n)
+        assert dec.kernel_basis(r) == kernel.take_rows(range(r)), M
+        shapes["no rows"] += m == 0
+        shapes["no columns"] += n == 0
+        shapes["kernel cut"] += 0 < r < n and kernel.cols > 0
+    assert min(shapes.values()) > 300, shapes
+    with pytest.raises(ValueError, match="shape mismatch"):
+        snf(IntMatrix.zero(2, 3)).left(IntMatrix.zero(3, 1))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        snf(IntMatrix.zero(2, 3)).right(IntMatrix.zero(2, 1))
