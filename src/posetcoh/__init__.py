@@ -64,11 +64,9 @@ from .poset import (
     IntersectionPoset,
     Poset,
     PosetError,
-    Subset,
     bounds,
     chains,
     induced_subposet,
-    intersection_poset,
     parse_poset,
     random_poset,
     serialize_poset,

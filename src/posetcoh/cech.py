@@ -46,9 +46,6 @@ class Presheaf:
     def space(self):
         return self.intersection.base
 
-    def node_value(self, k):
-        return self.diagram.value(k)
-
     def pulled_diagram(self):
         """The diagram on the base poset with value(i) = presheaf(basic open of i)."""
         if self._pulled is None:
@@ -85,10 +82,10 @@ class Presheaf:
             lam = self.intersection.lambda_map
             maps = []
             for n, src in enumerate(source.groups):
-                position = {c: k for k, c in enumerate(chains(self.diagram.base, n).chains)}
+                position = {c: k for k, c in enumerate(chains(self.diagram.base, n))}
                 blocks = (
                     (row, position[tuple(lam[i] for i in chain)], 1, None)
-                    for row, chain in enumerate(chains(self.space, n).chains)
+                    for row, chain in enumerate(chains(self.space, n))
                 )
                 maps.append(src.hom_to(target.product(n), blocks))
             rho = ChainMap(source, target, maps)
@@ -136,7 +133,7 @@ def cech_ordered_complex(presheaf, order=None):
         sequence = [space.index[name] for name in order]
         if sorted(sequence) != list(range(len(space))):
             raise DiagramError("order must list every element exactly once")
-    node_at = {node.indices: k for k, node in enumerate(presheaf.intersection.nodes)}
+    node_at = {node: k for k, node in enumerate(presheaf.intersection.nodes)}
     node_of = {}
     cells = []
     while True:
@@ -151,7 +148,7 @@ def cech_ordered_complex(presheaf, order=None):
         if not here:
             break
         cells.append(here)
-    return _cell_complex(presheaf.diagram, cells, node_of.__getitem__, space.elements, "&")
+    return _cell_complex(presheaf.diagram, cells, node_of.__getitem__)
 
 
 class ComparisonRow:
@@ -221,13 +218,13 @@ def sheaf_presheaf(F):
     nested nodes forgets the coordinates outside the smaller node.
     """
     intersection = IntersectionPoset(F.base)
-    cones = [sheafify_value(F, node.indices) for node in intersection.nodes]
+    cones = [sheafify_value(F, node) for node in intersection.nodes]
     values = [cone.group for cone in cones]
     maps = {}
     for low, high in intersection.poset.covers():
         kept = tuple(
             row
-            for i in sorted(intersection.nodes[low].indices)
+            for i in sorted(intersection.nodes[low])
             for row in cones[high].projections[i].matrix.entries
         )
         threads = IntMatrix._trusted(len(kept), values[high].generators, kept)

@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 
 from .cech import cech_ordered_complex, compare_report, random_presheaf
@@ -36,6 +37,7 @@ from .poset import (
     parse_poset,
     random_poset,
     serialize_poset,
+    subset_name,
 )
 from .complexes import order_complex_homology
 
@@ -48,6 +50,9 @@ def _read_json(path):
         raise DocumentError("cannot read %s: %s" % (path, exc.strerror or exc))
     except json.JSONDecodeError as exc:
         raise DocumentError("%s is not valid JSON: %s" % (path, exc))
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, integers past the digit limit, deep nesting
+        raise DocumentError("cannot parse %s: %s" % (path, exc))
 
 
 def _load_poset(path):
@@ -62,13 +67,12 @@ def _load_presheaf(args):
 def _degree_window(args, default_top):
     if args.degrees is None:
         return 0, default_top
-    parts = args.degrees.split("..")
-    if len(parts) == 1:
-        parts = parts * 2
-    try:
-        low, high = map(int, parts)
-    except ValueError:  # a part that is no integer, or more than two parts
+    # ASCII digits, a minus sign left to the range check: int() alone would also
+    # take spaces, a plus sign, underscores and the digits of other scripts
+    match = re.fullmatch(r"(-?[0-9]+)(?:\.\.(-?[0-9]+))?", args.degrees)
+    if match is None:
         raise DocumentError("--degrees expects A..B with integers")
+    low, high = int(match[1]), int(match[2] or match[1])
     if low < 0 or high < low:
         raise DocumentError("--degrees window must satisfy 0 <= A <= B")
     return low, high
@@ -80,8 +84,12 @@ def _order_list(args):
     return [part for part in args.order.split(",") if part]
 
 
-def _cut_names(cut):
-    return "<%s, %s>" % (cut.lower.canonical_name(), cut.upper.canonical_name())
+def _names(P, indices):
+    return sorted(P.elements[i] for i in indices)
+
+
+def _cut_names(P, cut):
+    return "<%s, %s>" % (subset_name(P, cut.lower), subset_name(P, cut.upper))
 
 
 def cmd_validate(args):
@@ -93,17 +101,21 @@ def cmd_validate(args):
 
 def cmd_cuts(args):
     P = _load_poset(args.poset)
-    cuts = [(cut, sorted(P.elements[i] for i in cut.witness)) for cut in enumerate_cuts(P)]
+    cuts = enumerate_cuts(P)
     payload = {
         "cuts": [
-            {"lower": cut.lower.names(), "upper": cut.upper.names(), "witness": witness}
-            for cut, witness in cuts
+            {
+                "lower": _names(P, cut.lower),
+                "upper": _names(P, cut.upper),
+                "witness": _names(P, cut.witness),
+            }
+            for cut in cuts
         ]
     }
     lines = ["%d cuts with nonempty lower half" % len(cuts)]
     lines += [
-        "cut %s witness {%s}" % (_cut_names(cut), ",".join(witness))
-        for cut, witness in cuts
+        "cut %s witness %s" % (_cut_names(P, cut), subset_name(P, cut.witness))
+        for cut in cuts
     ]
     return 0, payload, "\n".join(lines)
 
@@ -117,8 +129,8 @@ def cmd_criterion(args):
         "shortcut": report.shortcut,
         "failures": [
             {
-                "lower": cut.lower.names(),
-                "upper": cut.upper.names(),
+                "lower": _names(P, cut.lower),
+                "upper": _names(P, cut.upper),
                 "degree": degree,
                 "group": render_group(group),
             }
@@ -137,7 +149,7 @@ def cmd_criterion(args):
         % (len(report.failures), report.cuts_examined)
     ]
     lines += [
-        "cut %s: H_%d = %s" % (_cut_names(cut), degree, group.render())
+        "cut %s: H_%d = %s" % (_cut_names(P, cut), degree, group.render())
         for cut, degree, group in report.failures
     ]
     return 1, payload, "\n".join(lines)

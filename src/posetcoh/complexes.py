@@ -32,23 +32,17 @@ class ComplexError(ValueError):
 
 
 class ProductGroup:
-    """A finite product of presented groups with named coordinates."""
+    """A finite product of presented groups, one factor per coordinate."""
 
-    __slots__ = ("names", "factors", "offsets", "group")
+    __slots__ = ("factors", "offsets", "group")
 
-    def __init__(self, names, factors):
-        names = tuple(names)
+    def __init__(self, factors):
         factors = tuple(factors)
-        if len(names) != len(factors):
-            raise ValueError("coordinate name count mismatch")
-        if len(set(names)) != len(names):
-            raise ValueError("coordinate names must be distinct")
         offsets = []
         total = 0
         for f in factors:
             offsets.append(total)
             total += f.generators
-        self.names = names
         self.factors = factors
         self.offsets = tuple(offsets)
         rel = IntMatrix.block_diag([f.relations for f in factors]) if factors else None
@@ -118,7 +112,7 @@ class Complex:
         """The product in degree n; above the top degree it has no factors."""
         if n < 0:
             raise ComplexError("degree %d outside the built range" % n)
-        return self.groups[n] if n < len(self.groups) else ProductGroup((), ())
+        return self.groups[n] if n < len(self.groups) else ProductGroup(())
 
     def incoming(self, n):
         if 1 <= n <= len(self.diffs):
@@ -242,7 +236,7 @@ def induced_on_homology(chain_map, n):
 def simplicial_homology(chain_sets, n):
     """H_n of the chain complex of free groups on strict chains.
 
-    `chain_sets` lists the ChainSets of an order complex by degree; boundaries
+    `chain_sets` lists the chains of an order complex by degree; boundaries
     are alternating sums of face deletions.  Each call reduces the boundaries
     afresh; `order_complex_homology` reads many degrees from one reduction.
     """
@@ -255,10 +249,10 @@ def _boundary_columns(lower, upper):
     Column k is {face index: sign} for the k-th chain of `upper`; the faces of
     a strict chain are distinct, so every entry is +1 or -1.
     """
-    below = {chain: k for k, chain in enumerate(lower.chains)}
+    below = {chain: k for k, chain in enumerate(lower)}
     return [
-        {below[chain[:i] + chain[i + 1 :]]: (-1) ** i for i in range(upper.degree + 1)}
-        for chain in upper.chains
+        {below[chain[:i] + chain[i + 1 :]]: (-1) ** i for i in range(len(chain))}
+        for chain in upper
     ]
 
 

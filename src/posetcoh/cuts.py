@@ -10,11 +10,11 @@ any homology work and can be disabled for a full recheck.
 from __future__ import annotations
 
 from .complexes import acyclicity_check
-from .poset import IntersectionPoset, PosetError, bounds, components
+from .poset import IntersectionPoset, PosetError, bounds, components, subset_name
 
 
 class Cut:
-    """A pair of mutually closing subsets with a generating witness."""
+    """A pair of mutually closing index sets with a generating witness."""
 
     __slots__ = ("lower", "upper", "witness")
 
@@ -24,7 +24,7 @@ class Cut:
         self.witness = witness
 
     def __repr__(self):
-        return "Cut(%s, %s)" % (self.lower.canonical_name(), self.upper.canonical_name())
+        return "Cut(%s, %s)" % (sorted(self.lower), sorted(self.upper))
 
 
 def enumerate_cuts(P):
@@ -35,14 +35,14 @@ def enumerate_cuts(P):
         upper = bounds(P, node, "upper")
         # the witness generates the lower half, so it sits inside the upper
         # half and rules out an empty upper section
-        if not set(intersection.witnesses[k]) <= upper.indices:
+        if not upper.issuperset(intersection.witnesses[k]):
             raise PosetError(
-                "cut %s: witness lies outside the upper half" % node.canonical_name()
+                "cut %s: witness lies outside the upper half" % subset_name(P, node)
             )
-        if bounds(P, upper, "lower").indices != node.indices:
+        if bounds(P, upper, "lower") != node:
             raise PosetError(
                 "cut %s: upper half does not close back to the lower half"
-                % node.canonical_name()
+                % subset_name(P, node)
             )
         cuts.append(Cut(node, upper, intersection.witnesses[k]))
     return cuts
@@ -50,7 +50,7 @@ def enumerate_cuts(P):
 
 def upper_section_acyclicity(P, cut, shortcuts=True):
     """Whether the cut's upper section has point homology."""
-    return acyclicity_check(P, shortcuts=shortcuts, members=cut.upper.indices)
+    return acyclicity_check(P, shortcuts=shortcuts, members=cut.upper)
 
 
 class CriterionReport:
@@ -76,7 +76,7 @@ def _components_upward_directed(P):
     for comp in components(P):
         for a in comp:
             for b in comp:
-                if a < b and not bounds(P, (a, b), "upper").indices:
+                if a < b and not bounds(P, (a, b), "upper"):
                     return False
     return True
 

@@ -25,7 +25,7 @@ from .groups import (
     homs_equal,
 )
 from .linalg import IntMatrix
-from .poset import Subset, chains
+from .poset import chains
 
 
 class DiagramError(ValueError):
@@ -133,11 +133,12 @@ def _faces(lower, upper, node):
             yield row, position[face], (-1) ** i, node(face), top
 
 
-def _cell_complex(F, cells, node, elements, separator, colimit=False):
+def _cell_complex(F, cells, node, colimit=False):
     """The complex of products over `cells[n]`, one cell list per degree.
 
-    A cell is a tuple of indices into `elements`, named by joining their
-    names with `separator`, and contributes the value of F at `node(cell)`.
+    A cell is a tuple of element indices; the product of degree n has one
+    factor per cell of `cells[n]`, in that order: the value of F at
+    `node(cell)`.
     The differentials are alternating sums of faces (`_faces`); a face's
     block is the sign alone when the face keeps the node and the sign times
     the structure map between the two nodes otherwise.  A cochain complex
@@ -146,13 +147,7 @@ def _cell_complex(F, cells, node, elements, separator, colimit=False):
     faces along the map from the cell's node, and the degrees are listed
     top degree first.
     """
-    groups = [
-        ProductGroup(
-            [separator.join(elements[i] for i in c) for c in level],
-            [F.value(node(c)) for c in level],
-        )
-        for level in cells
-    ]
+    groups = [ProductGroup([F.value(node(c)) for c in level]) for level in cells]
     diffs = []
     for n in range(len(cells) - 1):
         blocks = []
@@ -171,8 +166,8 @@ def _cell_complex(F, cells, node, elements, separator, colimit=False):
 
 def reduced_complex(F):
     """The cochain complex over strictly decreasing chains of the base."""
-    cells = [chains(F.base, n).chains for n in range(F.base.height() + 1)]
-    return _cell_complex(F, cells, itemgetter(-1), F.base.elements, ">")
+    cells = [chains(F.base, n) for n in range(F.base.height() + 1)]
+    return _cell_complex(F, cells, itemgetter(-1))
 
 
 def full_complex_truncated(F, N):
@@ -189,7 +184,7 @@ def full_complex_truncated(F, N):
     cells = [[(i,) for i in range(len(below))]]
     for _ in range(N + 1):
         cells.append([c + (j,) for c in cells[-1] for j in below[c[-1]]])
-    return _cell_complex(F, cells, itemgetter(-1), F.base.elements, ">=")
+    return _cell_complex(F, cells, itemgetter(-1))
 
 
 def derived_limit(F, n):
@@ -206,8 +201,8 @@ def colimit_complex(F):
     applies the structure map of the first arrow.  Entry k of the complex
     is degree height - k.
     """
-    cells = [chains(F.base, n).chains for n in range(F.base.height() + 1)]
-    return _cell_complex(F, cells, itemgetter(0), F.base.elements, ">", colimit=True)
+    cells = [chains(F.base, n) for n in range(F.base.height() + 1)]
+    return _cell_complex(F, cells, itemgetter(0), colimit=True)
 
 
 def derived_colimit(F, n):
@@ -239,7 +234,7 @@ def sheafify_value(F, subset):
     subgroup of the product of values whose coordinates agree along every
     cover inside the subset.  Returned with one projection per element.
     """
-    indices = sorted(subset.indices if isinstance(subset, Subset) else subset)
+    indices = sorted(subset)
     if not indices:
         raise DiagramError("sections need a nonempty open")
     index_set = set(indices)
@@ -248,18 +243,13 @@ def sheafify_value(F, subset):
             raise DiagramError(
                 "subset is not downward closed at %s" % F.base.elements[i]
             )
-    product = ProductGroup(
-        [F.base.elements[i] for i in indices], [F.value(i) for i in indices]
-    )
+    product = ProductGroup([F.value(i) for i in indices])
     edges = [
         (a, b)
         for (a, b) in ((j, i) for i, j in F.base.covers())
         if a in index_set and b in index_set
     ]
-    target = ProductGroup(
-        ["%s>%s" % (F.base.elements[a], F.base.elements[b]) for a, b in edges],
-        [F.value(b) for a, b in edges],
-    )
+    target = ProductGroup([F.value(b) for a, b in edges])
     pos = {i: k for k, i in enumerate(indices)}
     blocks = []
     for k, (a, b) in enumerate(edges):

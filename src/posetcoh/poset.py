@@ -116,65 +116,9 @@ class Poset:
         return sorted(range(len(self.elements)), key=lambda i: (len(self.down[i]), i))
 
 
-class Subset:
-    """An immutable subset of a poset's elements, compared by value."""
-
-    __slots__ = ("poset", "indices")
-
-    def __init__(self, poset, indices):
-        self.poset = poset
-        self.indices = frozenset(indices)
-        for i in self.indices:
-            if not 0 <= i < len(poset.elements):
-                raise PosetError("subset index %r out of range" % (i,))
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(sorted(self.indices))
-
-    def __contains__(self, i):
-        return i in self.indices
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subset)
-            and self.poset == other.poset
-            and self.indices == other.indices
-        )
-
-    def __hash__(self):
-        return hash(self.indices)
-
-    def names(self):
-        return sorted(self.poset.elements[i] for i in self.indices)
-
-    def canonical_name(self):
-        return "{" + ",".join(self.names()) + "}"
-
-    def __repr__(self):
-        return "Subset(%s)" % self.canonical_name()
-
-
-class ChainSet:
-    """All strictly decreasing (n+1)-tuples of a poset, in lexicographic order."""
-
-    __slots__ = ("poset", "degree", "chains")
-
-    def __init__(self, poset, degree, chains):
-        self.poset = poset
-        self.degree = degree
-        self.chains = tuple(tuple(c) for c in chains)
-
-    def __len__(self):
-        return len(self.chains)
-
-    def __iter__(self):
-        return iter(self.chains)
-
-    def name(self, chain):
-        return ">".join(self.poset.elements[i] for i in chain)
+def subset_name(poset, indices):
+    """The name {a,b} of a set of element indices: its sorted member names."""
+    return "{" + ",".join(sorted(poset.elements[i] for i in indices)) + "}"
 
 
 class IntersectionPoset:
@@ -182,9 +126,11 @@ class IntersectionPoset:
 
     Every nonempty set of lower bounds X^- is a finite intersection of down
     sets L(x), so the closure of {L(i)} under pairwise nonempty intersection
-    enumerates exactly the candidate lower halves of cuts.  Nodes are ordered
-    by inclusion; `lambda_map` locates L(i), and each node remembers one
-    generating subset of the base poset as a witness.
+    enumerates exactly the candidate lower halves of cuts.  Nodes are frozen
+    sets of base indices, listed by size and then by sorted member names;
+    the node poset orders them by inclusion and names them by `subset_name`.
+    `lambda_map` locates L(i), and each node remembers one generating subset
+    of the base poset as a witness.
 
     The closure runs in rounds.  Each round sweeps the pairs (a, b) of the
     sets found before it, both in order of their sorted members, and a new
@@ -193,7 +139,7 @@ class IntersectionPoset:
     first round only pairs with a member of the last round's new sets are
     met, and only partners b at or after a: meets and witness unions are
     symmetric, so every witness is that of the full sweep.  Each set's
-    sorted members and sorted member names are computed once.
+    sorted members are computed once.
     """
 
     __slots__ = ("base", "poset", "nodes", "lambda_map", "witnesses")
@@ -220,14 +166,13 @@ class IntersectionPoset:
                         new.add(c)
             last = new
 
-        names = {s: sorted(base.elements[i] for i in s) for s in found}
-        ordered = sorted(found, key=lambda s: (len(s), names[s]))
-        self.nodes = tuple(Subset(base, s) for s in ordered)
+        ordered = sorted(found, key=lambda s: (len(s), sorted(base.elements[i] for i in s)))
+        self.nodes = tuple(ordered)
         # a subset is never longer, so it sits at or before its superset
         down_sets = [
             frozenset(j for j in range(k + 1) if ordered[j] <= s) for k, s in enumerate(ordered)
         ]
-        self.poset = Poset(["{" + ",".join(names[s]) + "}" for s in ordered], down_sets)
+        self.poset = Poset([subset_name(base, s) for s in ordered], down_sets)
         position = {s: k for k, s in enumerate(ordered)}
         self.lambda_map = tuple(position[base.down[i]] for i in range(len(base.elements)))
         self.witnesses = tuple(found[s] for s in ordered)
@@ -241,14 +186,6 @@ class IntersectionPoset:
                         % (base.elements[i], base.elements[j])
                     )
 
-    def node_of(self, member_indices):
-        """Node index whose member set equals the given base indices, if any."""
-        target = frozenset(member_indices)
-        for k, node in enumerate(self.nodes):
-            if node.indices == target:
-                return k
-        return None
-
     def __len__(self):
         return len(self.nodes)
 
@@ -258,26 +195,21 @@ def bounds(poset, subset, direction):
 
     X^- is the intersection of the down-sets of the members of X, X^+ the
     intersection of the up-sets; for the empty subset both equal the whole
-    carrier.
+    carrier.  The subset is any iterable of element indices, each checked
+    against the poset's range; the result is a frozenset of indices.
     """
     if direction not in ("lower", "upper"):
         raise PosetError("direction must be 'lower' or 'upper'")
     table = poset.down if direction == "lower" else poset.up
     n = len(poset.elements)
-    indices = subset.indices if isinstance(subset, Subset) else frozenset(subset)
-    if not (isinstance(subset, Subset) and subset.poset is poset):
-        # a Subset of this poset had its range checked when it was made
-        for x in indices:
-            if not 0 <= x < n:
-                raise PosetError("subset index %r out of range" % (x,))
+    indices = frozenset(subset)
+    for x in indices:
+        if not 0 <= x < n:
+            raise PosetError("subset index %r out of range" % (x,))
     result = set(range(n))
     for x in indices:
         result &= table[x]
-    return Subset(poset, result)
-
-
-def intersection_poset(poset):
-    return IntersectionPoset(poset)
+    return frozenset(result)
 
 
 def chains(poset, n):
@@ -286,7 +218,7 @@ def chains(poset, n):
     Degree k follows each cached chain of degree k-1 by every element
     strictly below its last one, in increasing order, which keeps every
     degree sorted; each degree is enumerated once per poset and later calls
-    return the same ChainSet.
+    return the same tuple of index tuples.
     """
     if n < 0:
         raise PosetError("chain degree must be nonnegative")
@@ -294,9 +226,9 @@ def chains(poset, n):
     if n not in cache:
         below = [sorted(down - {i}) for i, down in enumerate(poset.down)]
         if not cache:
-            cache[0] = ChainSet(poset, 0, [(i,) for i in range(len(below))])
+            cache[0] = tuple((i,) for i in range(len(below)))
         for k in range(len(cache), n + 1):
-            cache[k] = ChainSet(poset, k, [c + (j,) for c in cache[k - 1] for j in below[c[-1]]])
+            cache[k] = tuple(c + (j,) for c in cache[k - 1] for j in below[c[-1]])
     return cache[n]
 
 
@@ -361,7 +293,7 @@ def core(poset, members=None):
 
 def induced_subposet(poset, subset):
     """The restriction of the order to a nonempty subset, names preserved."""
-    indices = sorted(subset.indices if isinstance(subset, Subset) else subset)
+    indices = sorted(subset)
     if not indices:
         raise PosetError("induced subposet needs a nonempty subset")
     old_to_new = {old: new for new, old in enumerate(indices)}

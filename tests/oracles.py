@@ -25,10 +25,9 @@ def brute_force_cuts(P):
     for r in range(1, n + 1):
         for X in itertools.combinations(range(n), r):
             low = bounds(P, X, "lower")
-            if not low.indices:
+            if not low:
                 continue
-            up = bounds(P, low, "upper")
-            found.add((low.indices, up.indices))
+            found.add((low, bounds(P, low, "upper")))
     return found
 
 

@@ -98,10 +98,10 @@ def test_node_values_of_sheaf_presheaf_match_section_limits():
         ps = sheaf_presheaf(F)
         lam = ps.intersection.lambda_map
         for i in range(len(P)):
-            assert canonical_form(ps.node_value(lam[i])) == canonical_form(F.value(i))
+            assert canonical_form(ps.diagram.value(lam[i])) == canonical_form(F.value(i))
         for k, node in enumerate(ps.intersection.nodes):
-            cone = sheafify_value(F, node.indices)
-            assert canonical_form(ps.node_value(k)) == canonical_form(cone.group)
+            cone = sheafify_value(F, node)
+            assert canonical_form(ps.diagram.value(k)) == canonical_form(cone.group)
 
 
 def test_ordered_complex_matches_derived_limit_route():
@@ -175,7 +175,7 @@ def test_compare_report_raises_on_cech_cohomology_above_the_cap(monkeypatch):
 
     def one_degree_more(self):
         cx = built(self)
-        extra = ProductGroup(["extra"], [PresentedAbGroup.free(1)])
+        extra = ProductGroup([PresentedAbGroup.free(1)])
         top = cx.groups[-1].group
         return Complex(cx.groups + [extra], cx.diffs + [GroupHom.zero(top, extra.group)])
 
@@ -218,16 +218,16 @@ def test_sheaf_presheaf_restrictions_match_per_column_solves():
             F = random_diagram(P, seed)
             ps = sheaf_presheaf(F)
             nodes = ps.intersection.nodes
-            cones = [sheafify_value(F, node.indices) for node in nodes]
+            cones = [sheafify_value(F, node) for node in nodes]
             for (high, low), hom in ps.diagram.edge_maps.items():
                 at, start = 0, {}
-                for i in sorted(nodes[high].indices):
+                for i in sorted(nodes[high]):
                     start[i] = at
                     at += F.value(i).generators
                 restricted = [
                     [
                         cones[high].data.cycles.column(j)[start[i] + k]
-                        for i in sorted(nodes[low].indices)
+                        for i in sorted(nodes[low])
                         for k in range(F.value(i).generators)
                     ]
                     for j in range(cones[high].group.generators)

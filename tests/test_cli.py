@@ -216,7 +216,9 @@ def test_sphere_compare_disagrees_at_two(write, capsys):
 def test_degree_window_validation(write, capsys):
     poset = write("square.json", builders.SQUARE_DOC)
     sheaf = write("constant.json", builders.CONSTANT_SQUARE_DOC)
-    for window in ("2..1", "x..y", "1..2..9", "3..", "..3"):
+    # int() alone takes the last four: an underscore, a space, a plus sign
+    # and full-width digits
+    for window in ("2..1", "x..y", "1..2..9", "3..", "..3", "0..1_0", " 1", "+0..1", "\uff10..1"):
         code, out, err = run(capsys, "cech", poset, sheaf, "--degrees", window)
         assert (code, out) == (2, ""), window
         assert err.startswith("error: --degrees"), window
@@ -415,6 +417,23 @@ def test_malformed_documents_exit_2_naming_the_field(write, capsys, name):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+
+
+MALFORMED_FILES = {
+    "not-utf8": b"\xff{}",
+    "too-many-digits": b"[" + b"1" * 5000 + b"]",
+    "nested-too-deep": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_unreadable_files_exit_2_naming_the_path(tmp_path, capsys, name):
+    path = tmp_path / (name + ".json")
+    path.write_bytes(MALFORMED_FILES[name])
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_document_commands_print_one_canonical_line_with_json(write, capsys):

@@ -110,9 +110,9 @@ def dense_boundary(K, n):
     source = PresentedAbGroup.free(len(K[n]))
     if n == 0:
         return GroupHom.zero(source, ZERO)
-    below = {chain: k for k, chain in enumerate(K[n - 1].chains)}
+    below = {chain: k for k, chain in enumerate(K[n - 1])}
     data = [[0] * len(K[n]) for _ in range(len(K[n - 1]))]
-    for col, chain in enumerate(K[n].chains):
+    for col, chain in enumerate(K[n]):
         for i in range(n + 1):
             data[below[chain[:i] + chain[i + 1 :]]][col] += (-1) ** i
     target = PresentedAbGroup.free(len(K[n - 1]))
@@ -166,7 +166,7 @@ def test_brute_force_oracle_on_torsion_quotients():
 
 
 def build_complex(groups, matrices):
-    prods = [ProductGroup(("c%d" % k,), (g,)) for k, g in enumerate(groups)]
+    prods = [ProductGroup((g,)) for g in groups]
     diffs = [
         GroupHom(prods[k].group, prods[k + 1].group, m) for k, m in enumerate(matrices)
     ]

@@ -15,32 +15,35 @@ from posetcoh.poset import (
     induced_subposet,
     parse_poset,
     random_poset,
+    subset_name,
 )
 
 import builders
 from oracles import brute_force_cuts
 
 
-def cut_names(cuts):
-    return {(c.lower.canonical_name(), c.upper.canonical_name()) for c in cuts}
+def cut_names(P, cuts):
+    return {(subset_name(P, c.lower), subset_name(P, c.upper)) for c in cuts}
 
 
 def test_square_cuts():
-    cuts = enumerate_cuts(builders.square())
+    P = builders.square()
+    cuts = enumerate_cuts(P)
     assert len(cuts) == 5
-    names = cut_names(cuts)
+    names = cut_names(P, cuts)
     assert ("{p2,p3}", "{p0,p1}") in names
     assert ("{p2}", "{p0,p1,p2}") in names
     assert ("{p0,p2,p3}", "{p0}") in names
 
 
 def test_singleton_cut():
-    cuts = enumerate_cuts(builders.point())
-    assert cut_names(cuts) == {("{a}", "{a}")}
+    P = builders.point()
+    assert cut_names(P, enumerate_cuts(P)) == {("{a}", "{a}")}
 
 
 def test_fence_cut_pairings():
-    names = cut_names(enumerate_cuts(builders.pass8()))
+    P = builders.pass8()
+    names = cut_names(P, enumerate_cuts(P))
     assert ("{6}", "{0,1,2,3,4,6}") in names
     assert ("{3,5,6,7}", "{0,1,3}") in names
     assert ("{5,6}", "{0,1,2,3}") in names
@@ -52,28 +55,28 @@ def test_cut_mutual_closure_and_witness():
     for trial in range(12):
         P = random_poset(rng.randint(1, 7), rng.random(), seed=5000 + trial)
         for cut in enumerate_cuts(P):
-            assert bounds(P, cut.upper, "lower").indices == cut.lower.indices
-            assert bounds(P, cut.lower, "upper").indices == cut.upper.indices
-            assert bounds(P, cut.witness, "lower").indices == cut.lower.indices
+            assert bounds(P, cut.upper, "lower") == cut.lower
+            assert bounds(P, cut.lower, "upper") == cut.upper
+            assert bounds(P, cut.witness, "lower") == cut.lower
 
 
 def test_enumeration_matches_brute_force():
     rng = random.Random(43)
     for trial in range(20):
         P = random_poset(rng.randint(1, 7), rng.random(), seed=5100 + trial)
-        enumerated = {(c.lower.indices, c.upper.indices) for c in enumerate_cuts(P)}
+        enumerated = {(c.lower, c.upper) for c in enumerate_cuts(P)}
         assert enumerated == brute_force_cuts(P)
 
 
 def test_upper_section_verdicts():
     P = builders.cells9()
-    bad = [c for c in enumerate_cuts(P) if c.upper.canonical_name() == "{0,1}"]
+    bad = [c for c in enumerate_cuts(P) if subset_name(P, c.upper) == "{0,1}"]
     assert len(bad) == 1
     verdict = upper_section_acyclicity(P, bad[0])
     assert not verdict
     assert verdict.degree == 0 and verdict.group == CanonicalGroup(2)
     Q = builders.pass8()
-    tree = [c for c in enumerate_cuts(Q) if c.lower.canonical_name() == "{5,6}"]
+    tree = [c for c in enumerate_cuts(Q) if subset_name(Q, c.lower) == "{5,6}"]
     assert upper_section_acyclicity(Q, tree[0])
 
 
@@ -81,11 +84,12 @@ def test_reference_poset_verdicts():
     assert criterion(builders.zigzag()).verdict == "PASS"
     assert criterion(builders.pass8()).verdict == "PASS"
     assert criterion(builders.pass7()).verdict == "PASS"
-    report = criterion(builders.cells9())
+    P = builders.cells9()
+    report = criterion(P)
     assert report.verdict == "FAIL"
     assert not report
     found = {
-        cut.upper.canonical_name(): (degree, group)
+        subset_name(P, cut.upper): (degree, group)
         for cut, degree, group in report.failures
     }
     assert found["{0,1}"] == (0, CanonicalGroup(2))
@@ -123,7 +127,7 @@ def test_shortcut_and_full_agree():
         assert fast.verdict == slow.verdict
 
         def key(fails):
-            return {(c.lower.indices, d, g.rank, g.torsion) for c, d, g in fails}
+            return {(c.lower, d, g.rank, g.torsion) for c, d, g in fails}
 
         assert key(fast.failures) == key(slow.failures)
 
@@ -206,7 +210,7 @@ def test_criterion_builds_no_poset_per_upper_section(monkeypatch):
     # elements; a poset built for every upper section or every one-point
     # core would exceed the count
     P = random_poset(14, 0.4, seed=14)
-    larger_cores = sum(len(core(P, cut.upper.indices)) >= 2 for cut in enumerate_cuts(P))
+    larger_cores = sum(len(core(P, cut.upper)) >= 2 for cut in enumerate_cuts(P))
     built = []
     init = poset.Poset.__init__
 
@@ -252,7 +256,7 @@ def test_one_point_cores_read_off_match_the_sweep_of_the_built_core():
     single = [builders.point(), random_poset(1, 0.5, seed=0)]
     point_cores = {True: 0, False: 0}
     for P in single + [builders.vee()] + chain_posets + seeded:
-        cases = [range(len(P))] + [cut.upper.indices for cut in enumerate_cuts(P)]
+        cases = [range(len(P))] + [cut.upper for cut in enumerate_cuts(P)]
         for members in cases:
             for shortcuts in (True, False):
                 got = acyclicity_check(P, shortcuts=shortcuts, members=members)

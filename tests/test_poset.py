@@ -5,26 +5,26 @@ import pytest
 
 from posetcoh.complexes import simplicial_homology
 from posetcoh.poset import (
+    IntersectionPoset,
     Poset,
     PosetError,
-    Subset,
     bounds,
     chains,
     components,
     core,
     induced_subposet,
-    intersection_poset,
     parse_poset,
     random_poset,
     serialize_poset,
+    subset_name,
 )
 
 import builders
 from oracles import intersection_closure_by_full_sweep
 
 
-def names_of(subset):
-    return set(subset.names())
+def names_of(P, subset):
+    return {P.elements[i] for i in subset}
 
 
 def test_parse_square():
@@ -74,27 +74,28 @@ def test_bounds_square():
     P = builders.square()
     i = P.index
     lower = bounds(P, [i["p0"], i["p1"]], "lower")
-    assert names_of(lower) == {"p2", "p3"}
+    assert lower == frozenset({i["p2"], i["p3"]})
+    assert names_of(P, lower) == {"p2", "p3"}
     upper = bounds(P, [i["p2"], i["p3"]], "upper")
-    assert names_of(upper) == {"p0", "p1"}
+    assert names_of(P, upper) == {"p0", "p1"}
 
 
 def test_bounds_edge_cases():
     P = builders.vee()
-    assert names_of(bounds(P, [], "lower")) == {"p0", "p1", "p2"}
-    assert names_of(bounds(P, [], "upper")) == {"p0", "p1", "p2"}
+    assert names_of(P, bounds(P, [], "lower")) == {"p0", "p1", "p2"}
+    assert names_of(P, bounds(P, [], "upper")) == {"p0", "p1", "p2"}
     for x in range(len(P)):
         assert x in bounds(P, [x], "lower")
     with pytest.raises(PosetError):
         bounds(P, [0], "sideways")
-    # raw indices and Subsets of another poset are range-checked here; a
-    # Subset of P was checked when it was made
+    # every index is range-checked, whatever iterable carries it
     with pytest.raises(PosetError, match="subset index 3 out of range"):
         bounds(P, [0, 3], "upper")
-    wider = builders.square()
     with pytest.raises(PosetError, match="subset index 3 out of range"):
-        bounds(P, Subset(wider, [3]), "lower")
-    assert bounds(P, Subset(P, [1, 2]), "upper") == bounds(P, [1, 2], "upper")
+        bounds(P, frozenset({3}), "lower")
+    with pytest.raises(PosetError, match="subset index -1 out of range"):
+        bounds(P, (-1,), "lower")
+    assert bounds(P, frozenset({1, 2}), "upper") == bounds(P, [1, 2], "upper")
 
 
 def test_bounds_galois_idempotence():
@@ -109,33 +110,33 @@ def test_bounds_galois_idempotence():
 
 def test_intersection_poset_square():
     P = builders.square()
-    U = intersection_poset(P)
+    U = IntersectionPoset(P)
     assert len(U) == 5
-    member_sets = {node.canonical_name() for node in U.nodes}
+    member_sets = {subset_name(P, node) for node in U.nodes}
     assert member_sets == {"{p2}", "{p3}", "{p2,p3}", "{p0,p2,p3}", "{p1,p2,p3}"}
     # the meet of the two tops is not principal
-    w = U.node_of({P.index["p2"], P.index["p3"]})
-    assert w is not None and w not in set(U.lambda_map)
+    w = U.nodes.index(frozenset({P.index["p2"], P.index["p3"]}))
+    assert w not in set(U.lambda_map)
 
 
 def test_intersection_poset_sphere():
     P = builders.sphere()
-    U = intersection_poset(P)
+    U = IntersectionPoset(P)
     assert len(U) == 8
-    names = {node.canonical_name() for node in U.nodes}
+    names = {subset_name(P, node) for node in U.nodes}
     assert "{2,3,4,5}" in names and "{4,5}" in names
 
 
 def test_intersection_poset_zigzag_is_isomorphic_to_base():
     P = builders.zigzag()
-    U = intersection_poset(P)
+    U = IntersectionPoset(P)
     assert len(U) == len(P)
     assert sorted(U.lambda_map) == list(range(len(P)))
 
 
 def test_intersection_poset_witnesses_generate():
     for P in (builders.square(), builders.sphere(), builders.pass8()):
-        U = intersection_poset(P)
+        U = IntersectionPoset(P)
         for node, witness in zip(U.nodes, U.witnesses):
             assert bounds(P, witness, "lower") == node
 
@@ -144,15 +145,15 @@ def test_intersection_poset_matches_brute_force():
     rng = random.Random(3)
     for trial in range(25):
         P = random_poset(rng.randint(1, 7), rng.random(), seed=2000 + trial)
-        U = intersection_poset(P)
-        node_sets = {node.indices for node in U.nodes}
+        U = IntersectionPoset(P)
+        node_sets = set(U.nodes)
         brute = set()
         n = len(P)
         for mask in range(1, 1 << n):
             X = [i for i in range(n) if mask >> i & 1]
             lower = bounds(P, X, "lower")
-            if lower.indices:
-                brute.add(lower.indices)
+            if lower:
+                brute.add(lower)
         assert node_sets == brute
 
 
@@ -174,9 +175,9 @@ def test_intersection_closure_matches_the_full_sweep():
     rng = random.Random(61)
     for trial in range(220):
         P = random_poset(rng.randint(1, 14), rng.uniform(0.2, 0.7), seed=6100 + trial)
-        U = intersection_poset(P)
+        U = IntersectionPoset(P)
         nodes, witnesses = intersection_closure_by_full_sweep(P)
-        assert [node.indices for node in U.nodes] == nodes
+        assert list(U.nodes) == nodes
         assert list(U.witnesses) == witnesses
         assert U.lambda_map == tuple(nodes.index(P.down[i]) for i in range(len(P)))
         assert_ordered_by_inclusion(U, P, nodes)
@@ -188,8 +189,8 @@ def test_intersection_closure_matches_the_full_sweep():
         relations = [[b, t] for t in tops for b in bottoms if pick.random() < 0.7]
         P = parse_poset({"elements": bottoms + tops, "relations": relations})
         nodes, witnesses = intersection_closure_by_full_sweep(P)
-        U = intersection_poset(P)
-        assert ([node.indices for node in U.nodes], list(U.witnesses)) == (nodes, witnesses)
+        U = IntersectionPoset(P)
+        assert (list(U.nodes), list(U.witnesses)) == (nodes, witnesses)
         assert_ordered_by_inclusion(U, P, nodes)
 
 
@@ -197,7 +198,7 @@ def test_chains_square():
     P = builders.square()
     one = chains(P, 1)
     assert len(one) == 4
-    named = {one.name(c) for c in one}
+    named = {">".join(P.elements[i] for i in c) for c in one}
     assert named == {"p0>p2", "p0>p3", "p1>p2", "p1>p3"}
     assert len(chains(P, 0)) == 4
     assert len(chains(P, 2)) == 0
@@ -252,7 +253,7 @@ def test_components_and_core_within_members_match_the_induced_subposet():
 
 def test_chains_deterministic_order():
     P = builders.sphere()
-    assert chains(P, 1).chains == chains(P, 1).chains
+    assert chains(P, 1) == chains(P, 1)
     listed = list(chains(P, 1))
     assert listed == sorted(listed)
     # each degree is enumerated once per poset; a fresh, equal poset
@@ -261,7 +262,7 @@ def test_chains_deterministic_order():
     fresh = builders.sphere()
     assert fresh == P and hash(fresh) == hash(P)
     for n in range(P.height() + 2):
-        assert chains(fresh, n).chains == chains(P, n).chains
+        assert chains(fresh, n) == chains(P, n)
 
 
 def test_core_of_a_poset_with_a_least_element_is_a_point():
@@ -321,7 +322,7 @@ def test_induced_subposet():
 def test_induced_upper_section_is_tree():
     P = builders.pass8()
     upper = bounds(P, [P.index["5"], P.index["6"]], "upper")
-    assert names_of(upper) == {"0", "1", "2", "3"}
+    assert names_of(P, upper) == {"0", "1", "2", "3"}
     T = induced_subposet(P, upper)
     assert len(T.covers()) == len(T) - 1  # connected and acyclic
 
