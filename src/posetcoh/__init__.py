@@ -13,6 +13,7 @@ from .cech import (
     Presheaf,
     cech_cohomology,
     cech_ordered_complex,
+    cohomology_top,
     compare_report,
     comparison_map,
     random_presheaf,
@@ -30,7 +31,7 @@ from .complexes import (
     induced_on_homology,
     simplicial_homology,
 )
-from .cuts import Cut, CriterionReport, criterion, enumerate_cuts, upper_section_acyclicity
+from .cuts import Cut, CriterionReport, criterion, enumerate_cuts
 from .diagrams import (
     Diagram,
     DiagramError,

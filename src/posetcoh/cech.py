@@ -165,41 +165,36 @@ class ComparisonRow:
 
 
 class ComparisonReport:
-    """Per-degree comparison rows up to a degree cap."""
+    """Per-degree comparison rows."""
 
-    __slots__ = ("rows", "cap", "all_iso")
+    __slots__ = ("rows", "all_iso")
 
-    def __init__(self, rows, cap):
+    def __init__(self, rows):
         self.rows = list(rows)
-        self.cap = cap
         self.all_iso = all(row.iso for row in self.rows)
 
 
-def compare_report(presheaf, cap=None):
-    """Compare Cech and topos cohomology in all degrees up to the cap.
+def cohomology_top(presheaf):
+    """The last degree with nonzero Cech cohomology, or the base height if higher.
 
-    The default cap is the top degree of the base poset's chain complex;
-    above it the topos side is identically zero.  The Cech complex lives on
-    the node poset, which can be taller, so whenever the cap reaches the
-    base height the Cech groups above the cap are computed too, and a
-    nonzero one raises `DiagramError`; they add no rows.
+    Above the base height the topos groups vanish, but the Cech complex
+    lives on the node poset, which can be taller, and its groups there need
+    not vanish: the face poset of a tetrahedron's boundary gives H^2 = Z
+    over a base of height 1.
     """
     height = presheaf.space.height()
-    if cap is None:
-        cap = height
-    if cap < 0:
-        raise DiagramError("degree cap must be nonnegative")
-    if cap >= height:
-        cech = presheaf.cech_complex()
-        for n in range(cap + 1, cech.top_degree() + 1):
-            group = cech.homology_group(n)
-            if not group.is_trivial():
-                raise DiagramError(
-                    "Cech cohomology is nonzero above the degree cap %d: H^%d = %s"
-                    % (cap, n, group.render())
-                )
-    rows = [ComparisonRow(n, comparison_map(presheaf, n)) for n in range(cap + 1)]
-    return ComparisonReport(rows, cap)
+    cech = presheaf.cech_complex()
+    for n in range(cech.top_degree(), height, -1):
+        if not cech.homology_group(n).is_trivial():
+            return n
+    return height
+
+
+def compare_report(presheaf, degrees=None):
+    """Comparison rows in the given degrees, by default 0 to `cohomology_top`."""
+    if degrees is None:
+        degrees = range(cohomology_top(presheaf) + 1)
+    return ComparisonReport(ComparisonRow(n, comparison_map(presheaf, n)) for n in degrees)
 
 
 def random_presheaf(intersection, seed, **options):

@@ -20,7 +20,7 @@ import random
 import re
 import sys
 
-from .cech import cech_ordered_complex, compare_report, random_presheaf
+from .cech import cech_ordered_complex, cohomology_top, compare_report, random_presheaf
 from .cuts import criterion, enumerate_cuts
 from .diagrams import derived_limit, full_complex_truncated
 from .documents import (
@@ -65,15 +65,16 @@ def _load_presheaf(args):
 
 
 def _degree_window(args, default_top):
+    """The --degrees window, or 0 to `default_top()`, which only it calls."""
     if args.degrees is None:
-        return 0, default_top
-    # ASCII digits, a minus sign left to the range check: int() alone would also
-    # take spaces, a plus sign, underscores and the digits of other scripts
+        return 0, default_top()
+    # ASCII digits, a minus sign (on 0 too) left to the range check: int() alone
+    # would also take spaces, a plus sign, underscores and other scripts' digits
     match = re.fullmatch(r"(-?[0-9]+)(?:\.\.(-?[0-9]+))?", args.degrees)
     if match is None:
         raise DocumentError("--degrees expects A..B with integers")
     low, high = int(match[1]), int(match[2] or match[1])
-    if low < 0 or high < low:
+    if "-" in args.degrees or high < low:
         raise DocumentError("--degrees window must satisfy 0 <= A <= B")
     return low, high
 
@@ -201,10 +202,12 @@ def _oracle_mismatch(problem):
 def cmd_cohomology(args):
     """`cech` and `topos`: derived limits of the presheaf's diagram or of its
     pull-back to the base, cross-checked by the ordered Cech route or the
-    unreduced route."""
+    unreduced route.  By default `cech` ends at `cohomology_top`, `topos` at
+    the base height."""
     space, ps = _load_presheaf(args)
-    low, high = _degree_window(args, space.height())
     cech = args.command == "cech"
+    top = functools.partial(cohomology_top, ps) if cech else space.height
+    low, high = _degree_window(args, top)
     diagram = ps.diagram if cech else ps.pulled_diagram()
     rows = [(n, derived_limit(diagram, n)) for n in range(low, high + 1)]
     if args.oracle:
@@ -216,10 +219,10 @@ def cmd_cohomology(args):
 
 
 def cmd_compare(args):
-    space, ps = _load_presheaf(args)
-    low, high = _degree_window(args, space.height())
-    report = compare_report(ps, cap=high)
-    rows = [row for row in report.rows if low <= row.degree <= high]
+    _, ps = _load_presheaf(args)
+    low, high = _degree_window(args, functools.partial(cohomology_top, ps))
+    report = compare_report(ps, range(low, high + 1))
+    rows = report.rows
     if args.oracle:
         degrees = [row.degree for row in rows]
         ordered = cech_ordered_complex(ps, _order_list(args))
@@ -230,10 +233,9 @@ def cmd_compare(args):
         )
         if problem:
             return _oracle_mismatch(problem)
-    all_iso = all(row.iso for row in rows)
     payload = {
         "cap": high,
-        "all_isomorphic": all_iso,
+        "all_isomorphic": report.all_iso,
         "degrees": [
             {
                 "degree": row.degree,
@@ -257,16 +259,16 @@ def cmd_compare(args):
     ]
     lines.append(
         "comparison map is an isomorphism in every listed degree"
-        if all_iso
+        if report.all_iso
         else "comparison fails at degrees %s"
         % ",".join(str(row.degree) for row in rows if not row.iso)
     )
-    return (0 if all_iso else 1), payload, "\n".join(lines)
+    return (0 if report.all_iso else 1), payload, "\n".join(lines)
 
 
 def cmd_homology(args):
     P = _load_poset(args.poset)
-    low, high = _degree_window(args, P.height())
+    low, high = _degree_window(args, P.height)
     homology = order_complex_homology(lambda k: chains(P, k), P.height())
     return _groups("H_%d = %s", [(n, homology(n)) for n in range(low, high + 1)])
 

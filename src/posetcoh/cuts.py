@@ -9,6 +9,8 @@ any homology work and can be disabled for a full recheck.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .complexes import acyclicity_check
 from .poset import IntersectionPoset, PosetError, bounds, components, subset_name
 
@@ -48,75 +50,53 @@ def enumerate_cuts(P):
     return cuts
 
 
-def upper_section_acyclicity(P, cut, shortcuts=True):
-    """Whether the cut's upper section has point homology."""
-    return acyclicity_check(P, shortcuts=shortcuts, members=cut.upper)
-
-
 class CriterionReport:
-    """Verdict, cut count, failing cuts with degrees and groups, shortcut used."""
+    """Cut count, failing cuts with degrees and groups, shortcut used; FAIL
+    exactly when some cut fails."""
 
     __slots__ = ("verdict", "cuts_examined", "failures", "shortcut")
 
-    def __init__(self, verdict, cuts_examined, failures, shortcut):
-        self.verdict = verdict
-        self.cuts_examined = cuts_examined
+    def __init__(self, cuts_examined, failures, shortcut):
         self.failures = list(failures)
+        self.verdict = "FAIL" if self.failures else "PASS"
+        self.cuts_examined = cuts_examined
         self.shortcut = shortcut
-        if (verdict == "FAIL") != bool(self.failures):
-            raise PosetError(
-                "criterion verdict %s with %d failing cuts" % (verdict, len(self.failures))
-            )
 
     def __bool__(self):
         return self.verdict == "PASS"
 
 
 def _components_upward_directed(P):
-    for comp in components(P):
-        for a in comp:
-            for b in comp:
-                if a < b and not bounds(P, (a, b), "upper"):
-                    return False
-    return True
+    """Each component is upward directed: being finite, it has a greatest element."""
+    return all(any(P.down[g].issuperset(comp) for g in comp) for comp in components(P))
 
 
 def _meet_semilattice_after_adjoining_bottom(P):
     """Every pairwise lower-bound set is empty or has a greatest element.
 
-    Empty pairwise meets land on the adjoined bottom; nonempty ones must be
-    principal down-sets.  Binary meets give all finite meets.
+    Empty pairwise meets land on the adjoined bottom; a nonempty one is a
+    down-set, so it has a greatest element exactly when it is principal.
+    Binary meets give all finite meets.
     """
-    n = len(P.elements)
-    for a in range(n):
-        for b in range(a + 1, n):
-            common = P.down[a] & P.down[b]
-            if not common:
-                continue
-            if not any(common <= P.down[g] for g in common):
-                return False
-    return True
+    principal = set(P.down)
+    meets = (a & b for a, b in combinations(P.down, 2))
+    return all(not common or common in principal for common in meets)
 
 
 def criterion(P, shortcuts=True):
     """PASS exactly when every cut's upper section is acyclic."""
     if shortcuts:
         if _components_upward_directed(P):
-            return CriterionReport("PASS", 0, [], "directed-components")
+            return CriterionReport(0, [], "directed-components")
         if _meet_semilattice_after_adjoining_bottom(P):
-            return CriterionReport("PASS", 0, [], "semilattice")
+            return CriterionReport(0, [], "semilattice")
     failures = []
     cone_shortcut = False
     cuts = enumerate_cuts(P)
     for cut in cuts:
-        verdict = upper_section_acyclicity(P, cut, shortcuts=shortcuts)
+        verdict = acyclicity_check(P, shortcuts=shortcuts, members=cut.upper)
         if verdict.via == "least-element":
             cone_shortcut = True
         if not verdict:
             failures.append((cut, verdict.degree, verdict.group))
-    return CriterionReport(
-        "FAIL" if failures else "PASS",
-        len(cuts),
-        failures,
-        "least-element" if cone_shortcut else "none",
-    )
+    return CriterionReport(len(cuts), failures, "least-element" if cone_shortcut else "none")

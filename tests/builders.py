@@ -17,6 +17,11 @@ capped_square
            every cut has an acyclic upper section.
 cells9     face-style 9-element poset with a cut whose upper section is the
            2-antichain {0, 1}; the agreement criterion fails on it.
+tetrahedron
+           four minimal elements m1..m4 and four maximal ones, each above
+           three of them: a over m1, m2, m3; b over m1, m2, m4; c over m1,
+           m3, m4; d over m2, m3, m4.  Its height is 1, but its intersection
+           poset is the face poset of a tetrahedron's boundary, a 2-sphere.
 projective_plane
            face poset of the 6-vertex triangulation of the real projective
            plane (6 vertices, 15 edges, 10 triangles); its order complex is
@@ -25,6 +30,7 @@ projective_plane
 
 import itertools
 
+from posetcoh.documents import skeleton
 from posetcoh.poset import parse_poset
 
 POINT_DOC = {"elements": ["a"], "relations": []}
@@ -91,6 +97,13 @@ CELLS9_DOC = {
     ],
 }
 
+TETRAHEDRON_DOC = {
+    "elements": ["a", "b", "c", "d", "m1", "m2", "m3", "m4"],
+    "relations": [
+        ["m%s" % i, top] for top, below in zip("abcd", ["123", "124", "134", "234"]) for i in below
+    ],
+}
+
 
 RP2_TRIANGLES = ["123", "126", "134", "145", "156", "235", "245", "246", "346", "356"]
 
@@ -143,6 +156,10 @@ def capped_square():
 
 def cells9():
     return parse_poset(CELLS9_DOC)
+
+
+def tetrahedron():
+    return parse_poset(TETRAHEDRON_DOC)
 
 
 def projective_plane():
@@ -201,3 +218,16 @@ CONSTANT_SPHERE_DIAGRAM_DOC = {
         for low, high in SPHERE_DOC["relations"]
     },
 }
+
+
+def _constant_presheaf_doc(poset):
+    """The skeleton template filled with rank-1 groups and identity maps."""
+    doc = skeleton(poset)
+    doc["groups"] = {name: {"rank": 1} for name in doc["groups"]}
+    doc["maps"] = {edge: [[1]] for edge in doc["maps"]}
+    return doc
+
+
+# Constant Z on the tetrahedron's intersection poset: its Cech H^2 is Z
+# although the base has height 1.
+CONSTANT_TETRAHEDRON_DOC = _constant_presheaf_doc(tetrahedron())

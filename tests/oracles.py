@@ -4,14 +4,20 @@ These deliberately avoid the package's kernel-projection and presentation
 machinery: invariant factors come from gcds of minors, determinants from
 Laplace expansion or fraction-free (Bareiss) elimination, and homology of tiny complexes from direct enumeration of
 group elements with the isomorphism class reconstructed from element-order
-counts.
+counts.  The theorem census at the end is the exception: it enumerates the
+small posets independently, then runs the package's own criterion and
+comparison on each.
 """
 
 import itertools
 import math
 
+from posetcoh.cech import Presheaf, compare_report
+from posetcoh.cuts import criterion
+from posetcoh.diagrams import Diagram
+from posetcoh.groups import GroupHom, PresentedAbGroup
 from posetcoh.linalg import IntMatrix, snf
-from posetcoh.poset import bounds
+from posetcoh.poset import IntersectionPoset, Poset, bounds
 
 
 def brute_force_cuts(P):
@@ -415,3 +421,87 @@ def brute_force_homology(M_in, R_B, M_out, R_C):
         return sum(1 for z in cosets if scale(m, z) in image)
 
     return (0, _factors_from_kill_counts(size, kills))
+
+
+def _down_closed_subsets(down):
+    """Every subset of range(len(down)) that contains the down-set of each member."""
+    n = len(down)
+    for mask in range(1 << n):
+        members = frozenset(i for i in range(n) if mask >> i & 1)
+        if all(down[i] <= members for i in members):
+            yield members
+
+
+def _least_relabeled_order(down):
+    """The least bitmask of the relation j < i over every relabeling."""
+    n = len(down)
+    pairs = [(i, j) for i in range(n) for j in down[i] if j != i]
+    return min(
+        sum(1 << (p[i] * n + p[j]) for i, j in pairs)
+        for p in itertools.permutations(range(n))
+    )
+
+
+def posets_up_to_isomorphism(n):
+    """One poset on the elements x0, x1, ... for each isomorphism class of size n.
+
+    Every poset on k + 1 elements is one on k elements with a new maximal
+    element above one of its down-closed subsets, so the classes grow one
+    element at a time; isomorphic copies are told apart by brute force,
+    by the least relation bitmask over every relabeling.  There are 1, 2,
+    5, 16, 63 and 318 classes for n = 1 to 6 (OEIS A000112).
+    """
+    classes = [(frozenset([0]),)]
+    for k in range(1, n):
+        grown = {}
+        for down in classes:
+            for below in _down_closed_subsets(down):
+                larger = down + (below | {k},)
+                grown.setdefault(_least_relabeled_order(larger), larger)
+        classes = list(grown.values())
+    return [Poset(["x%d" % i for i in range(n)], down) for down in classes]
+
+
+def upset_indicator(intersection, k):
+    """Z on every node that contains node k, 0 elsewhere, identity maps between Zs."""
+    nodes = intersection.poset
+    values = [
+        PresentedAbGroup.free(1) if k in nodes.down[j] else PresentedAbGroup.zero()
+        for j in range(len(nodes))
+    ]
+    maps = {}
+    for low, high in nodes.covers():
+        source, target = values[high], values[low]
+        matrix = IntMatrix.identity(1) if target.generators else IntMatrix.zero(0, source.generators)
+        maps[(high, low)] = GroupHom(source, target, matrix)
+    return Presheaf(intersection, Diagram(nodes, values, maps))
+
+
+def theorem_census(n):
+    """Both halves of the criterion theorem on every poset of size n.
+
+    For each failing cut of a FAIL poset, the up-set indicator of the cut's
+    lower half must make the comparison map fail at the cut's failing
+    degree; on a PASS poset every node's indicator must compare
+    isomorphically in every degree.  Returns the counts of posets, FAIL
+    posets, failing cuts, failing cuts whose indicator is not broken at
+    their degree, and PASS posets with a broken indicator.
+    """
+    counts = dict.fromkeys(
+        ["posets", "fail_posets", "failing_cuts", "unbroken_cuts", "broken_pass_posets"], 0
+    )
+    for P in posets_up_to_isomorphism(n):
+        counts["posets"] += 1
+        intersection = IntersectionPoset(P)
+        report = criterion(P)
+        counts["fail_posets"] += not report
+        for cut, degree, _ in report.failures:
+            counts["failing_cuts"] += 1
+            ps = upset_indicator(intersection, intersection.nodes.index(cut.lower))
+            counts["unbroken_cuts"] += compare_report(ps, [degree]).all_iso
+        if report:
+            counts["broken_pass_posets"] += not all(
+                compare_report(upset_indicator(intersection, k)).all_iso
+                for k in range(len(intersection))
+            )
+    return counts

@@ -1,10 +1,11 @@
 """End-to-end acceptance checks, one test per shipped guarantee.
 
 The first six pin exact groups and verdicts on the reference fixtures from
-builders; the last seven replay the package's structural guarantees (dual
+builders; the last eight replay the package's structural guarantees (dual
 routes, criterion soundness, on random posets and on posets with
-non-principal intersections, cut completeness, nerve duality, normal-form
-contract) on fuzzed inputs at desk scale.  A verbose run reports one
+non-principal intersections, the criterion's necessity and sufficiency on
+every small poset, cut completeness, nerve duality, normal-form contract)
+on fuzzed or exhaustive inputs at desk scale.  A verbose run reports one
 pass/fail line per guarantee.
 """
 
@@ -41,7 +42,13 @@ from posetcoh.linalg import IntMatrix, snf
 from posetcoh.poset import IntersectionPoset, chains, random_poset, subset_name
 
 import builders
-from oracles import brute_force_cuts, invariant_factors_by_minors, is_unimodular, random_matrix
+from oracles import (
+    brute_force_cuts,
+    invariant_factors_by_minors,
+    is_unimodular,
+    random_matrix,
+    theorem_census,
+)
 
 
 def _vee_diagram(m0_rows, m1_rows, ranks):
@@ -187,6 +194,16 @@ def test_criterion_pass_forces_isomorphic_comparison_maps_past_principal_nodes()
         for k in range(4):
             ps = random_presheaf(U, seed=1700 + k, max_generators=2, max_relators=1)
             assert compare_report(ps).all_iso, (P.elements, k)
+
+
+def test_criterion_decides_agreement_on_every_poset_up_to_five_elements():
+    # the converse too: every failing cut's up-set indicator breaks the
+    # comparison at the cut's failing degree, and on a PASS poset none does
+    censuses = [theorem_census(n) for n in range(1, 6)]
+    assert [c["posets"] for c in censuses] == [1, 2, 5, 16, 63]
+    totals = {key: sum(c[key] for c in censuses) for key in censuses[0]}
+    assert (totals["fail_posets"], totals["failing_cuts"]) == (10, 10)
+    assert (totals["unbroken_cuts"], totals["broken_pass_posets"]) == (0, 0)
 
 
 def test_cut_enumeration_is_complete_at_small_scale():

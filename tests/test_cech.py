@@ -6,6 +6,7 @@ from posetcoh.cech import (
     Presheaf,
     cech_cohomology,
     cech_ordered_complex,
+    cohomology_top,
     compare_report,
     comparison_map,
     random_presheaf,
@@ -41,9 +42,8 @@ def test_skyscraper_comparison_fails_at_degree_zero():
     assert not is_isomorphism(lam)
     assert sorted(abs(row[0]) for row in lam.matrix.entries) == [1, 1]
     report = compare_report(ps)
-    assert report.cap == 1
     assert not report.all_iso
-    assert [row.iso for row in report.rows] == [False, True]
+    assert [(row.degree, row.iso) for row in report.rows] == [(0, False), (1, True)]
 
 
 def topos(ps, n):
@@ -62,7 +62,7 @@ def test_constant_square_comparison_fails_at_degree_one():
     assert canonical_form(lam.source) == CanonicalGroup(0)
     assert canonical_form(lam.target) == CanonicalGroup(1)
     assert not is_isomorphism(lam)
-    report = compare_report(ps, cap=3)
+    report = compare_report(ps, range(4))
     assert [row.iso for row in report.rows] == [True, False, True, True]
     assert not report.all_iso
 
@@ -75,8 +75,7 @@ def test_sphere_sheaf_mode_splits_at_degree_two():
     assert cech_cohomology(ps, 3) == CanonicalGroup(0)
     assert topos(ps, 2) == CanonicalGroup(1)
     report = compare_report(ps)
-    assert report.cap == 2
-    assert [row.iso for row in report.rows] == [True, True, False]
+    assert [(row.degree, row.iso) for row in report.rows] == [(0, True), (1, True), (2, False)]
     assert report.rows[2].cech == CanonicalGroup(0)
     assert report.rows[2].topos == CanonicalGroup(1)
 
@@ -132,7 +131,7 @@ def test_ordered_complex_point_and_validation():
 def test_point_comparison_all_iso():
     ps = presheaf_over(builders.point(), seed=11)
     report = compare_report(ps)
-    assert report.cap == 0
+    assert [row.degree for row in report.rows] == [0]
     assert report.all_iso
 
 
@@ -157,8 +156,9 @@ def test_comparison_above_every_chain_is_between_zero_groups():
 
 
 def test_cech_vanishes_above_the_default_cap():
-    # compare_report stops at the base poset's height; the Cech complex
-    # lives on the node poset, which is taller on these two crowns
+    # the Cech complex lives on the node poset, which is taller than the
+    # base on these two crowns; its groups above the base height vanish on
+    # these two, though not on every poset (see the tetrahedron test below)
     for P in (builders.square(), builders.crown3()):
         U = IntersectionPoset(P)
         above = range(P.height() + 1, U.poset.height() + 1)
@@ -170,7 +170,7 @@ def test_cech_vanishes_above_the_default_cap():
                 assert cech_cohomology(ps, n).is_trivial()
 
 
-def test_compare_report_raises_on_cech_cohomology_above_the_cap(monkeypatch):
+def test_compare_report_reaches_cech_cohomology_above_the_base_height(monkeypatch):
     built = Presheaf.cech_complex
 
     def one_degree_more(self):
@@ -182,13 +182,24 @@ def test_compare_report_raises_on_cech_cohomology_above_the_cap(monkeypatch):
     monkeypatch.setattr(Presheaf, "cech_complex", one_degree_more)
     ps = load_presheaf(builders.CONSTANT_SQUARE_DOC)
     assert (ps.space.height(), built(ps).top_degree()) == (1, 2)
-    with pytest.raises(DiagramError, match=r"above the degree cap 1: H\^3 = Z$"):
-        compare_report(ps)
-    with pytest.raises(DiagramError, match=r"above the degree cap 2: H\^3 = Z$"):
-        compare_report(load_presheaf(builders.CONSTANT_SQUARE_DOC), cap=2)
-    # below the base height the cap is a window, not a claim about the degrees above
-    report = compare_report(load_presheaf(builders.CONSTANT_SQUARE_DOC), cap=0)
+    rows = compare_report(ps).rows
+    assert [row.degree for row in rows] == [0, 1, 2, 3]
+    assert (rows[3].cech, rows[3].topos, rows[3].iso) == (CanonicalGroup(1), CanonicalGroup(0), False)
+    # an explicit window is computed as given, whatever lies above it
+    report = compare_report(load_presheaf(builders.CONSTANT_SQUARE_DOC), range(1))
     assert [row.degree for row in report.rows] == [0]
+
+
+def test_tetrahedron_cech_cohomology_above_the_base_height():
+    # the node poset strips to the face poset of a tetrahedron's boundary
+    ps = load_presheaf(builders.CONSTANT_TETRAHEDRON_DOC)
+    assert (ps.space.height(), ps.intersection.poset.height()) == (1, 2)
+    assert cohomology_top(ps) == 2
+    assert cech_cohomology(ps, 2) == CanonicalGroup(1)
+    assert cech_ordered_complex(ps).homology_group(2) == CanonicalGroup(1)
+    rows = [(row.degree, row.cech, row.topos, row.iso) for row in compare_report(ps).rows]
+    Z, Z5, zero = CanonicalGroup(1), CanonicalGroup(5), CanonicalGroup(0)
+    assert rows == [(0, Z, Z, True), (1, zero, Z5, False), (2, Z, zero, False)]
 
 
 def per_column_solves(data, vectors, rows):

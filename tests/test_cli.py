@@ -213,6 +213,26 @@ def test_sphere_compare_disagrees_at_two(write, capsys):
     assert "degree 2: cech 0 | topos Z | NOT isomorphic" in out
 
 
+def test_tetrahedron_cech_cohomology_above_the_base_height(write, capsys):
+    poset = write("tetrahedron.json", builders.TETRAHEDRON_DOC)
+    sheaf = write("constant.json", builders.CONSTANT_TETRAHEDRON_DOC)
+    code, out, err = run(capsys, "compare", poset, sheaf)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "degree 0: cech Z | topos Z | isomorphic",
+        "degree 1: cech 0 | topos Z^5 | NOT isomorphic",
+        "degree 2: cech Z | topos 0 | NOT isomorphic",
+        "comparison fails at degrees 1,2",
+    ]
+    for extra in ([], ["--oracle"]):
+        code, out, err = run(capsys, "cech", poset, sheaf, *extra)
+        assert (code, out, err) == (0, "H^0 = Z\nH^1 = 0\nH^2 = Z\n", ""), extra
+    code, out, _ = run(capsys, "compare", poset, sheaf, "--degrees", "0..1", "--json")
+    payload = json.loads(out)
+    assert (code, payload["cap"]) == (1, 1)
+    assert [row["degree"] for row in payload["degrees"]] == [0, 1]
+
+
 def test_degree_window_validation(write, capsys):
     poset = write("square.json", builders.SQUARE_DOC)
     sheaf = write("constant.json", builders.CONSTANT_SQUARE_DOC)
@@ -222,6 +242,13 @@ def test_degree_window_validation(write, capsys):
         code, out, err = run(capsys, "cech", poset, sheaf, "--degrees", window)
         assert (code, out) == (2, ""), window
         assert err.startswith("error: --degrees"), window
+    # a minus sign is out of range even on zero; the = form keeps argparse
+    # from reading -0..1 as an option
+    for window in ("-0", "-0..1", "-1..2", "0..-0"):
+        code, out, err = run(capsys, "cech", poset, sheaf, "--degrees=" + window)
+        assert (code, out, err) == (
+            2, "", "error: --degrees window must satisfy 0 <= A <= B\n"
+        ), window
     sphere = write("sphere.json", builders.SPHERE_DOC)
     code, out, err = run(capsys, "homology", sphere, "--degrees", "1..2..9")
     assert (code, out) == (2, "")

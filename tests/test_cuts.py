@@ -1,13 +1,10 @@
 import random
 
-import pytest
-
 from posetcoh import poset
 from posetcoh.complexes import acyclicity_check, order_complex_homology
-from posetcoh.cuts import CriterionReport, criterion, enumerate_cuts, upper_section_acyclicity
+from posetcoh.cuts import criterion, enumerate_cuts
 from posetcoh.groups import CanonicalGroup
 from posetcoh.poset import (
-    PosetError,
     bounds,
     chains,
     components,
@@ -72,12 +69,12 @@ def test_upper_section_verdicts():
     P = builders.cells9()
     bad = [c for c in enumerate_cuts(P) if subset_name(P, c.upper) == "{0,1}"]
     assert len(bad) == 1
-    verdict = upper_section_acyclicity(P, bad[0])
+    verdict = acyclicity_check(P, members=bad[0].upper)
     assert not verdict
     assert verdict.degree == 0 and verdict.group == CanonicalGroup(2)
     Q = builders.pass8()
     tree = [c for c in enumerate_cuts(Q) if subset_name(Q, c.lower) == "{5,6}"]
-    assert upper_section_acyclicity(Q, tree[0])
+    assert acyclicity_check(Q, members=tree[0].upper)
 
 
 def test_reference_poset_verdicts():
@@ -147,11 +144,6 @@ def test_directed_and_semilattice_posets_pass():
         assert criterion(coned, shortcuts=False).verdict == "PASS"
 
 
-def test_criterion_report_rejects_fail_without_failures():
-    with pytest.raises(PosetError, match="FAIL with 0 failing cuts"):
-        CriterionReport("FAIL", 1, [], "none")
-
-
 def full_sweep(P, cut):
     """(acyclic, first failing degree, group) over every chain of the upper
     section, with no core and no shortcut."""
@@ -171,7 +163,7 @@ def test_core_sweep_matches_the_full_sweep():
         P = random_poset(rng.randint(8, 12), rng.uniform(0.3, 0.5), seed=5400 + trial)
         failing = False
         for cut in enumerate_cuts(P):
-            verdict = upper_section_acyclicity(P, cut, shortcuts=False)
+            verdict = acyclicity_check(P, shortcuts=False, members=cut.upper)
             assert (verdict.acyclic, verdict.degree, verdict.group) == full_sweep(P, cut)
             failing |= not verdict
         failing_posets += failing
@@ -198,7 +190,7 @@ def test_cut_verdicts_match_those_of_the_built_upper_sections():
         P = random_poset(rng.randint(6, 12), rng.uniform(0.3, 0.6), seed=8300 + trial)
         for cut in enumerate_cuts(P):
             for shortcuts in (True, False):
-                got = upper_section_acyclicity(P, cut, shortcuts=shortcuts)
+                got = acyclicity_check(P, shortcuts=shortcuts, members=cut.upper)
                 want = acyclicity_check(induced_subposet(P, cut.upper), shortcuts=shortcuts)
                 assert (got.acyclic, got.degree, got.group, got.via) == (
                     want.acyclic, want.degree, want.group, want.via
