@@ -13,6 +13,7 @@ to the Cech groups.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 
 from .complexes import ChainMap, induced_on_homology
 from .diagrams import (
@@ -31,7 +32,7 @@ from .poset import IntersectionPoset, chains
 class Presheaf:
     """Abelian groups on the intersection poset, restriction on reverse inclusion."""
 
-    __slots__ = ("intersection", "diagram", "_pulled", "_rho")
+    __slots__ = ("intersection", "diagram", "_pulled", "_topos", "_rho")
 
     def __init__(self, intersection, diagram):
         nodes = intersection.poset
@@ -40,6 +41,7 @@ class Presheaf:
         self.intersection = intersection
         self.diagram = diagram
         self._pulled = None
+        self._topos = None
         self._rho = None
 
     @property
@@ -62,7 +64,31 @@ class Presheaf:
         return self.diagram.reduced_complex()
 
     def topos_complex(self):
-        return self.pulled_diagram().reduced_complex()
+        """The reduced complex of the pulled diagram.
+
+        When λ is a bijection and each node lists its edge maps in the order
+        of the λ-images of its element's lower covers, every composite of
+        the pulled diagram is the presheaf's own, so this is the presheaf
+        diagram's complex on the relabeled base chains, built without it.
+        """
+        if self._topos is None:
+            lam = self.intersection.lambda_map
+            pulled, given = {}, {}
+            for low, high in self.space.covers():
+                pulled.setdefault(lam[high], []).append(lam[low])
+            for high, low in self.diagram.edge_maps:
+                given.setdefault(high, []).append(low)
+            if len(lam) != len(self.intersection) or pulled != given:
+                self._topos = self.pulled_diagram().reduced_complex()
+            elif lam == tuple(range(len(lam))):
+                self._topos = self.cech_complex()
+            else:
+                cells = [
+                    [tuple(lam[i] for i in c) for c in chains(self.space, n)]
+                    for n in range(self.space.height() + 1)
+                ]
+                self._topos = _cell_complex(self.diagram, cells, itemgetter(-1))
+        return self._topos
 
     def comparison_chain_map(self):
         """The cochain map from node cochains to principal-chain cochains.
@@ -100,7 +126,9 @@ def cech_cohomology(presheaf, n):
 
 def topos_cohomology(presheaf, n):
     """H^n of the generated sheaf, as a derived limit over the base poset."""
-    return derived_limit(presheaf.pulled_diagram(), n)
+    if n < 0:
+        raise DiagramError("degree must be nonnegative")
+    return presheaf.topos_complex().homology_group(n)
 
 
 def comparison_map(presheaf, n):

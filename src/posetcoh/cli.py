@@ -20,7 +20,14 @@ import random
 import re
 import sys
 
-from .cech import cech_ordered_complex, cohomology_top, compare_report, random_presheaf
+from .cech import (
+    cech_cohomology,
+    cech_ordered_complex,
+    cohomology_top,
+    compare_report,
+    random_presheaf,
+    topos_cohomology,
+)
 from .cuts import criterion, enumerate_cuts
 from .diagrams import derived_limit, full_complex_truncated
 from .documents import (
@@ -167,30 +174,34 @@ def _groups(fmt, rows):
     return 0, payload, "\n".join(fmt % (n, g.render()) for n, g in rows)
 
 
-def _route_problem(diagram, degrees, ordered=None):
-    """The first degree where an independent route disagrees, or None.
+def _route_problem(rows, diagram, ordered=None):
+    """The first printed row that an independent route disagrees with, or None.
 
-    The direct groups are the derived limits of `diagram`.  The route is the
+    `rows` are the (degree, group) pairs a command prints as derived limits
+    of `diagram`.  Each is checked against the derived limit recomputed from
+    the reduced complex of `diagram`, and that against a second route: the
     ordered Cech complex `ordered` when one is given, else the unreduced
     complex of `diagram` truncated at the top degree or at the base height,
-    whichever is lower: derived limits vanish above the height, so there
-    the direct group is compared with the zero group.
+    whichever is lower.  Derived limits vanish above the height, so there the
+    second route gives the zero group.
     """
+    top = max(n for n, _ in rows)
     if ordered is None:
-        top = min(max(degrees), diagram.base.height())
+        top = min(top, diagram.base.height())
         label, routed = "unreduced", full_complex_truncated(diagram, top)
     else:
-        top, label, routed = max(degrees), "ordered", ordered
-    for n in degrees:
+        label, routed = "ordered", ordered
+    for n, printed in rows:
         direct = derived_limit(diagram, n)
         other = routed.homology_group(n) if n <= top else CanonicalGroup(0)
-        if direct != other:
-            return "%s route disagrees at degree %d: %s vs %s" % (
-                label,
-                n,
-                direct.render(),
-                other.render(),
-            )
+        for name, a, b in (("reduced", printed, direct), (label, direct, other)):
+            if a != b:
+                return "%s route disagrees at degree %d: %s vs %s" % (
+                    name,
+                    n,
+                    a.render(),
+                    b.render(),
+                )
     return None
 
 
@@ -208,11 +219,12 @@ def cmd_cohomology(args):
     cech = args.command == "cech"
     top = functools.partial(cohomology_top, ps) if cech else space.height
     low, high = _degree_window(args, top)
-    diagram = ps.diagram if cech else ps.pulled_diagram()
-    rows = [(n, derived_limit(diagram, n)) for n in range(low, high + 1)]
+    group = cech_cohomology if cech else topos_cohomology
+    rows = [(n, group(ps, n)) for n in range(low, high + 1)]
     if args.oracle:
+        diagram = ps.diagram if cech else ps.pulled_diagram()
         ordered = cech_ordered_complex(ps, _order_list(args)) if cech else None
-        problem = _route_problem(diagram, [n for n, _ in rows], ordered)
+        problem = _route_problem(rows, diagram, ordered)
         if problem:
             return _oracle_mismatch(problem)
     return _groups("H^%d = %s", rows)
@@ -224,12 +236,12 @@ def cmd_compare(args):
     report = compare_report(ps, range(low, high + 1))
     rows = report.rows
     if args.oracle:
-        degrees = [row.degree for row in rows]
+        cech = [(row.degree, row.cech) for row in rows]
         ordered = cech_ordered_complex(ps, _order_list(args))
         problem = (
-            _route_problem(ps.diagram, degrees, ordered)
-            or _route_problem(ps.diagram, degrees)
-            or _route_problem(ps.pulled_diagram(), degrees)
+            _route_problem(cech, ps.diagram, ordered)
+            or _route_problem(cech, ps.diagram)
+            or _route_problem([(row.degree, row.topos) for row in rows], ps.pulled_diagram())
         )
         if problem:
             return _oracle_mismatch(problem)
@@ -401,8 +413,29 @@ def build_parser():
     return parser
 
 
+def _attached_windows(argv):
+    """The arguments with `--degrees -1..2` written as `--degrees=-1..2`.
+
+    argparse takes a separate value that starts with a minus sign and is
+    not a plain negative number for an option, so such a window would fail
+    as a missing value instead of reaching the range check of
+    `_degree_window`.  Abbreviations such as `--deg` count too: in the
+    commands that take `--degrees` no other option starts with `--d`, and
+    joining a value to the option it follows changes no parse that succeeds.
+    """
+    out = []
+    for token in argv:
+        option = out[-1] if out else ""
+        if len(option) > 2 and "--degrees".startswith(option) and re.match(r"-[0-9]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attached_windows(argv))
     try:
         code, payload, text = args.func(args)
         if text is None:

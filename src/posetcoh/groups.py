@@ -15,7 +15,7 @@ from .linalg import IntMatrix, snf
 class PresentedAbGroup:
     """Z^generators modulo the column lattice of `relations`."""
 
-    __slots__ = ("generators", "relations", "_dec")
+    __slots__ = ("generators", "relations", "_dec", "_canonical")
 
     def __init__(self, generators, relations=None):
         if generators < 0:
@@ -30,6 +30,7 @@ class PresentedAbGroup:
         self.generators = generators
         self.relations = relations
         self._dec = None
+        self._canonical = None
 
     @classmethod
     def free(cls, rank):
@@ -146,11 +147,13 @@ class CanonicalGroup:
 
 
 def canonical_form(group):
-    """Free rank and invariant factors of a presented group."""
-    factors = group.relation_dec().invariant_factors()
-    rank = group.generators - len(factors)
-    torsion = tuple(d for d in factors if d > 1)
-    return CanonicalGroup(rank, torsion)
+    """Free rank and invariant factors of a presented group, kept on the group."""
+    if group._canonical is None:
+        factors = group.relation_dec().invariant_factors()
+        rank = group.generators - len(factors)
+        torsion = tuple(d for d in factors if d > 1)
+        group._canonical = CanonicalGroup(rank, torsion)
+    return group._canonical
 
 
 class GroupHom:

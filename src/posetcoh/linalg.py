@@ -189,14 +189,14 @@ class SmithDecomposition:
 
     __slots__ = ("matrix", "D", "rank", "_row_ops", "_col_ops", "_U", "_V")
 
-    def __init__(self, matrix, D, row_ops, col_ops):
+    def __init__(self, matrix, D, rank, row_ops, col_ops):
         self.matrix = matrix
         self.D = D
+        self.rank = rank
         self._row_ops = row_ops
         self._col_ops = col_ops
         self._U = None
         self._V = None
-        self.rank = sum(1 for i in range(min(D.rows, D.cols)) if D.entries[i][i])
 
     @property
     def U(self):
@@ -312,7 +312,7 @@ def snf(M):
     """
     m, n = M.rows, M.cols
     if not m or not n:
-        return SmithDecomposition(M, M, [], [])
+        return SmithDecomposition(M, M, 0, [], [])
     A = [list(r) for r in M.entries]
     row_ops = []  # (src, dst, q) as `_replay` reads them
     col_ops = []
@@ -338,7 +338,7 @@ def snf(M):
                             return where
         return where
 
-    t = 0
+    t = 0  # the pivots so far, and at the end the rank
     while t < min(m, n):
         where = find_pivot(t)
         if where is None:
@@ -406,7 +406,7 @@ def snf(M):
         t += 1
 
     D = IntMatrix._trusted(m, n, tuple(map(tuple, A)))
-    return SmithDecomposition(M, D, row_ops, col_ops)
+    return SmithDecomposition(M, D, t, row_ops, col_ops)
 
 
 def rank_and_torsion(columns):

@@ -265,3 +265,88 @@ def test_presheaf_requires_the_node_poset():
     U = IntersectionPoset(P)
     with pytest.raises(DiagramError, match="intersection poset"):
         Presheaf(U, random_diagram(P, seed=1))
+
+
+def assert_same_complex(a, b):
+    assert [g.factors for g in a.groups] == [g.factors for g in b.groups]
+    assert [d.matrix for d in a.diffs] == [d.matrix for d in b.diffs]
+
+
+def test_topos_complex_is_the_pulled_diagrams_complex():
+    # the relabeled route, its identity case and the fallback all give the
+    # complex of the pulled diagram, group for group and matrix for matrix
+    rng = random.Random(31)
+    kinds = {"identity": 0, "permuted": 0, "non-principal": 0}
+    fixed = [builders.square(), builders.crown3(), builders.pass7(), builders.capped_square()]
+    presheaves = []
+    for trial in range(216):
+        P = fixed[trial % 4] if trial % 3 == 0 else random_poset(rng.randint(1, 6), rng.random(), seed=4200 + trial)
+        ps = presheaf_over(P, seed=trial, max_generators=2)
+        lam = ps.intersection.lambda_map
+        if len(lam) != len(ps.intersection):
+            kinds["non-principal"] += 1
+        else:
+            kinds["identity" if lam == tuple(range(len(lam))) else "permuted"] += 1
+        presheaves.append(ps)
+    for trial in range(24):
+        P = random_poset(rng.randint(1, 5), rng.random(), seed=4500 + trial)
+        presheaves.append(sheaf_presheaf(random_diagram(P, seed=trial)))
+    assert min(kinds.values()) >= 20, kinds
+    for ps in presheaves:
+        assert_same_complex(ps.topos_complex(), ps.pulled_diagram().reduced_complex())
+
+
+def diamond_doc(left_first):
+    """A presheaf on the diamond bot < left, right < top whose two composites
+    from top to bot, 1 via left and 3 via right, differ by 2 in Z/2.
+
+    The base lists its elements top first, so λ permutes the indices; the
+    edge maps out of the top node come left first or right first.
+    """
+    top_maps = [("{bot,left}", [[1]]), ("{bot,right}", [[1]])]
+    if not left_first:
+        top_maps.reverse()
+    maps = {"{bot,left,right,top}->%s" % low: rows for low, rows in top_maps}
+    maps["{bot,left}->{bot}"] = [[1]]
+    maps["{bot,right}->{bot}"] = [[3]]
+    return {
+        "base": {
+            "elements": ["top", "left", "right", "bot"],
+            "relations": [["bot", "left"], ["bot", "right"], ["left", "top"], ["right", "top"]],
+        },
+        "mode": "presheaf",
+        "groups": {
+            "{bot}": {"rank": 0, "torsion": [2]},
+            "{bot,left}": {"rank": 1},
+            "{bot,right}": {"rank": 1},
+            "{bot,left,right,top}": {"rank": 1},
+        },
+        "maps": maps,
+    }
+
+
+def test_topos_complex_keeps_the_pulled_composites_on_a_diamond():
+    for left_first in (True, False):
+        ps = load_presheaf(diamond_doc(left_first))
+        lam = ps.intersection.lambda_map
+        assert lam == (3, 1, 2, 0)
+        top, bot = lam[0], lam[3]
+        assert ps.diagram.map(top, bot).matrix == IntMatrix.from_rows([[1 if left_first else 3]])
+        topos = ps.topos_complex()
+        relabeled = ps._pulled is None
+        assert_same_complex(topos, ps.pulled_diagram().reduced_complex())
+        # the relabeled route builds no pulled diagram; the fallback does
+        assert relabeled == left_first
+        assert ps.pulled_diagram().map(0, 3).matrix == IntMatrix.from_rows([[1]])
+        assert compare_report(ps).all_iso
+
+
+def test_compare_report_builds_no_pulled_diagram_when_lambda_is_bijective():
+    for P in (builders.point(), builders.vee(), builders.zigzag()):
+        ps = presheaf_over(P, seed=7)
+        assert len(ps.intersection) == len(P)
+        assert compare_report(ps).all_iso
+        assert ps._pulled is None
+    ps = presheaf_over(builders.capped_square(), seed=7)
+    compare_report(ps)
+    assert ps._pulled is not None

@@ -156,6 +156,30 @@ def test_oracle_mismatch_names_the_route_and_degree(write, capsys, monkeypatch):
         assert err == "oracle mismatch: ordered route disagrees at degree 0: Z vs Z/2\n"
 
 
+def test_compare_oracle_checks_the_printed_groups(write, capsys, monkeypatch):
+    # the oracle reads the groups compare prints and checks each against the
+    # derived limit recomputed from the reduced complex
+    poset = write("square.json", builders.SQUARE_DOC)
+    sheaf = write("constant.json", builders.CONSTANT_SQUARE_DOC)
+    report = cli.compare_report
+    for field in ("cech", "topos"):
+
+        def wrong_row(ps, degrees, field=field):
+            made = report(ps, degrees)
+            setattr(made.rows[0], field, CanonicalGroup(0, (2,)))
+            return made
+
+        monkeypatch.setattr(cli, "compare_report", wrong_row)
+        code, out, err = run(capsys, "compare", poset, sheaf, "--oracle")
+        assert (code, out) == (2, ""), field
+        assert err == "oracle mismatch: reduced route disagrees at degree 0: Z/2 vs Z\n"
+    # and so does `topos`, whose groups come from the presheaf's topos complex
+    monkeypatch.setattr(cli, "topos_cohomology", lambda ps, n: CanonicalGroup(0, (2,)))
+    code, out, err = run(capsys, "topos", poset, sheaf, "--oracle")
+    assert (code, out) == (2, "")
+    assert err == "oracle mismatch: reduced route disagrees at degree 0: Z/2 vs Z\n"
+
+
 def test_unreduced_oracle_route_is_built_only_to_the_height(write, capsys, monkeypatch):
     P = random_poset(6, 0.5, 4)
     assert len(P) == 6 and P.height() == 3
@@ -242,14 +266,27 @@ def test_degree_window_validation(write, capsys):
         code, out, err = run(capsys, "cech", poset, sheaf, "--degrees", window)
         assert (code, out) == (2, ""), window
         assert err.startswith("error: --degrees"), window
-    # a minus sign is out of range even on zero; the = form keeps argparse
-    # from reading -0..1 as an option
+    # a minus sign is out of range even on zero
     for window in ("-0", "-0..1", "-1..2", "0..-0"):
         code, out, err = run(capsys, "cech", poset, sheaf, "--degrees=" + window)
         assert (code, out, err) == (
             2, "", "error: --degrees window must satisfy 0 <= A <= B\n"
         ), window
+    # written after a space, a window with a minus sign gets the same message
     sphere = write("sphere.json", builders.SPHERE_DOC)
+    for argv in (["homology", sphere], ["cech", poset, sheaf], ["topos", poset, sheaf], ["compare", poset, sheaf]):
+        # argparse also takes a prefix of the option name
+        for option, window in (
+            ("--degrees", "-1..2"),
+            ("--degrees", "-0..1"),
+            ("--degrees", "-0"),
+            ("--deg", "-1..2"),
+            ("--d", "-0..1"),
+        ):
+            code, out, err = run(capsys, *argv, option, window)
+            assert (code, out, err) == (
+                2, "", "error: --degrees window must satisfy 0 <= A <= B\n"
+            ), (argv[0], option, window)
     code, out, err = run(capsys, "homology", sphere, "--degrees", "1..2..9")
     assert (code, out) == (2, "")
     assert "--degrees" in err
