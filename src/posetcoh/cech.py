@@ -98,9 +98,9 @@ class Presheaf:
         groups agree.  The chain sets are the ones both complexes were built
         on, kept on their base posets by `chains`; above the base's top degree
         there are no principal chains and the map goes to the empty product
-        of `Complex.product`.  `ChainMap` checks
-        commutation with both differentials in all degrees when it is built,
-        before any induced map is taken.
+        of `Complex.product`.  λ takes each face of a base chain to the same
+        face of its image, so ρ commutes with both differentials by
+        construction; `ChainMap.verify` checks it on request.
         """
         if self._rho is None:
             source = self.cech_complex()
@@ -114,8 +114,7 @@ class Presheaf:
                     for row, chain in enumerate(chains(self.space, n))
                 )
                 maps.append(src.hom_to(target.product(n), blocks))
-            rho = ChainMap(source, target, maps)
-            self._rho = rho
+            self._rho = ChainMap(source, target, maps)
         return self._rho
 
 

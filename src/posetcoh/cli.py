@@ -217,6 +217,8 @@ def cmd_cohomology(args):
     the base height."""
     space, ps = _load_presheaf(args)
     cech = args.command == "cech"
+    if args.oracle:
+        (ps.cech_complex() if cech else ps.topos_complex()).verify()
     top = functools.partial(cohomology_top, ps) if cech else space.height
     low, high = _degree_window(args, top)
     group = cech_cohomology if cech else topos_cohomology
@@ -232,6 +234,9 @@ def cmd_cohomology(args):
 
 def cmd_compare(args):
     _, ps = _load_presheaf(args)
+    if args.oracle:
+        for built in (ps.cech_complex(), ps.topos_complex(), ps.comparison_chain_map()):
+            built.verify()
     low, high = _degree_window(args, functools.partial(cohomology_top, ps))
     report = compare_report(ps, range(low, high + 1))
     rows = report.rows

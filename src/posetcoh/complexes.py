@@ -84,9 +84,9 @@ class ProductGroup:
 class Complex:
     """C^0 -> C^1 -> ... -> C^N with d(n+1) after d(n) equal to zero.
 
-    `groups[n]` is a ProductGroup and `diffs[n]` maps degree n to degree n+1;
-    both the well-definedness of every differential and the vanishing of all
-    composites are checked at construction time.
+    `groups[n]` is a ProductGroup and `diffs[n]` maps degree n to degree n+1.
+    Construction checks shapes and `verify` the algebra, which holds for every
+    complex built from a `Diagram`, whose maps are checked when it is built.
     """
 
     __slots__ = ("groups", "diffs")
@@ -99,6 +99,10 @@ class Complex:
         for n, d in enumerate(self.diffs):
             if d.source != self.groups[n].group or d.target != self.groups[n + 1].group:
                 raise ComplexError("differential %d endpoint mismatch" % n)
+
+    def verify(self):
+        """Check that every differential is well defined and d after d is zero."""
+        for n, d in enumerate(self.diffs):
             if not hom_well_defined(d):
                 raise ComplexError("differential %d is not well defined" % n)
         for n in range(len(self.diffs) - 1):
@@ -125,7 +129,7 @@ class Complex:
         return GroupHom.zero(self.product(n).group, PresentedAbGroup.zero())
 
     def homology(self, n):
-        """Homology in degree n; the constructor already checked d after d."""
+        """Homology in degree n of a complex, whose d after d is zero."""
         return _homology(self.incoming(n), self.outgoing(n))
 
     def homology_group(self, n):
@@ -188,10 +192,7 @@ def _homology(d_in, d_out):
 
 
 class ChainMap:
-    """Degreewise homomorphisms between two complexes.
-
-    Commutation with the differentials is checked once, at construction.
-    """
+    """Degreewise homomorphisms between two complexes; `verify` checks commutation."""
 
     __slots__ = ("source", "target", "maps")
 
@@ -201,7 +202,6 @@ class ChainMap:
         self.maps = list(maps)
         if len(self.maps) != len(source.groups):
             raise ComplexError("need one map per source degree")
-        self.verify()
 
     def verify(self):
         """Check commutation with the differentials, naming the bad degree."""
@@ -213,10 +213,11 @@ class ChainMap:
 
 
 def induced_on_homology(chain_map, n):
-    """The well-defined map on degree-n homology along a chain map.
+    """The map on degree-n homology along a chain map of well-defined maps.
 
-    Where the two complexes agree on everything `_homology` reads at degree
-    n, the source's homology serves the target too.
+    It is well defined with no check, since cycles go to cycles and boundaries
+    to boundaries.  Where the two complexes agree on everything `_homology`
+    reads at degree n, the source's homology serves the target too.
     """
 
     def around(c):
@@ -227,10 +228,7 @@ def induced_on_homology(chain_map, n):
     same = around(chain_map.source) == around(chain_map.target)
     tgt = src if same else chain_map.target.homology(n)
     matrix = tgt.coordinates(chain_map.maps[n].matrix * src.cycles)
-    hom = GroupHom(src.group, tgt.group, matrix)
-    if not hom_well_defined(hom):
-        raise ComplexError("induced map on degree %d homology is not well defined" % n)
-    return hom
+    return GroupHom(src.group, tgt.group, matrix)
 
 
 def simplicial_homology(chain_sets, n):

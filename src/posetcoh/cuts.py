@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .complexes import acyclicity_check
-from .poset import IntersectionPoset, PosetError, bounds, components, subset_name
+from .poset import IntersectionPoset, bounds, components
 
 
 class Cut:
@@ -30,24 +30,16 @@ class Cut:
 
 
 def enumerate_cuts(P):
-    """All cuts with nonempty lower half, one per intersection-poset node."""
+    """All cuts with nonempty lower half, one per intersection-poset node.
+
+    A node is the meet of its witness's down-sets, so the witness lies in the
+    node's upper bounds, whose lower bounds are the node again.
+    """
     intersection = IntersectionPoset(P)
-    cuts = []
-    for k, node in enumerate(intersection.nodes):
-        upper = bounds(P, node, "upper")
-        # the witness generates the lower half, so it sits inside the upper
-        # half and rules out an empty upper section
-        if not upper.issuperset(intersection.witnesses[k]):
-            raise PosetError(
-                "cut %s: witness lies outside the upper half" % subset_name(P, node)
-            )
-        if bounds(P, upper, "lower") != node:
-            raise PosetError(
-                "cut %s: upper half does not close back to the lower half"
-                % subset_name(P, node)
-            )
-        cuts.append(Cut(node, upper, intersection.witnesses[k]))
-    return cuts
+    return [
+        Cut(node, bounds(P, node, "upper"), witness)
+        for node, witness in zip(intersection.nodes, intersection.witnesses)
+    ]
 
 
 class CriterionReport:

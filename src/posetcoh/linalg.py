@@ -263,17 +263,15 @@ class SmithDecomposition:
 
 
 def _replay(size, ops):
-    """The lines (rows or columns) of the size x size identity after `ops`.
+    """The columns of the size x size identity after the column log `ops`.
 
-    An operation (src, dst, q) adds q times line src to line dst; q == 0
-    swaps the two lines instead, and src == dst negates the line.  Lines are
+    An operation (src, dst, q) adds q times column src to column dst; q == 0
+    swaps the two columns instead, and src != dst always.  Columns are
     dicts {index: entry}, so a transform with few nonzeros replays cheaply.
     """
     lines = [{k: 1} for k in range(size)]
     for src, dst, q in ops:
-        if src == dst:
-            lines[dst] = {k: -a for k, a in lines[dst].items()}
-        elif q:
+        if q:
             line = lines[dst]
             for k, a in lines[src].items():
                 line[k] = line.get(k, 0) + q * a
@@ -283,7 +281,7 @@ def _replay(size, ops):
 
 
 def _operate(B, size, ops):
-    """B after the row operations `ops`, each read as `_replay` reads it."""
+    """B after the row operations `ops`, as in `_replay`; (t, t, -1) negates row t."""
     if B.rows != size:
         raise ValueError("shape mismatch in product")
     rows = [list(r) for r in B.entries]
@@ -314,7 +312,7 @@ def snf(M):
     if not m or not n:
         return SmithDecomposition(M, M, 0, [], [])
     A = [list(r) for r in M.entries]
-    row_ops = []  # (src, dst, q) as `_replay` reads them
+    row_ops = []  # (src, dst, q) as `_operate` reads them
     col_ops = []
 
     def swap_cols(j, k):

@@ -26,9 +26,14 @@ projective_plane
            face poset of the 6-vertex triangulation of the real projective
            plane (6 vertices, 15 edges, 10 triangles); its order complex is
            the barycentric subdivision, with H_1 = Z/2.
+dunce_hat  face poset of the dunce hat: a triangle subdivided twice
+           barycentrically, its sides glued as a.a.a^-1 (17 vertices, 52
+           edges, 36 triangles).  It has no beat points, and its order
+           complex is contractible, so it is acyclic only by homology.
 """
 
 import itertools
+from fractions import Fraction
 
 from posetcoh.documents import skeleton
 from posetcoh.poset import parse_poset
@@ -118,6 +123,44 @@ def _projective_plane_doc():
     return {"elements": vertices + edges + RP2_TRIANGLES, "relations": relations}
 
 
+def _subdivide(simplices):
+    """The barycentric subdivision: each simplex (a frozenset of points, a
+    point a tuple of barycentric coordinates) becomes a maximal chain of
+    faces, and each chain the simplex on the faces' barycenters."""
+    def center(face):
+        return tuple(sum(c) / len(face) for c in zip(*face))
+
+    return {
+        frozenset(center(frozenset(order[: k + 1])) for k in range(len(order)))
+        for simplex in simplices
+        for order in itertools.permutations(simplex)
+    }
+
+
+def _dunce_hat_doc():
+    corners = [tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)]
+    triangles = _subdivide(_subdivide([frozenset(corners)]))
+
+    def glued(point):
+        # sides A->B, B->C and A->C are one edge a, read at the distance
+        # from its start; the three corners are its one end point
+        x, y, z = point
+        if point.count(0) == 2:
+            return "v"
+        if 0 in point:
+            return "a%s" % (y if z == 0 else z)
+        return "i%s:%s" % (x, y)
+
+    faces = {frozenset(map(glued, f)) for t in triangles for k in (1, 2, 3)
+             for f in itertools.combinations(t, k)}
+    name = {f: "-".join(sorted(f)) for f in faces}
+    relations = [[name[f], name[g]] for g in faces for f in faces if f < g]
+    return {"elements": sorted(name.values()), "relations": relations}
+
+
+DUNCE_HAT_DOC = _dunce_hat_doc()
+
+
 def point():
     return parse_poset(POINT_DOC)
 
@@ -164,6 +207,10 @@ def tetrahedron():
 
 def projective_plane():
     return parse_poset(_projective_plane_doc())
+
+
+def dunce_hat():
+    return parse_poset(DUNCE_HAT_DOC)
 
 
 # Presheaf documents on the square poset's intersection poset, whose five

@@ -255,6 +255,13 @@ def test_tetrahedron_cech_cohomology_above_the_base_height(write, capsys):
     payload = json.loads(out)
     assert (code, payload["cap"]) == (1, 1)
     assert [row["degree"] for row in payload["degrees"]] == [0, 1]
+    # above the Cech complex's top degree 2 both groups and the map are zero
+    code, out, _ = run(capsys, "compare", poset, sheaf, "--degrees", "3..4")
+    assert (code, out.splitlines()) == (0, [
+        "degree 3: cech 0 | topos 0 | isomorphic",
+        "degree 4: cech 0 | topos 0 | isomorphic",
+        "comparison map is an isomorphism in every listed degree",
+    ])
 
 
 def test_degree_window_validation(write, capsys):
@@ -297,6 +304,10 @@ def test_homology_command(write, capsys):
     code, out, _ = run(capsys, "homology", poset)
     assert code == 0
     assert out.splitlines() == ["H_0 = Z", "H_1 = 0", "H_2 = Z"]
+    poset = write("dunce.json", builders.DUNCE_HAT_DOC)
+    code, out, _ = run(capsys, "homology", poset)
+    assert code == 0
+    assert out.splitlines() == ["H_0 = Z", "H_1 = 0", "H_2 = 0"]
 
 
 def test_random_poset_command(write, capsys, tmp_path):
@@ -444,6 +455,7 @@ MALFORMED = {
         builders.SQUARE_DOC, dict(builders.SKYSCRAPER_DOC, groups=["{p2}", "{p3}"]), "groups"
     ),
     "presheaf-int": (builders.SQUARE_DOC, 5, "presheaf document"),
+    "poset-list": ([], None, "error: poset document must be an object\n"),
     "element-int": ({"elements": ["a", 3]}, None, "element names must be strings"),
     "relation-single": ({"elements": ["a", "b"], "relations": [["a"]]}, None, "relation entries"),
     "groups-empty-list": (builders.SQUARE_DOC, dict(builders.SKYSCRAPER_DOC, groups=[]), "groups"),

@@ -174,11 +174,12 @@ def build_complex(groups, matrices):
 
 
 def test_complex_build_rejects_bad_composite():
+    cx = build_complex([Z, Z, Z], [IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])])
     with pytest.raises(ComplexError, match="composite"):
-        build_complex(
-            [Z, Z, Z],
-            [IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])],
-        )
+        cx.verify()
+    two = PresentedAbGroup.from_invariants(0, (2,))
+    with pytest.raises(ComplexError, match="differential 0 is not well defined"):
+        build_complex([two, Z], [IntMatrix.from_rows([[1]])]).verify()
 
 
 def test_complex_homology_ends():
@@ -267,10 +268,10 @@ def test_induced_on_homology_reuses_only_where_the_complexes_agree():
 def test_chain_map_verification_failure_names_degree():
     cx = build_complex([Z, Z], [IntMatrix.from_rows([[2]])])
     with pytest.raises(ComplexError, match="degree 0"):
-        ChainMap(cx, cx, [hom(Z, Z, [[1]]), hom(Z, Z, [[2]])])
+        ChainMap(cx, cx, [hom(Z, Z, [[1]]), hom(Z, Z, [[2]])]).verify()
     cx = build_complex([Z, Z, Z], [IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[1]])])
     with pytest.raises(ComplexError, match="degree 1"):
-        ChainMap(cx, cx, [hom(Z, Z, [[1]]), hom(Z, Z, [[1]]), hom(Z, Z, [[2]])])
+        ChainMap(cx, cx, [hom(Z, Z, [[1]]), hom(Z, Z, [[1]]), hom(Z, Z, [[2]])]).verify()
 
 
 def test_acyclicity_tree_and_antichain():
@@ -289,6 +290,15 @@ def test_acyclicity_sphere_fails_at_two():
     verdict = acyclicity_check(builders.sphere())
     assert not verdict.acyclic
     assert verdict.degree == 2 and verdict.group == CanonicalGroup(1)
+
+
+def test_acyclicity_dunce_hat_is_told_by_homology_alone():
+    # contractible but free of beat points: its core is all of it
+    P = builders.dunce_hat()
+    assert len(core(P)) == len(P.elements) == 17 + 52 + 36
+    for shortcuts in (True, False):
+        verdict = acyclicity_check(P, shortcuts=shortcuts)
+        assert verdict.acyclic and verdict.via == "homology"
 
 
 def test_acyclicity_projective_plane_fails_at_one_with_torsion():

@@ -257,3 +257,20 @@ def test_one_point_cores_read_off_match_the_sweep_of_the_built_core():
                 point_cores[shortcuts] += want[3] == "homology" and len(core(P, members)) == 1
     # with shortcuts on and with them off, some cuts end at a one-point core
     assert min(point_cores.values()) > 0
+
+
+def test_dunce_hat_over_two_bottoms_passes_by_sweeping_one_core():
+    # the cut with lower half {b1, b2} has the whole dunce hat above it: a
+    # core that only the homology sweep can find acyclic
+    hat = builders.DUNCE_HAT_DOC
+    P = parse_poset({
+        "elements": hat["elements"] + ["b1", "b2"],
+        "relations": hat["relations"] + [[b, e] for b in ("b1", "b2") for e in hat["elements"]],
+    })
+    bottoms = frozenset({P.index["b1"], P.index["b2"]})
+    (cut,) = [cut for cut in enumerate_cuts(P) if cut.lower == bottoms]
+    assert len(cut.upper) == len(core(P, cut.upper)) == len(hat["elements"])
+    for shortcuts in (True, False):
+        assert acyclicity_check(P, shortcuts=shortcuts, members=cut.upper).via == "homology"
+        report = criterion(P, shortcuts=shortcuts)
+        assert (report.verdict, report.cuts_examined) == ("PASS", 108)

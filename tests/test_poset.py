@@ -68,6 +68,8 @@ def test_poset_checks_the_order_axioms_of_its_down_sets():
         Poset(["a", "b", "c"], [{0}, {0, 1}, {1, 2}])
     with pytest.raises(PosetError, match="invalid down-set for 'b'"):
         Poset(["a", "b"], [{0}, {0}])
+    with pytest.raises(PosetError, match="duplicate element name: 'a'"):
+        Poset(["a", "a"], [{0}, {1}])
 
 
 def test_bounds_square():
