@@ -218,13 +218,14 @@ def cmd_cohomology(args):
     space, ps = _load_presheaf(args)
     cech = args.command == "cech"
     if args.oracle:
+        diagram = ps.diagram if cech else ps.pulled_diagram()
+        diagram.verify()
         (ps.cech_complex() if cech else ps.topos_complex()).verify()
     top = functools.partial(cohomology_top, ps) if cech else space.height
     low, high = _degree_window(args, top)
     group = cech_cohomology if cech else topos_cohomology
     rows = [(n, group(ps, n)) for n in range(low, high + 1)]
     if args.oracle:
-        diagram = ps.diagram if cech else ps.pulled_diagram()
         ordered = cech_ordered_complex(ps, _order_list(args)) if cech else None
         problem = _route_problem(rows, diagram, ordered)
         if problem:
@@ -235,7 +236,8 @@ def cmd_cohomology(args):
 def cmd_compare(args):
     _, ps = _load_presheaf(args)
     if args.oracle:
-        for built in (ps.cech_complex(), ps.topos_complex(), ps.comparison_chain_map()):
+        for built in (ps.diagram, ps.pulled_diagram(), ps.cech_complex(), ps.topos_complex(),
+                      ps.comparison_chain_map()):
             built.verify()
     low, high = _degree_window(args, functools.partial(cohomology_top, ps))
     report = compare_report(ps, range(low, high + 1))

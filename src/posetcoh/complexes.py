@@ -60,14 +60,18 @@ class ProductGroup:
 
         `blocks` yields (row factor, column factor, sign, matrix): the block of
         target factor `row` against this product's factor `col` gains sign
-        times matrix, or sign times the identity on the row factor when
+        times matrix, or sign times the identity (of factors of one size) when
         matrix is None.  Blocks at the same position add up.
         """
         data = [[0] * self.group.generators for _ in range(target.group.generators)]
         for row, col, sign, matrix in blocks:
             row0, col0 = target.offsets[row], self.offsets[col]
+            rows, cols = target.factors[row].generators, self.factors[col].generators
+            shape = (rows, rows) if matrix is None else (matrix.rows, matrix.cols)
+            if shape != (rows, cols):
+                raise ComplexError("block of factors %d and %d has the wrong shape" % (row, col))
             if matrix is None:
-                for i in range(target.factors[row].generators):
+                for i in range(rows):
                     data[row0 + i][col0 + i] += sign
                 continue
             for i, entries in enumerate(matrix.entries):
@@ -86,7 +90,7 @@ class Complex:
 
     `groups[n]` is a ProductGroup and `diffs[n]` maps degree n to degree n+1.
     Construction checks shapes and `verify` the algebra, which holds for every
-    complex built from a `Diagram`, whose maps are checked when it is built.
+    complex built from a functor, as `Diagram.verify` checks a diagram is.
     """
 
     __slots__ = ("groups", "diffs")
@@ -143,11 +147,10 @@ class HomologyData:
     `coordinates` inverts that correspondence for arbitrary cycles.
     """
 
-    __slots__ = ("group", "middle", "cycles", "_dec")
+    __slots__ = ("group", "cycles", "_dec")
 
-    def __init__(self, group, middle, cycles):
+    def __init__(self, group, cycles):
         self.group = group
-        self.middle = middle
         self.cycles = cycles
         self._dec = None
 
@@ -188,7 +191,7 @@ def _homology(d_in, d_out):
     cycles = snf(out_combined).kernel_basis(middle.generators)
     boundary_sources = cycles.hstack(d_in.matrix).hstack(middle.relations)
     relations = snf(boundary_sources).kernel_basis(cycles.cols)
-    return HomologyData(PresentedAbGroup(cycles.cols, relations), middle, cycles)
+    return HomologyData(PresentedAbGroup(cycles.cols, relations), cycles)
 
 
 class ChainMap:

@@ -2,10 +2,10 @@
 
 A diagram assigns a presented group to every element and a homomorphism to
 every Hasse cover a > b (the arrow a -> b of the opposite category); composite
-maps are derived and path independence is validated, so diagrams are honest
-functors.  Derived limits are cohomology of the cochain complex over strictly
-decreasing chains; the unreduced complex over weakly decreasing chains is kept
-as an independent route; derived colimits are homology of the chain complex
+maps are derived on demand, and `Diagram.verify` checks path independence.
+Derived limits are cohomology of the cochain complex over strictly decreasing
+chains; the unreduced complex over weakly decreasing chains is kept as an
+independent route; derived colimits are homology of the chain complex
 with coefficients at the chain's first element.  These complexes and the
 ordered Cech complex of `cech` differ only in their cells and in the node
 whose value a cell carries; one face builder, `_cell_complex`, makes them all.
@@ -33,9 +33,15 @@ class DiagramError(ValueError):
 
 
 class Diagram:
-    """A functor from a poset's opposite category to abelian groups."""
+    """A functor from a poset's opposite category to abelian groups.
 
-    __slots__ = ("base", "values", "edge_maps", "_comp", "_reduced")
+    Construction checks shapes: one group per element and one map per cover,
+    between the right values.  `verify` checks the functor laws, which hold by
+    construction in every diagram the package derives; documents call it at
+    load, and `--oracle` on the diagrams it reads.
+    """
+
+    __slots__ = ("base", "values", "edge_maps", "_out", "_comp", "_reduced")
 
     def __init__(self, base, values, edge_maps):
         self.base = base
@@ -45,68 +51,55 @@ class Diagram:
         covers = {(j, i) for i, j in base.covers()}  # (high, low), arrow high -> low
         given = set(edge_maps)
         if given != covers:
-            missing = covers - given
-            extra = given - covers
-            parts = []
-            if missing:
-                a, b = sorted(missing)[0]
-                parts.append("missing map %s->%s" % (base.elements[a], base.elements[b]))
-            if extra:
-                a, b = sorted(extra)[0]
-                parts.append("map %s->%s is not a cover" % (base.elements[a], base.elements[b]))
-            raise DiagramError("; ".join(parts))
+            wrong = (("missing map %s", covers - given), ("map %s is not a cover", given - covers))
+            raise DiagramError("; ".join(text % self._arrow(*min(k)) for text, k in wrong if k))
         self.edge_maps = dict(edge_maps)
+        self._out = {}
         for (a, b), h in self.edge_maps.items():
             if h.source != self.values[a] or h.target != self.values[b]:
-                raise DiagramError(
-                    "map %s->%s has wrong endpoints" % (base.elements[a], base.elements[b])
-                )
-            if not hom_well_defined(h):
-                raise DiagramError(
-                    "map %s->%s does not respect relations"
-                    % (base.elements[a], base.elements[b])
-                )
+                raise DiagramError("map %s has wrong endpoints" % self._arrow(a, b))
+            self._out.setdefault(a, []).append((b, h))
         self._comp = {}
         self._reduced = None
-        self._validate_functoriality()
 
-    def _validate_functoriality(self):
-        """All composites along covers must agree; checked on every diamond."""
-        base = self.base
-        covers_out = {}
-        for (a, c), edge in self.edge_maps.items():
-            covers_out.setdefault(a, []).append((c, edge))
-        for a in base.linear_extension():
-            for b in base.down[a]:
+    def _arrow(self, a, b):
+        return "%s->%s" % (self.base.elements[a], self.base.elements[b])
+
+    def _routes(self, a, b):
+        """The covers c of a with b <= c and their maps a -> c, as listed."""
+        return [(c, edge) for c, edge in self._out[a] if self.base.leq(b, c)]
+
+    def verify(self):
+        """Check that every map respects relations and every diamond commutes.
+
+        For a in a linear extension and b below a, the route through each
+        cover of a must agree with `map(a, b)`, the route through the first.
+        """
+        for (a, b), h in self.edge_maps.items():
+            if not hom_well_defined(h):
+                raise DiagramError("map %s does not respect relations" % self._arrow(a, b))
+        for a in self.base.linear_extension():
+            for b in self.base.down[a]:
                 if b == a:
                     continue
-                candidates = [
-                    (c, self.map(c, b).compose(edge))
-                    for c, edge in covers_out[a]
-                    if base.leq(b, c)
-                ]
-                first_via, first = candidates[0]
-                for via, other in candidates[1:]:
-                    if not homs_equal(first, other):
+                (first, _), *others = self._routes(a, b)
+                for via, edge in others:
+                    if not homs_equal(self.map(a, b), self.map(via, b).compose(edge)):
                         raise DiagramError(
                             "functoriality fails from %s to %s: routes via %s and %s differ"
-                            % (
-                                base.elements[a],
-                                base.elements[b],
-                                base.elements[first_via],
-                                base.elements[via],
-                            )
+                            % tuple(self.base.elements[x] for x in (a, b, first, via))
                         )
-                self._comp[(a, b)] = first
 
     def map(self, a, b):
-        """The composite homomorphism value(a) -> value(b) for a >= b."""
+        """The composite value(a) -> value(b) for a >= b, built on first use
+        through the first listed cover of a above b."""
         if a == b:
             return GroupHom.identity(self.values[a])
         if not self.base.leq(b, a):
-            raise DiagramError(
-                "no arrow %s->%s" % (self.base.elements[a], self.base.elements[b])
-            )
+            raise DiagramError("no arrow %s" % self._arrow(a, b))
+        if (a, b) not in self._comp:
+            via, edge = self._routes(a, b)[0]
+            self._comp[(a, b)] = self.map(via, b).compose(edge)
         return self._comp[(a, b)]
 
     def value(self, a):

@@ -110,7 +110,9 @@ def _diagram_from_fields(poset, groups_field, maps_field, what):
         ia, ib = poset.index[a], poset.index[b]
         matrix = parse_matrix(rows, values[ib], values[ia], key)
         edge_maps[(ia, ib)] = GroupHom(values[ia], values[ib], matrix)
-    return Diagram(poset, values, edge_maps)
+    diagram = Diagram(poset, values, edge_maps)
+    diagram.verify()
+    return diagram
 
 
 def load_presheaf(doc, space=None):

@@ -45,6 +45,11 @@ VEE_DOC = {
     "relations": [["p2", "p0"], ["p2", "p1"]],
 }
 
+DIAMOND_DOC = {
+    "elements": ["bot", "left", "right", "top"],
+    "relations": [["bot", "left"], ["bot", "right"], ["left", "top"], ["right", "top"]],
+}
+
 SQUARE_DOC = {
     "elements": ["p0", "p1", "p2", "p3"],
     "relations": [["p2", "p0"], ["p2", "p1"], ["p3", "p0"], ["p3", "p1"]],

@@ -265,6 +265,35 @@ class LatticeMembership:
         return self.dec.solve(c) is not None
 
 
+def eager_composites(F):
+    """Every composite matrix of a diagram, {(a, b): matrix} for a > b, built eagerly.
+
+    The table as `Diagram` filled it when it checked functoriality on
+    construction: a in a linear extension, b in its down-set, and the
+    composite through the first listed cover c of a with b <= c, the edge
+    a -> c followed by the table's c -> b.  Products are taken on plain lists.
+    `Diagram.map` must reproduce every matrix, whatever order it is asked in.
+    """
+    base = F.base
+    table = {}
+    for a in base.linear_extension():
+        for b in base.down[a]:
+            if b == a:
+                continue
+            c, edge = next(
+                (c, h) for (x, c), h in F.edge_maps.items() if x == a and base.leq(b, c)
+            )
+            first = edge.matrix
+            then = IntMatrix.identity(first.rows) if c == b else table[(c, b)]
+            rows = [
+                [sum(then.entries[i][k] * first.entries[k][j] for k in range(then.cols))
+                 for j in range(first.cols)]
+                for i in range(then.rows)
+            ]
+            table[(a, b)] = IntMatrix(then.rows, first.cols, rows)
+    return table
+
+
 def in_relation_lattice_by_U(group, vectors):
     """Whether every column of `vectors` lies in the group's relation lattice.
 

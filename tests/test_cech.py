@@ -275,7 +275,8 @@ def assert_same_complex(a, b):
 def test_topos_complex_is_the_pulled_diagrams_complex():
     # the relabeled route, its identity case and the fallback all give the
     # complex of the pulled diagram, group for group and matrix for matrix;
-    # both complexes and the comparison chain map pass their algebra checks
+    # the random, pulled and sheaf diagrams are functors, and both complexes
+    # and the comparison chain map pass their algebra checks
     rng = random.Random(31)
     kinds = {"identity": 0, "permuted": 0, "non-principal": 0}
     fixed = [builders.square(), builders.crown3(), builders.pass7(), builders.capped_square()]
@@ -295,6 +296,8 @@ def test_topos_complex_is_the_pulled_diagrams_complex():
     assert min(kinds.values()) >= 20, kinds
     for ps in presheaves:
         assert_same_complex(ps.topos_complex(), ps.pulled_diagram().reduced_complex())
+        ps.diagram.verify()
+        ps.pulled_diagram().verify()
         ps.cech_complex().verify()
         ps.topos_complex().verify()
         ps.comparison_chain_map().verify()

@@ -470,6 +470,13 @@ MALFORMED = {
         _with_group("{p0,p2,p3}", {"rank": 0, "torsion": [2]}),
         "map {p0,p2,p3}->{p2,p3} does not respect relations",
     ),
+    "map-routes-differ": (
+        builders.DIAMOND_DOC,
+        {"base": builders.DIAMOND_DOC, "mode": "diagram",
+         "groups": dict.fromkeys(builders.DIAMOND_DOC["elements"], {"rank": 1}),
+         "maps": {"top->left": [[1]], "top->right": [[1]], "left->bot": [[1]], "right->bot": [[2]]}},
+        "functoriality fails from top to bot: routes via left and right differ",
+    ),
     "map-not-cover": (
         builders.SQUARE_DOC, _with_map("{p0,p2,p3}->{p2}", []), "{p0,p2,p3}->{p2} is not a cover"
     ),

@@ -182,6 +182,26 @@ def test_complex_build_rejects_bad_composite():
         build_complex([two, Z], [IntMatrix.from_rows([[1]])]).verify()
 
 
+def test_product_blocks_must_fit_their_factors():
+    # an identity block needs factors of one size, and a matrix block the
+    # shape row factor x column factor; nothing spills into a neighbour
+    one, two = ProductGroup([Z]), ProductGroup([Z, Z])
+    plane = ProductGroup([PresentedAbGroup.free(2)])
+    assert one.hom_to(one, [(0, 0, -1, None)]).matrix.entries == ((-1,),)
+    for source, target, block in (
+        (one, plane, None),  # Z -> Z^2 ran past the last column
+        (two, plane, None),  # Z + Z -> Z^2 wrote into the second factor
+        (two, plane, IntMatrix.from_rows([[1, 1], [0, 1]])),
+        (plane, one, IntMatrix.from_rows([[1]])),
+    ):
+        with pytest.raises(ComplexError, match="^block of factors 0 and 0 has the wrong shape$"):
+            source.hom_to(target, [(0, 0, 1, block)])
+    assert two.hom_to(plane, [(0, 1, 1, IntMatrix.from_rows([[1], [2]]))]).matrix.entries == (
+        (0, 1),
+        (0, 2),
+    )
+
+
 def test_complex_homology_ends():
     cx = build_complex([Z, Z], [IntMatrix.from_rows([[2]])])
     assert cx.homology_group(0).is_trivial()

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from posetcoh.cech import Presheaf, cech_ordered_complex, random_presheaf
+from posetcoh.cech import Presheaf, cech_ordered_complex, random_presheaf, sheaf_presheaf
 from posetcoh.complexes import acyclicity_check, simplicial_homology
 from posetcoh.diagrams import (
     Diagram,
@@ -26,8 +26,10 @@ from posetcoh.linalg import IntMatrix
 from posetcoh.poset import IntersectionPoset, bounds, chains, parse_poset, random_poset
 
 import builders
+from oracles import eager_composites
 
 Z = PresentedAbGroup.free(1)
+Z2 = PresentedAbGroup.from_invariants(0, [2])
 
 
 def diagram_on(P, values_by_name, maps_by_names):
@@ -165,32 +167,51 @@ def test_square_random_diagrams_limit_vs_colimit():
             assert derived_limit(F, n) == CanonicalGroup(0)
 
 
+DIAMOND = parse_poset(builders.DIAMOND_DOC)
+DIAMOND_EDGES = [("top", "left"), ("top", "right"), ("left", "bot"), ("right", "bot")]
+
+
+def diamond_diagram(bottom, scale):
+    """Z on top, left and right, identities out of top, 1 and `scale` into `bottom`."""
+    maps = dict.fromkeys(DIAMOND_EDGES, [[1]])
+    maps[("right", "bot")] = [[scale]]
+    return diagram_on(DIAMOND, {"top": Z, "left": Z, "right": Z, "bot": bottom}, maps)
+
+
 def test_diagram_validation_errors():
+    # construction checks shapes; the functor laws wait for verify()
     P = builders.square()
     values = [Z] * 4
     with pytest.raises(DiagramError, match="missing map"):
         Diagram(P, values, {})
-    diamond = parse_poset(
-        {
-            "elements": ["top", "m1", "m2", "bot"],
-            "relations": [["m1", "top"], ["m2", "top"], ["bot", "m1"], ["bot", "m2"]],
-        }
-    )
+    with pytest.raises(DiagramError, match="^missing map p0->p2; map p2->p0 is not a cover$"):
+        Diagram(P, values, {(2, 0): GroupHom.identity(Z)})
+    diamond_diagram(Z, 1).verify()
+    diverging = diamond_diagram(Z, 2)
+    with pytest.raises(DiagramError, match="from top to bot: routes via left and right differ"):
+        diverging.verify()
+    maps = dict.fromkeys(DIAMOND_EDGES, [[1]])
+    broken = diagram_on(DIAMOND, {"top": Z2, "left": Z, "right": Z, "bot": Z}, maps)
+    with pytest.raises(DiagramError, match="^map top->left does not respect relations$"):
+        broken.verify()
+    with pytest.raises(DiagramError, match="^map top->left has wrong endpoints$"):
+        Diagram(DIAMOND, [Z] * 4, broken.edge_maps)
 
-    def build(scale):
-        maps = {
-            ("top", "m1"): [[1]],
-            ("top", "m2"): [[1]],
-            ("m1", "bot"): [[1]],
-            ("m2", "bot"): [[scale]],
-        }
-        return diagram_on(
-            diamond, {"top": Z, "m1": Z, "m2": Z, "bot": Z}, maps
-        )
 
-    build(1)
-    with pytest.raises(DiagramError, match="from top to bot: routes via m1 and m2 differ"):
-        build(2)
+def twisted(F, rng):
+    """F with every edge matrix moved by a random combination of the target's
+    relators: the same functor, whose routes may differ as matrices."""
+    maps = {}
+    for key, h in F.edge_maps.items():
+        R, M = h.target.relations, h.matrix
+        shift = [[rng.randint(-2, 2) for _ in range(M.cols)] for _ in range(R.cols)]
+        rows = [
+            [M.entries[i][j] + sum(R.entries[i][k] * shift[k][j] for k in range(R.cols))
+             for j in range(M.cols)]
+            for i in range(M.rows)
+        ]
+        maps[key] = GroupHom(h.source, h.target, IntMatrix(M.rows, M.cols, rows))
+    return Diagram(F.base, F.values, maps)
 
 
 def test_diagram_composite_maps():
@@ -204,6 +225,30 @@ def test_diagram_composite_maps():
     )
     assert F.map(chain.index["a"], chain.index["c"]).matrix.entries == ((6,),)
     assert F.map(0, 0).matrix == IntMatrix.identity(1)
+    # in Z/2 the routes 1 and 3 agree, and the composite is the first listed
+    diagrams = [diamond_diagram(Z2, 3)]
+    diagrams[0].verify()
+    top, bot = DIAMOND.index["top"], DIAMOND.index["bot"]
+    assert diagrams[0].map(top, bot).matrix.entries == ((1,),)
+    # map() builds each composite on first use, asked here top pair first, and
+    # must give the matrix of the eager table the construction-time check
+    # filled; twisted diagrams make the first listed route differ from others
+    rng = random.Random(7)
+    for trial in range(60):
+        P = random_poset(rng.randint(1, 7), rng.random(), seed=9100 + trial)
+        F = random_diagram(P, seed=trial, max_generators=4)
+        diagrams.append(F)
+        diagrams.append(twisted(F, rng))
+        diagrams[-1].verify()
+        if trial % 2 == 0:
+            diagrams.append(sheaf_presheaf(F).diagram)
+    composites = 0
+    for F in diagrams:
+        table = eager_composites(F)
+        for a, b in reversed(list(table)):
+            assert F.map(a, b).matrix == table[(a, b)], (F.base.elements, a, b)
+        composites += len(table)
+    assert composites > 300, composites
 
 
 def face_differential(F, lower, upper, node, colimit=False):
