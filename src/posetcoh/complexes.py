@@ -45,7 +45,8 @@ class ProductGroup:
             total += f.generators
         self.factors = factors
         self.offsets = tuple(offsets)
-        rel = IntMatrix.block_diag([f.relations for f in factors]) if factors else None
+        relations = [f.relations for f in factors]
+        rel = IntMatrix.block_diag(relations) if any(r.cols for r in relations) else None
         self.group = PresentedAbGroup(total, rel)
 
     def coordinate_range(self, k):
@@ -93,7 +94,7 @@ class Complex:
     complex built from a functor, as `Diagram.verify` checks a diagram is.
     """
 
-    __slots__ = ("groups", "diffs")
+    __slots__ = ("groups", "diffs", "_ends")
 
     def __init__(self, groups, diffs):
         self.groups = list(groups)
@@ -103,6 +104,13 @@ class Complex:
         for n, d in enumerate(self.diffs):
             if d.source != self.groups[n].group or d.target != self.groups[n + 1].group:
                 raise ComplexError("differential %d endpoint mismatch" % n)
+        if self.groups:
+            # the zero maps into degree 0 and out of the top degree
+            zero = PresentedAbGroup.zero()
+            self._ends = (
+                GroupHom.zero(zero, self.groups[0].group),
+                GroupHom.zero(self.groups[-1].group, zero),
+            )
 
     def verify(self):
         """Check that every differential is well defined and d after d is zero."""
@@ -125,11 +133,15 @@ class Complex:
     def incoming(self, n):
         if 1 <= n <= len(self.diffs):
             return self.diffs[n - 1]
+        if n == 0 and self.groups:
+            return self._ends[0]
         return GroupHom.zero(PresentedAbGroup.zero(), self.product(n).group)
 
     def outgoing(self, n):
         if 0 <= n < len(self.diffs):
             return self.diffs[n]
+        if n == len(self.diffs) and self.groups:
+            return self._ends[1]
         return GroupHom.zero(self.product(n).group, PresentedAbGroup.zero())
 
     def homology(self, n):
@@ -144,15 +156,16 @@ class HomologyData:
     """A homology presentation together with its cycle-lift matrix.
 
     Column j of `cycles` is a middle-group vector representing generator j;
-    `coordinates` inverts that correspondence for arbitrary cycles.
+    `coordinates` inverts that correspondence for arbitrary cycles, with the
+    Smith decomposition of `cycles` when one is handed over as `dec`.
     """
 
     __slots__ = ("group", "cycles", "_dec")
 
-    def __init__(self, group, cycles):
+    def __init__(self, group, cycles, dec=None):
         self.group = group
         self.cycles = cycles
-        self._dec = None
+        self._dec = dec
 
     def coordinates(self, cycles):
         """Express middle-group cycles on homology generators.
@@ -190,8 +203,12 @@ def _homology(d_in, d_out):
     out_combined = d_out.matrix.hstack(d_out.target.relations)
     cycles = snf(out_combined).kernel_basis(middle.generators)
     boundary_sources = cycles.hstack(d_in.matrix).hstack(middle.relations)
-    relations = snf(boundary_sources).kernel_basis(cycles.cols)
-    return HomologyData(PresentedAbGroup(cycles.cols, relations), cycles)
+    dec = snf(boundary_sources)
+    relations = dec.kernel_basis(cycles.cols)
+    # with no boundaries and no relations the stack is `cycles`, whose
+    # decomposition `coordinates` would otherwise compute again
+    handed = None if d_in.matrix.cols or middle.relations.cols else dec
+    return HomologyData(PresentedAbGroup(cycles.cols, relations), cycles, handed)
 
 
 class ChainMap:

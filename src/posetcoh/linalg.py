@@ -11,6 +11,8 @@ are used throughout; there is no floating point anywhere in this package.
 
 from __future__ import annotations
 
+from itertools import compress
+
 
 class IntMatrix:
     """An immutable integer matrix stored as a tuple of row tuples.
@@ -305,6 +307,12 @@ def snf(M):
     eliminated; each row and column operation is logged, and U and V are
     replayed from the logs when first read.
 
+    The work follows the live block: a row that a pivot search found zero
+    is never visited again, a column swap touches only the pivot row and
+    the rows below it, and a row operation only the nonzero columns of the
+    pivot row.  What is skipped cannot change, so the pivots and the logs
+    are those of the full sweep.
+
     >>> snf(IntMatrix.from_rows([[2, 4], [6, 8]])).invariant_factors()
     (2, 4)
     """
@@ -315,16 +323,18 @@ def snf(M):
     row_ops = []  # (src, dst, q) as `_operate` reads them
     col_ops = []
 
-    def swap_cols(j, k):
-        for row in A:
-            row[j], row[k] = row[k], row[j]
-        col_ops.append((j, k, 0))
-
     def find_pivot(t):
-        best = None
-        where = None
-        for i in range(t, m):
+        # The first entry of least absolute value, row by row, so the first
+        # unit settles it.  Rows at or below t are zero left of column t.  A
+        # row found zero leaves `live`: no row operation or swap ever picks
+        # a zero row, so it stays zero and in place.
+        best = where = None
+        zero = set()
+        for i in live:
             Ai = A[i]
+            if not any(Ai):
+                zero.add(i)
+                continue
             for j in range(t, n):
                 a = Ai[j]
                 if a:
@@ -333,9 +343,25 @@ def snf(M):
                         best = a
                         where = (i, j)
                         if a == 1:
-                            return where
+                            break
+            if best == 1:
+                break
+        if zero:
+            live[:] = [i for i in live if i not in zero]
         return where
 
+    def swap_cols(t, k):
+        # above t a row is zero outside its own pivot column
+        row = A[t]
+        row[t], row[k] = row[k], row[t]
+        for i in live:
+            row = A[i]
+            row[t], row[k] = row[k], row[t]
+        col_ops.append((t, k, 0))
+
+    # the rows from the pivot down that no pivot search found zero; the
+    # pivot row leaves once it is chosen
+    live = list(range(m))
     t = 0  # the pivots so far, and at the end the rank
     while t < min(m, n):
         where = find_pivot(t)
@@ -345,6 +371,8 @@ def snf(M):
         if i0 != t:
             A[t], A[i0] = A[i0], A[t]
             row_ops.append((t, i0, 0))
+        if live[0] == t:
+            del live[0]
         if j0 != t:
             swap_cols(t, j0)
         while True:
@@ -352,13 +380,15 @@ def snf(M):
             # becomes the new, strictly smaller pivot, so this terminates.
             At = A[t]
             p = At[t]
+            support = list(compress(range(n), At))  # starts with t
             restart = False
-            for i in range(t + 1, m):
+            for i in live:
                 Ai = A[i]
                 if Ai[t]:
                     q = Ai[t] // p
                     if q:
-                        A[i] = Ai = [a - q * b for a, b in zip(Ai, At)]
+                        for j in support:
+                            Ai[j] -= q * At[j]
                         row_ops.append((t, i, -q))
                     if Ai[t]:
                         A[t], A[i] = Ai, At
@@ -369,16 +399,15 @@ def snf(M):
                 continue
             # column t is now zero off the diagonal, so subtracting it from
             # column j changes A[t][j] alone
-            for j in range(t + 1, n):
+            for j in support[1:]:
+                q = At[j] // p
+                if q:
+                    At[j] -= q * p
+                    col_ops.append((t, j, -q))
                 if At[j]:
-                    q = At[j] // p
-                    if q:
-                        At[j] -= q * p
-                        col_ops.append((t, j, -q))
-                    if At[j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
+                    swap_cols(t, j)
+                    restart = True
+                    break
             if restart:
                 continue
             # pivot must divide the rest of the submatrix before we move on;
@@ -386,7 +415,7 @@ def snf(M):
             if p == 1 or p == -1:
                 break
             offender = None
-            for i in range(t + 1, m):
+            for i in live:
                 Ai = A[i]
                 for j in range(t + 1, n):
                     if Ai[j] % p:

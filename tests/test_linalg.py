@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from posetcoh.diagrams import full_complex_truncated, random_diagram
 from posetcoh.linalg import IntMatrix, rank_and_torsion, snf
+from posetcoh.poset import parse_poset
 
 from oracles import (
     determinant,
@@ -314,6 +316,48 @@ def solve_by(U, D, V, B):
     return V * IntMatrix(D.cols, B.cols, Y)
 
 
+def sparse_unit_matrices(rng, count):
+    """Sparse, rank-deficient +-1 matrices of 20 x 30 up to 60 x 80, either way up.
+
+    A few rows are zero from the start and a quarter are sums or
+    differences of two earlier rows, so they become zero during the
+    elimination.  One entry in ten is +-2 or +-3 instead, so that some
+    pivots are not units and restart on a remainder.
+    """
+    for _ in range(count):
+        m, n = rng.randint(20, 60), rng.randint(30, 80)
+        if rng.random() < 0.5:
+            m, n = n, m
+        fill = rng.uniform(0.02, 0.10)
+        entries = (-1, 1) * 18 + (-3, -2, 2, 3)
+        rows = [[rng.choice(entries) if rng.random() < fill else 0 for _ in range(n)] for _ in range(m)]
+        for i in rng.sample(range(2, m), m // 4):
+            a, b = rng.sample(range(i), 2)
+            sign = rng.choice((-1, 1))
+            rows[i] = [x + sign * y for x, y in zip(rows[a], rows[b])]
+        for i in rng.sample(range(m), rng.randint(1, 3)):
+            rows[i] = [0] * n
+        yield IntMatrix(m, n, rows)
+
+
+def chain_boundaries():
+    """The differentials of the truncated unreduced complex of a random
+    diagram on the chain x1 < x3 < x5 < x4 < x0 < x2, each also stacked
+    with its target's relators as `_homology` stacks them."""
+    chain = ["x1", "x3", "x5", "x4", "x0", "x2"]
+    P = parse_poset({"elements": sorted(chain), "relations": [list(p) for p in zip(chain, chain[1:])]})
+    F = random_diagram(P, 3, max_generators=2)
+    for d in full_complex_truncated(F, 2).diffs:
+        yield d.matrix
+        yield d.matrix.hstack(d.target.relations)
+
+
+def restarts(ops):
+    """How often a remainder made a new pivot: an addition to a line
+    followed at once by the swap of that line with the pivot line."""
+    return sum(a[:2] == b[:2] and a[2] and not b[2] for a, b in zip(ops, ops[1:]))
+
+
 def test_snf_repeats_the_eager_elimination_exactly():
     # U, D and V fix the homology generators, so the logged elimination must
     # reproduce the eager one entry for entry
@@ -334,6 +378,16 @@ def test_snf_repeats_the_eager_elimination_exactly():
             # distinct non-unit diagonals mostly need the divisibility fix
             rows = [[rng.choice([-6, -4, 2, 3, 9]) if i == j else 0 for j in range(n)] for i in range(m)]
         matrices.append(IntMatrix(m, n, rows))
+    # the elimination skips rows found zero and the pivot row's zero columns
+    seen = {"zero at start": 0, "zero later": 0, "restart past a zero row": 0}
+    for M in list(sparse_unit_matrices(random.Random(101), 40)) + list(chain_boundaries()):
+        matrices.append(M)
+        dec = snf(M)
+        zero_rows = sum(not any(row) for row in M.entries)
+        seen["zero at start"] += zero_rows > 0
+        seen["zero later"] += M.rows - zero_rows > dec.rank
+        seen["restart past a zero row"] += zero_rows > 0 and restarts(dec._row_ops) + restarts(dec._col_ops) > 0
+    assert min(seen.values()) >= 10, seen
     for M in matrices:
         U, D, V = eager_snf(M)
         dec = snf(M)
