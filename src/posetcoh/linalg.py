@@ -127,16 +127,14 @@ class IntMatrix:
         entries on either side cost nothing.
         """
         if isinstance(other, IntMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in product")
             n = other.cols
-            sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+            sparse = _sparse_rows(other, self.cols)
             data = []
             for row in self.entries:
                 acc = [0] * n
                 for a, terms in zip(row, sparse):
                     if a:
-                        for j, b in terms:
+                        for j, b in terms.items():
                             acc[j] += a * b
                 data.append(tuple(acc))
             return IntMatrix._trusted(self.rows, n, tuple(data))
@@ -213,13 +211,16 @@ class SmithDecomposition:
         return self._V
 
     def left(self, B):
-        """U * B: the row operations applied to the rows of B in logged order."""
-        return _operate(B, self.matrix.rows, self._row_ops)
+        """U * B: the row log replayed forward on the rows of B."""
+        return _dense(_replay(_sparse_rows(B, self.matrix.rows), self._row_ops), B.cols)
 
     def right(self, Y):
-        """V * Y: the column operations act on the rows of Y last first, and
-        (src, dst, q) then adds q times row dst to row src."""
-        return _operate(Y, self.matrix.cols, [(d, s, q) for s, d, q in reversed(self._col_ops)])
+        """V * Y: the column log replayed last first on the rows of Y."""
+        return _dense(self._replay_columns(_sparse_rows(Y, self.matrix.cols)), Y.cols)
+
+    def _replay_columns(self, rows):
+        """V * rows: the column log last first; (src, dst, q) adds q times row dst to row src."""
+        return _replay(rows, [(d, s, q) for s, d, q in reversed(self._col_ops)])
 
     def invariant_factors(self):
         return tuple(self.D.entries[i][i] for i in range(self.rank))
@@ -228,73 +229,72 @@ class SmithDecomposition:
         """Some integer X with M X = B, or None when a column has no solution.
 
         B is a matrix, whose columns are solved together: U B, its rows
-        divided by the diagonal of D, then V times the quotient.  A vector
-        is solved as a one-column matrix and its solution comes back as a
-        tuple.
+        divided by the diagonal of D, then V times the quotient, with the
+        rows kept sparse throughout.  A vector is solved as a one-column
+        matrix and its solution comes back as a tuple.
         """
         M = self.matrix
         vector = not isinstance(b, IntMatrix)
         if vector:
-            b = list(b)
-            if len(b) != M.rows:
-                raise ValueError("vector length %d, expected %d" % (len(b), M.rows))
-            b = IntMatrix(M.rows, 1, [[a] for a in b])
-        elif b.rows != M.rows:
-            raise ValueError("right-hand side has %d rows, expected %d" % (b.rows, M.rows))
-        C = self.left(b)
-        diagonal = min(M.rows, M.cols)
-        zero = (0,) * b.cols
-        Y = []
-        for i, row in enumerate(C.entries):
-            d = self.D.entries[i][i] if i < diagonal else 0
-            if any(c % d if d else c for c in row):
-                return None
-            if i < M.cols:
-                Y.append(tuple(c // d for c in row) if d else zero)
-        Y.extend([zero] * (M.cols - len(Y)))
-        X = self.right(IntMatrix._trusted(M.cols, b.cols, tuple(Y)))
+            b = IntMatrix.from_columns([b], nrows=M.rows)
+        r = self.rank
+        rows = _replay(_sparse_rows(b, M.rows), self._row_ops)
+        factors = self.invariant_factors()
+        if any(rows[r:]) or any(c % d for row, d in zip(rows, factors) for c in row.values()):
+            return None
+        Y = [{j: c // d for j, c in row.items()} for row, d in zip(rows, factors)]
+        X = _dense(self._replay_columns(Y + [{} for _ in range(M.cols - r)]), b.cols)
         return X.column(0) if vector else X
 
     def kernel_basis(self, rows=None):
-        """Columns forming a lattice basis of {x : M x = 0}: the columns of V
-        past the rank, or only their leading `rows` entries when given."""
-        lines = _replay(self.matrix.cols, self._col_ops)[self.rank :]
-        rows = self.matrix.cols if rows is None else rows
-        entries = tuple(tuple([line.get(i, 0) for line in lines]) for i in range(rows))
-        return IntMatrix._trusted(rows, len(lines), entries)
+        """Columns forming a lattice basis of {x : M x = 0}: V times the identity
+        columns past the rank, or only the leading `rows` rows of that."""
+        n, r = self.matrix.cols, self.rank
+        rows = n if rows is None else rows
+        if not 0 <= rows <= n:
+            raise ValueError("kernel rows %d outside 0..%d" % (rows, n))
+        lines = self._replay_columns([{} for _ in range(r)] + [{k: 1} for k in range(n - r)])
+        return _dense(lines[:rows], n - r)
 
 
-def _replay(size, ops):
-    """The columns of the size x size identity after the column log `ops`.
+def _sparse_rows(M, nrows):
+    """The rows of M, which must number `nrows`, as dicts {column: nonzero}."""
+    if M.rows != nrows:
+        raise ValueError("shape mismatch: %d rows, expected %d" % (M.rows, nrows))
+    return [{j: a for j, a in enumerate(row) if a} for row in M.entries]
 
-    An operation (src, dst, q) adds q times column src to column dst; q == 0
-    swaps the two columns instead, and src != dst always.  Columns are
-    dicts {index: entry}, so a transform with few nonzeros replays cheaply.
+
+def _dense(rows, cols):
+    """The matrix whose rows are the dicts `rows`, each built once from its nonzeros."""
+    entries = []
+    for row in rows:
+        line = [0] * cols
+        for j, a in row.items():
+            line[j] = a
+        entries.append(tuple(line))
+    return IntMatrix._trusted(len(entries), cols, tuple(entries))
+
+
+def _replay(rows, ops):
+    """The dict rows `rows`, {column: nonzero}, after the row operations `ops`.
+
+    (src, dst, q) adds q times row src to row dst, dropping the entries that
+    cancel; q == 0 swaps the two rows instead, and (t, t, -1) negates row t.
     """
-    lines = [{k: 1} for k in range(size)]
-    for src, dst, q in ops:
-        if q:
-            line = lines[dst]
-            for k, a in lines[src].items():
-                line[k] = line.get(k, 0) + q * a
-        else:
-            lines[src], lines[dst] = lines[dst], lines[src]
-    return lines
-
-
-def _operate(B, size, ops):
-    """B after the row operations `ops`, as in `_replay`; (t, t, -1) negates row t."""
-    if B.rows != size:
-        raise ValueError("shape mismatch in product")
-    rows = [list(r) for r in B.entries]
     for src, dst, q in ops:
         if src == dst:
-            rows[dst] = [-a for a in rows[dst]]
+            rows[dst] = {j: -a for j, a in rows[dst].items()}
         elif q:
-            rows[dst] = [a + q * b for a, b in zip(rows[dst], rows[src])]
+            row = rows[dst]
+            for j, a in rows[src].items():
+                c = row.get(j, 0) + q * a
+                if c:
+                    row[j] = c
+                else:
+                    del row[j]
         else:
             rows[src], rows[dst] = rows[dst], rows[src]
-    return IntMatrix._trusted(B.rows, B.cols, tuple(map(tuple, rows)))
+    return rows
 
 
 def snf(M):
@@ -320,7 +320,7 @@ def snf(M):
     if not m or not n:
         return SmithDecomposition(M, M, 0, [], [])
     A = [list(r) for r in M.entries]
-    row_ops = []  # (src, dst, q) as `_operate` reads them
+    row_ops = []  # (src, dst, q) as `_replay` reads them
     col_ops = []
 
     def find_pivot(t):

@@ -103,6 +103,16 @@ def test_kernel_trivial_and_full():
     assert snf(IntMatrix.zero(1, 2)).kernel_basis().cols == 2
 
 
+def test_kernel_rows_must_lie_in_the_domain():
+    # a cut past the domain would pad the basis with rows that are not there
+    dec = snf(IntMatrix.from_rows([[1, 1, 0]]))
+    assert dec.kernel_basis(0) == IntMatrix.zero(0, 2)
+    assert dec.kernel_basis(3) == dec.kernel_basis()
+    for rows in (-1, 4):
+        with pytest.raises(ValueError, match="kernel rows %d outside 0..3" % rows):
+            dec.kernel_basis(rows)
+
+
 def test_kernel_contract():
     rng = random.Random(23)
     for _ in range(120):
@@ -388,13 +398,25 @@ def test_snf_repeats_the_eager_elimination_exactly():
         seen["zero later"] += M.rows - zero_rows > dec.rank
         seen["restart past a zero row"] += zero_rows > 0 and restarts(dec._row_ops) + restarts(dec._col_ops) > 0
     assert min(seen.values()) >= 10, seen
+    draw = random.Random(103)
+    sparse = (0,) * 6 + (-2, -1, 1, 3)
     for M in matrices:
         U, D, V = eager_snf(M)
         dec = snf(M)
         assert (dec.U, dec.D, dec.V) == (U, D, V), M
         assert dec.U is dec.U and dec.V is dec.V
         free = [j for j in range(M.cols) if j >= min(M.rows, M.cols) or D[j, j] == 0]
-        assert snf(M).kernel_basis() == IntMatrix(M.cols, len(free), [[row[j] for j in free] for row in V.entries])
+        kernel = IntMatrix(M.cols, len(free), [[row[j] for j in free] for row in V.entries])
+        assert snf(M).kernel_basis() == kernel
+        # the sparse rows of the replay at size: kernel cuts, and U and V
+        # applied to sparse random matrices, against the eager products
+        for r in sorted({0, 1, M.cols // 3, M.cols // 2, M.cols - 1} & set(range(M.cols))):
+            assert dec.kernel_basis(r) == kernel.take_rows(range(r)), (M, r)
+        k = draw.randint(1, 3)
+        C = IntMatrix(M.rows, k, [[draw.choice(sparse) for _ in range(k)] for _ in range(M.rows)])
+        Y = IntMatrix(M.cols, k, [[draw.choice(sparse) for _ in range(k)] for _ in range(M.cols)])
+        assert dec.left(C) == U * C, M
+        assert dec.right(Y) == V * Y, M
         B = IntMatrix.from_columns(
             [M.apply([rng.randint(-3, 3) for _ in range(M.cols)]) for _ in range(2)]
             + [[rng.randint(-4, 4) for _ in range(M.rows)]],
