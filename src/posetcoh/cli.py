@@ -87,8 +87,11 @@ def _degree_window(args, default_top):
 
 
 def _order_list(args):
+    """The --order names, which only the oracle's ordered route reads."""
     if args.order is None:
         return None
+    if not args.oracle:
+        raise DocumentError("--order needs --oracle")
     return [part for part in args.order.split(",") if part]
 
 
@@ -215,8 +218,9 @@ def cmd_cohomology(args):
     pull-back to the base, cross-checked by the ordered Cech route or the
     unreduced route.  By default `cech` ends at `cohomology_top`, `topos` at
     the base height."""
-    space, ps = _load_presheaf(args)
     cech = args.command == "cech"
+    order = _order_list(args) if cech else None
+    space, ps = _load_presheaf(args)
     if args.oracle:
         diagram = ps.diagram if cech else ps.pulled_diagram()
         diagram.verify()
@@ -226,7 +230,7 @@ def cmd_cohomology(args):
     group = cech_cohomology if cech else topos_cohomology
     rows = [(n, group(ps, n)) for n in range(low, high + 1)]
     if args.oracle:
-        ordered = cech_ordered_complex(ps, _order_list(args)) if cech else None
+        ordered = cech_ordered_complex(ps, order) if cech else None
         problem = _route_problem(rows, diagram, ordered)
         if problem:
             return _oracle_mismatch(problem)
@@ -234,6 +238,7 @@ def cmd_cohomology(args):
 
 
 def cmd_compare(args):
+    order = _order_list(args)
     _, ps = _load_presheaf(args)
     if args.oracle:
         for built in (ps.diagram, ps.pulled_diagram(), ps.cech_complex(), ps.topos_complex(),
@@ -244,7 +249,7 @@ def cmd_compare(args):
     rows = report.rows
     if args.oracle:
         cech = [(row.degree, row.cech) for row in rows]
-        ordered = cech_ordered_complex(ps, _order_list(args))
+        ordered = cech_ordered_complex(ps, order)
         problem = (
             _route_problem(cech, ps.diagram, ordered)
             or _route_problem(cech, ps.diagram)

@@ -142,42 +142,36 @@ def load_presheaf(doc, space=None):
     raise DocumentError('mode must be "presheaf" or "diagram"')
 
 
+def _presheaf_document(base, nodes, group, edge):
+    """A presheaf document on `base` over its node poset `nodes`: `group(k)`
+    for each node in order and `edge(high, low)` for each cover, keyed
+    "HIGH->LOW" in `covers()` order."""
+    names = nodes.elements
+    covers = nodes.covers()
+    return {
+        "base": serialize_poset(base),
+        "mode": "presheaf",
+        "groups": {name: group(k) for k, name in enumerate(names)},
+        "maps": {"%s->%s" % (names[high], names[low]): edge(high, low) for low, high in covers},
+    }
+
+
 def render_presheaf(presheaf):
     """A loadable document for an in-memory presheaf, presentations verbatim."""
-    nodes = presheaf.intersection.poset
-    groups = {}
-    for k, name in enumerate(nodes.elements):
-        value = presheaf.diagram.value(k)
-        groups[name] = {
-            "generators": value.generators,
-            "relators": [
-                list(value.relations.column(j)) for j in range(value.relations.cols)
-            ],
-        }
-    maps = {}
-    for low, high in nodes.covers():
-        hom = presheaf.diagram.edge_maps[(high, low)]
-        key = "%s->%s" % (nodes.elements[high], nodes.elements[low])
-        maps[key] = [list(row) for row in hom.matrix.entries]
-    return {
-        "base": serialize_poset(presheaf.space),
-        "mode": "presheaf",
-        "groups": groups,
-        "maps": maps,
-    }
+    diagram = presheaf.diagram
+
+    def group(k):
+        value = diagram.value(k)
+        relators = value.relations.transpose().entries
+        return {"generators": value.generators, "relators": [list(c) for c in relators]}
+
+    def edge(high, low):
+        return [list(row) for row in diagram.edge_maps[(high, low)].matrix.entries]
+
+    return _presheaf_document(presheaf.space, presheaf.intersection.poset, group, edge)
 
 
 def skeleton(poset):
     """An authoring template with every required key and null placeholders."""
-    intersection = IntersectionPoset(poset)
-    nodes = intersection.poset
-    groups = {name: None for name in nodes.elements}
-    maps = {}
-    for low, high in nodes.covers():
-        maps["%s->%s" % (nodes.elements[high], nodes.elements[low])] = None
-    return {
-        "base": serialize_poset(poset),
-        "mode": "presheaf",
-        "groups": groups,
-        "maps": maps,
-    }
+    nodes = IntersectionPoset(poset).poset
+    return _presheaf_document(poset, nodes, lambda k: None, lambda high, low: None)

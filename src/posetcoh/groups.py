@@ -61,11 +61,8 @@ class PresentedAbGroup:
     def in_relation_lattice(self, vectors):
         """Whether every column of the matrix `vectors` is zero in the group.
 
-        With U * relations * V = D, a column v lies in the relation lattice
-        iff each entry of U v is divisible by the matching invariant factor
-        and is zero past the rank; V is never needed, and U v is formed by
-        replaying the row operations on the columns.  Rows whose factor is
-        1 always pass, and a zero matrix needs no decomposition at all.
+        The Smith decomposition of the relations answers it (`contains`),
+        and a zero matrix needs no decomposition at all.
 
         >>> g = PresentedAbGroup.from_invariants(1, (2,))
         >>> g.in_relation_lattice(IntMatrix.from_rows([[0, 0], [2, -4]]))
@@ -73,16 +70,7 @@ class PresentedAbGroup:
         >>> g.in_relation_lattice(IntMatrix.from_rows([[0, 0], [2, 1]]))
         False
         """
-        if vectors.is_zero():
-            return True
-        dec = self.relation_dec()
-        factors = dec.invariant_factors()
-        units = factors.count(1)
-        for k, row in enumerate(dec.left(vectors).entries[units:], start=units):
-            d = factors[k] if k < len(factors) else 0
-            if any(a % d if d else a for a in row):
-                return False
-        return True
+        return vectors.is_zero() or self.relation_dec().contains(vectors)
 
     def __eq__(self, other):
         return (

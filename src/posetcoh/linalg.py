@@ -181,10 +181,10 @@ class SmithDecomposition:
 
     The diagonal of D is nonnegative and each entry divides the next; the
     nonzero diagonal entries are the invariant factors of M.  The decomposition
-    also answers solvability questions: it is the single factored object reused
-    for `solve` and `kernel_basis`.  U and V are kept as the logged row and
-    column operations of the elimination: `left` and `right` apply them to a
-    matrix directly, and U and V themselves are built only when read.
+    also answers lattice questions: it is the single factored object reused
+    for `contains`, `solve` and `kernel_basis`.  U and V are kept as the
+    logged row and column operations of the elimination, replayed on the
+    sparse rows of each operand; U and V themselves are built when read.
     """
 
     __slots__ = ("matrix", "D", "rank", "_row_ops", "_col_ops", "_U", "_V")
@@ -201,22 +201,16 @@ class SmithDecomposition:
     @property
     def U(self):
         if self._U is None:
-            self._U = self.left(IntMatrix.identity(self.matrix.rows))
+            m = self.matrix.rows
+            self._U = _dense(_replay([{i: 1} for i in range(m)], self._row_ops), m)
         return self._U
 
     @property
     def V(self):
         if self._V is None:
-            self._V = self.right(IntMatrix.identity(self.matrix.cols))
+            n = self.matrix.cols
+            self._V = _dense(self._replay_columns([{i: 1} for i in range(n)]), n)
         return self._V
-
-    def left(self, B):
-        """U * B: the row log replayed forward on the rows of B."""
-        return _dense(_replay(_sparse_rows(B, self.matrix.rows), self._row_ops), B.cols)
-
-    def right(self, Y):
-        """V * Y: the column log replayed last first on the rows of Y."""
-        return _dense(self._replay_columns(_sparse_rows(Y, self.matrix.cols)), Y.cols)
 
     def _replay_columns(self, rows):
         """V * rows: the column log last first; (src, dst, q) adds q times row dst to row src."""
@@ -225,25 +219,37 @@ class SmithDecomposition:
     def invariant_factors(self):
         return tuple(self.D.entries[i][i] for i in range(self.rank))
 
+    def _quotient(self, B):
+        """The leading `rank` rows of U B divided by the diagonal of D, as dict
+        rows, or None when a row of U B past the rank is nonzero or a row is
+        not divisible by its invariant factor."""
+        r = self.rank
+        rows = _replay(_sparse_rows(B, self.matrix.rows), self._row_ops)
+        factors = self.invariant_factors()
+        if any(rows[r:]) or any(c % d for row, d in zip(rows, factors) for c in row.values()):
+            return None
+        return [{j: c // d for j, c in row.items()} for row, d in zip(rows, factors)]
+
+    def contains(self, B):
+        """Whether every column of B lies in the column lattice of M."""
+        return self._quotient(B) is not None
+
     def solve(self, b):
         """Some integer X with M X = B, or None when a column has no solution.
 
-        B is a matrix, whose columns are solved together: U B, its rows
-        divided by the diagonal of D, then V times the quotient, with the
-        rows kept sparse throughout.  A vector is solved as a one-column
-        matrix and its solution comes back as a tuple.
+        B is a matrix, whose columns are solved together: the quotient of
+        `contains`, then V times it, with the rows kept sparse throughout.
+        A vector is solved as a one-column matrix and its solution comes
+        back as a tuple.
         """
         M = self.matrix
         vector = not isinstance(b, IntMatrix)
         if vector:
             b = IntMatrix.from_columns([b], nrows=M.rows)
-        r = self.rank
-        rows = _replay(_sparse_rows(b, M.rows), self._row_ops)
-        factors = self.invariant_factors()
-        if any(rows[r:]) or any(c % d for row, d in zip(rows, factors) for c in row.values()):
+        Y = self._quotient(b)
+        if Y is None:
             return None
-        Y = [{j: c // d for j, c in row.items()} for row, d in zip(rows, factors)]
-        X = _dense(self._replay_columns(Y + [{} for _ in range(M.cols - r)]), b.cols)
+        X = _dense(self._replay_columns(Y + [{} for _ in range(M.cols - self.rank)]), b.cols)
         return X.column(0) if vector else X
 
     def kernel_basis(self, rows=None):

@@ -298,7 +298,8 @@ def parse_poset(doc):
 
     Relation pairs [a, b] assert a <= b; they may be arbitrary assertions, not
     only covers, and the reflexive-transitive closure is taken.  Raises
-    PosetError naming the offenders for duplicate elements and unknown names;
+    PosetError naming the offenders for duplicate elements, unknown names and
+    names holding "," or "->", which node names and map keys use;
     `Poset` names the two elements of a relation cycle.
     """
     if not isinstance(doc, dict):
@@ -309,6 +310,9 @@ def parse_poset(doc):
     for name in elements:
         if not isinstance(name, str):
             raise PosetError("element names must be strings, got %r" % (name,))
+        for sep in (",", "->"):
+            if sep in name:
+                raise PosetError("element name %r contains %r" % (name, sep))
     seen = set()
     for name in elements:
         if name in seen:

@@ -126,6 +126,17 @@ def test_cech_command(write, capsys):
     assert "unknown element" in err
 
 
+def test_order_needs_the_oracle(write, capsys):
+    # only the oracle's ordered route reads --order, so without --oracle even
+    # a list that is not a total order would go unread
+    poset = write("square.json", builders.SQUARE_DOC)
+    sheaf = write("constant.json", builders.CONSTANT_SQUARE_DOC)
+    for command in ("cech", "compare"):
+        for order in ("p3,p1,p0,p2", "p0,p1,p0"):
+            result = run(capsys, command, poset, sheaf, "--order", order)
+            assert result == (2, "", "error: --order needs --oracle\n"), (command, order)
+
+
 def test_topos_command(write, capsys):
     poset = write("sphere.json", builders.SPHERE_DOC)
     sheaf = write("constant.json", builders.CONSTANT_SPHERE_DIAGRAM_DOC)
@@ -457,6 +468,17 @@ MALFORMED = {
     "presheaf-int": (builders.SQUARE_DOC, 5, "presheaf document"),
     "poset-list": ([], None, "error: poset document must be an object\n"),
     "element-int": ({"elements": ["a", 3]}, None, "element names must be strings"),
+    # node names join members with "," and map keys join nodes with "->"
+    "element-comma": (
+        {"elements": ["a", "b", "c", "d", "a,b"],
+         "relations": [["a", "c"], ["b", "c"], ["a", "d"], ["b", "d"]]},
+        None,
+        "element name 'a,b' contains ','",
+    ),
+    "element-arrow": (
+        {"elements": ["x->y", "z"], "relations": [["z", "x->y"]]}, None,
+        "element name 'x->y' contains '->'",
+    ),
     "relation-single": ({"elements": ["a", "b"], "relations": [["a"]]}, None, "relation entries"),
     "groups-empty-list": (builders.SQUARE_DOC, dict(builders.SKYSCRAPER_DOC, groups=[]), "groups"),
     "maps-false": (

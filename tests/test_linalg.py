@@ -414,9 +414,8 @@ def test_snf_repeats_the_eager_elimination_exactly():
             assert dec.kernel_basis(r) == kernel.take_rows(range(r)), (M, r)
         k = draw.randint(1, 3)
         C = IntMatrix(M.rows, k, [[draw.choice(sparse) for _ in range(k)] for _ in range(M.rows)])
-        Y = IntMatrix(M.cols, k, [[draw.choice(sparse) for _ in range(k)] for _ in range(M.cols)])
-        assert dec.left(C) == U * C, M
-        assert dec.right(Y) == V * Y, M
+        assert dec.contains(C) == (solve_by(U, D, V, C) is not None), M
+        assert dec.solve(C) == solve_by(U, D, V, C), M
         B = IntMatrix.from_columns(
             [M.apply([rng.randint(-3, 3) for _ in range(M.cols)]) for _ in range(2)]
             + [[rng.randint(-4, 4) for _ in range(M.rows)]],
@@ -443,9 +442,8 @@ def test_transforms_applied_from_the_logs_match_explicit_products():
         assert dec.D == D, M
         k = rng.randint(0, 3)
         B = IntMatrix(m, k, [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)])
-        Y = IntMatrix(n, k, [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)])
-        assert dec.left(B) == U * B, M
-        assert dec.right(Y) == V * Y, M
+        assert dec.contains(B) == (solve_by(U, D, V, B) is not None), M
+        assert dec.solve(B) == solve_by(U, D, V, B), M
         kernel = dec.kernel_basis()
         r = rng.randint(0, n)
         assert dec.kernel_basis(r) == kernel.take_rows(range(r)), M
@@ -454,6 +452,6 @@ def test_transforms_applied_from_the_logs_match_explicit_products():
         shapes["kernel cut"] += 0 < r < n and kernel.cols > 0
     assert min(shapes.values()) > 300, shapes
     with pytest.raises(ValueError, match="shape mismatch"):
-        snf(IntMatrix.zero(2, 3)).left(IntMatrix.zero(3, 1))
+        snf(IntMatrix.zero(2, 3)).contains(IntMatrix.zero(3, 1))
     with pytest.raises(ValueError, match="shape mismatch"):
-        snf(IntMatrix.zero(2, 3)).right(IntMatrix.zero(2, 1))
+        snf(IntMatrix.zero(2, 3)).solve(IntMatrix.zero(3, 1))

@@ -1,4 +1,5 @@
-"""The README's `$ posetcoh ...` examples, run against the fixture documents."""
+"""The README's `$ posetcoh ...` examples, run against the fixture documents,
+and its library example."""
 
 import json
 import pathlib
@@ -45,6 +46,15 @@ def _examples():
 
 
 EXAMPLES = _examples()
+
+
+def test_readme_library_example(capsys):
+    # the printed lines are the block's own "# ..." comments
+    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(code, str(README), "exec"), {})
+    expected = [line.split("# ", 1)[1] for line in code.splitlines() if "# " in line]
+    assert expected == ["FAIL", "0 0 0 True", "1 0 Z False"]
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_readme_has_the_examples():
