@@ -244,11 +244,11 @@ def sheaf_presheaf(F):
     values = [cone.group for cone in cones]
     maps = {}
     for low, high in intersection.poset.covers():
-        kept = tuple(
-            row
+        kept = [
+            line
             for i in sorted(intersection.nodes[low])
-            for row in cones[high].projections[i].matrix.entries
-        )
+            for line in cones[high].projections[i].matrix.lines
+        ]
         threads = IntMatrix._trusted(len(kept), values[high].generators, kept)
         matrix = cones[low].data.coordinates(threads)
         maps[(high, low)] = GroupHom(values[high], values[low], matrix)

@@ -62,9 +62,10 @@ class ProductGroup:
         `blocks` yields (row factor, column factor, sign, matrix): the block of
         target factor `row` against this product's factor `col` gains sign
         times matrix, or sign times the identity (of factors of one size) when
-        matrix is None.  Blocks at the same position add up.
+        matrix is None.  Blocks at the same position add up, and an entry
+        that cancels is dropped.
         """
-        data = [[0] * self.group.generators for _ in range(target.group.generators)]
+        lines = [{} for _ in range(target.group.generators)]
         for row, col, sign, matrix in blocks:
             row0, col0 = target.offsets[row], self.offsets[col]
             rows, cols = target.factors[row].generators, self.factors[col].generators
@@ -73,16 +74,17 @@ class ProductGroup:
                 raise ComplexError("block of factors %d and %d has the wrong shape" % (row, col))
             if matrix is None:
                 for i in range(rows):
-                    data[row0 + i][col0 + i] += sign
+                    line = lines[row0 + i]
+                    line[col0 + i] = line.get(col0 + i, 0) + sign
                 continue
-            for i, entries in enumerate(matrix.entries):
-                line = data[row0 + i]
-                for j, a in enumerate(entries):
-                    if a:
-                        line[col0 + j] += sign * a
-        matrix = IntMatrix._trusted(
-            target.group.generators, self.group.generators, tuple(map(tuple, data))
-        )
+            for i, entries in enumerate(matrix.lines):
+                line = lines[row0 + i]
+                for j, a in entries.items():
+                    line[col0 + j] = line.get(col0 + j, 0) + sign * a
+        for i, line in enumerate(lines):
+            if 0 in line.values():
+                lines[i] = {j: a for j, a in line.items() if a}
+        matrix = IntMatrix._trusted(target.group.generators, self.group.generators, lines)
         return GroupHom(self.group, target.group, matrix)
 
 

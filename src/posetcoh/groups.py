@@ -9,7 +9,7 @@ how every cohomology group in this package is reported.
 
 from __future__ import annotations
 
-from .linalg import IntMatrix, snf
+from .linalg import IntMatrix, checked_int, snf
 
 
 class PresentedAbGroup:
@@ -96,7 +96,7 @@ class CanonicalGroup:
     __slots__ = ("rank", "torsion")
 
     def __init__(self, rank, torsion=()):
-        torsion = tuple(int(d) for d in torsion)
+        torsion = tuple(checked_int(d, "torsion order") for d in torsion)
         if rank < 0:
             raise ValueError("negative rank")
         for d in torsion:

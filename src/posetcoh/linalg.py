@@ -15,29 +15,36 @@ from itertools import compress
 
 
 class IntMatrix:
-    """An immutable integer matrix stored as a tuple of row tuples.
+    """An immutable integer matrix stored as one dict {column: nonzero} per row.
+
+    No zero is stored, and no stored row is changed once the matrix is
+    built, so matrices may share rows; `entries` is the dense view for output.
 
     >>> IntMatrix.from_rows([[1, 2], [3, 4]]).transpose().entries
     ((1, 3), (2, 4))
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "lines")
 
     def __init__(self, rows, cols, entries):
+        _check_shape(rows, cols)
         if len(entries) != rows:
             raise ValueError("row count mismatch")
-        ents = []
-        for row in entries:
+        lines = []
+        for i, row in enumerate(entries):
             if len(row) != cols:
                 raise ValueError("column count mismatch")
-            ents.append(tuple(int(a) for a in row))
+            lines.append({
+                j: a if type(a) is int else checked_int(a, "entry (%d, %d)", i, j)
+                for j, a in enumerate(row) if a != 0
+            })
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(ents)
+        self.lines = lines
 
     @classmethod
-    def _trusted(cls, rows, cols, entries):
-        """A matrix whose `entries` are already a tuple of `cols`-long int tuples.
+    def _trusted(cls, rows, cols, lines):
+        """A matrix whose `lines` are already `rows` dicts {column: nonzero int}.
 
         Results derived from existing matrices are built this way; input
         from outside enters through the checking constructors.
@@ -45,7 +52,7 @@ class IntMatrix:
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.entries = entries
+        m.lines = lines
         return m
 
     @classmethod
@@ -68,53 +75,68 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls._trusted(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        _check_shape(n, n)
+        return cls._trusted(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls._trusted(rows, cols, ((0,) * cols,) * rows)
+        _check_shape(rows, cols)
+        return cls._trusted(rows, cols, [{}] * rows)
+
+    @property
+    def entries(self):
+        """The rows written out densely, as a tuple of int tuples."""
+        return tuple(map(tuple, self._scratch()))
+
+    def _scratch(self):
+        """A fresh dense list of each row."""
+        out = [[0] * self.cols for _ in self.lines]
+        for row, line in zip(out, self.lines):
+            for j, a in line.items():
+                row[j] = a
+        return out
 
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.lines == other.lines
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(frozenset(line.items()) for line in self.lines)))
 
     def __repr__(self):
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, [list(r) for r in self.entries])
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return self.lines[i].get(range(self.cols)[j], 0)
 
     def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        j = range(self.cols)[j]
+        return tuple(line.get(j, 0) for line in self.lines)
 
     def transpose(self):
-        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return IntMatrix._trusted(self.cols, self.rows, entries)
+        lines = [{} for _ in range(self.cols)]
+        for i, line in enumerate(self.lines):
+            for j, a in line.items():
+                lines[j][i] = a
+        return IntMatrix._trusted(self.cols, self.rows, lines)
 
     def __neg__(self):
         return IntMatrix._trusted(
-            self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.entries)
+            self.rows, self.cols, [{j: -a for j, a in line.items()} for line in self.lines]
         )
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return IntMatrix._trusted(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        m = self.rows
+        ops = [(m + i, i, 1) for i in range(m)]  # row i of `other` onto a copy of row i
+        lines = _replay([dict(line) for line in self.lines] + other.lines, ops)[:m]
+        return IntMatrix._trusted(m, self.cols, lines)
 
     def __sub__(self, other):
         return self + (-other)
@@ -122,22 +144,22 @@ class IntMatrix:
     def __mul__(self, other):
         """Matrix product; `other` may also be a vector (sequence of ints).
 
-        Each row of `other` is listed once by its nonzero entries, and each
-        nonzero entry of a row of `self` adds one scaled sparse row, so zero
-        entries on either side cost nothing.
+        Each nonzero entry of a row of `self` adds one scaled row of
+        `other`, so zero entries on either side cost nothing, and the
+        entries that cancel are dropped.
         """
         if isinstance(other, IntMatrix):
-            n = other.cols
-            sparse = _sparse_rows(other, self.cols)
-            data = []
-            for row in self.entries:
-                acc = [0] * n
-                for a, terms in zip(row, sparse):
-                    if a:
-                        for j, b in terms.items():
-                            acc[j] += a * b
-                data.append(tuple(acc))
-            return IntMatrix._trusted(self.rows, n, tuple(data))
+            if other.rows != self.cols:
+                raise ValueError("shape mismatch: %d rows, expected %d" % (other.rows, self.cols))
+            right = other.lines
+            lines = []
+            for line in self.lines:
+                acc = {}
+                for k, a in line.items():
+                    for j, b in right[k].items():
+                        acc[j] = acc.get(j, 0) + a * b
+                lines.append({j: c for j, c in acc.items() if c})
+            return IntMatrix._trusted(self.rows, other.cols, lines)
         return self.apply(other)
 
     def apply(self, vector):
@@ -145,35 +167,51 @@ class IntMatrix:
         vector = list(vector)
         if len(vector) != self.cols:
             raise ValueError("vector length %d, expected %d" % (len(vector), self.cols))
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.entries)
+        return tuple(sum(a * vector[j] for j, a in line.items()) for line in self.lines)
 
     def hstack(self, other):
         """Columns of self followed by columns of other."""
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return IntMatrix._trusted(
-            self.rows,
-            self.cols + other.cols,
-            tuple(ra + rb for ra, rb in zip(self.entries, other.entries)),
-        )
+        if not other.cols:
+            return self
+        lines = [dict(la) if lb else la for la, lb in zip(self.lines, other.lines)]
+        for line, lb in zip(lines, other.lines):
+            for j, b in lb.items():
+                line[self.cols + j] = b
+        return IntMatrix._trusted(self.rows, self.cols + other.cols, lines)
 
     def take_rows(self, indices):
-        entries = tuple(self.entries[i] for i in indices)
-        return IntMatrix._trusted(len(entries), self.cols, entries)
+        lines = [self.lines[i] for i in indices]
+        return IntMatrix._trusted(len(lines), self.cols, lines)
 
     def is_zero(self):
-        return all(a == 0 for row in self.entries for a in row)
+        return not any(self.lines)
 
     @classmethod
     def block_diag(cls, blocks):
-        cols = sum(b.cols for b in blocks)
-        data = []
+        lines = []
         c0 = 0
         for b in blocks:
-            left, right = (0,) * c0, (0,) * (cols - c0 - b.cols)
-            data.extend(left + row + right for row in b.entries)
+            lines.extend({c0 + j: a for j, a in line.items()} for line in b.lines)
             c0 += b.cols
-        return cls._trusted(len(data), cols, tuple(data))
+        return cls._trusted(len(lines), c0, lines)
+
+
+def _check_shape(rows, cols):
+    if rows < 0 or cols < 0:
+        raise ValueError("negative matrix shape %d x %d" % (rows, cols))
+
+
+def checked_int(x, what, *args):
+    """x as an int, or a ValueError naming `what % args` unless int(x) == x."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ValueError("%s is not an integer: %r" % (what % args, x))
+    return n
 
 
 class SmithDecomposition:
@@ -183,8 +221,8 @@ class SmithDecomposition:
     nonzero diagonal entries are the invariant factors of M.  The decomposition
     also answers lattice questions: it is the single factored object reused
     for `contains`, `solve` and `kernel_basis`.  U and V are kept as the
-    logged row and column operations of the elimination, replayed on the
-    sparse rows of each operand; U and V themselves are built when read.
+    logged row and column operations of the elimination, replayed on copies
+    of the rows of each operand; U and V themselves are built when read.
     """
 
     __slots__ = ("matrix", "D", "rank", "_row_ops", "_col_ops", "_U", "_V")
@@ -202,14 +240,14 @@ class SmithDecomposition:
     def U(self):
         if self._U is None:
             m = self.matrix.rows
-            self._U = _dense(_replay([{i: 1} for i in range(m)], self._row_ops), m)
+            self._U = IntMatrix._trusted(m, m, _replay([{i: 1} for i in range(m)], self._row_ops))
         return self._U
 
     @property
     def V(self):
         if self._V is None:
             n = self.matrix.cols
-            self._V = _dense(self._replay_columns([{i: 1} for i in range(n)]), n)
+            self._V = IntMatrix._trusted(n, n, self._replay_columns([{i: 1} for i in range(n)]))
         return self._V
 
     def _replay_columns(self, rows):
@@ -217,14 +255,16 @@ class SmithDecomposition:
         return _replay(rows, [(d, s, q) for s, d, q in reversed(self._col_ops)])
 
     def invariant_factors(self):
-        return tuple(self.D.entries[i][i] for i in range(self.rank))
+        return tuple(self.D.lines[i][i] for i in range(self.rank))
 
     def _quotient(self, B):
         """The leading `rank` rows of U B divided by the diagonal of D, as dict
         rows, or None when a row of U B past the rank is nonzero or a row is
         not divisible by its invariant factor."""
         r = self.rank
-        rows = _replay(_sparse_rows(B, self.matrix.rows), self._row_ops)
+        if B.rows != self.matrix.rows:
+            raise ValueError("shape mismatch: %d rows, expected %d" % (B.rows, self.matrix.rows))
+        rows = _replay([dict(line) for line in B.lines], self._row_ops)
         factors = self.invariant_factors()
         if any(rows[r:]) or any(c % d for row, d in zip(rows, factors) for c in row.values()):
             return None
@@ -249,7 +289,8 @@ class SmithDecomposition:
         Y = self._quotient(b)
         if Y is None:
             return None
-        X = _dense(self._replay_columns(Y + [{} for _ in range(M.cols - self.rank)]), b.cols)
+        lines = self._replay_columns(Y + [{} for _ in range(M.cols - self.rank)])
+        X = IntMatrix._trusted(M.cols, b.cols, lines)
         return X.column(0) if vector else X
 
     def kernel_basis(self, rows=None):
@@ -260,25 +301,7 @@ class SmithDecomposition:
         if not 0 <= rows <= n:
             raise ValueError("kernel rows %d outside 0..%d" % (rows, n))
         lines = self._replay_columns([{} for _ in range(r)] + [{k: 1} for k in range(n - r)])
-        return _dense(lines[:rows], n - r)
-
-
-def _sparse_rows(M, nrows):
-    """The rows of M, which must number `nrows`, as dicts {column: nonzero}."""
-    if M.rows != nrows:
-        raise ValueError("shape mismatch: %d rows, expected %d" % (M.rows, nrows))
-    return [{j: a for j, a in enumerate(row) if a} for row in M.entries]
-
-
-def _dense(rows, cols):
-    """The matrix whose rows are the dicts `rows`, each built once from its nonzeros."""
-    entries = []
-    for row in rows:
-        line = [0] * cols
-        for j, a in row.items():
-            line[j] = a
-        entries.append(tuple(line))
-    return IntMatrix._trusted(len(entries), cols, tuple(entries))
+        return IntMatrix._trusted(rows, n - r, lines[:rows])
 
 
 def _replay(rows, ops):
@@ -325,7 +348,7 @@ def snf(M):
     m, n = M.rows, M.cols
     if not m or not n:
         return SmithDecomposition(M, M, 0, [], [])
-    A = [list(r) for r in M.entries]
+    A = M._scratch()
     row_ops = []  # (src, dst, q) as `_replay` reads them
     col_ops = []
 
@@ -438,7 +461,7 @@ def snf(M):
             row_ops.append((t, t, -1))
         t += 1
 
-    D = IntMatrix._trusted(m, n, tuple(map(tuple, A)))
+    D = IntMatrix._trusted(m, n, [{i: A[i][i]} for i in range(t)] + [{}] * (m - t))
     return SmithDecomposition(M, D, t, row_ops, col_ops)
 
 
@@ -449,8 +472,8 @@ def rank_and_torsion(columns):
     eliminated first: the pivot row is one with the fewest nonzeros among
     rows holding a unit, so the column updates (and their fill-in) stay
     small.  A unit pivot splits off an invariant factor 1 without changing
-    the others, so whatever remains once no unit entry is left -- usually
-    nothing -- goes to `snf` for its factors.  No transforms are kept.
+    the others, so the rest, once no unit entry is left (usually nothing),
+    goes transposed to `snf` for its factors.  No transforms are kept.
 
     >>> rank_and_torsion([{0: 2, 1: 1}, {0: 4, 1: 2}])
     (1, ())
@@ -515,8 +538,8 @@ def rank_and_torsion(columns):
     residual = [c for c in cols if c]
     if not residual:
         return rank, ()
-    rows = sorted(row_cols)
-    dense = [[col.get(i, 0) for i in rows] for col in residual]
-    factors = snf(IntMatrix.from_columns(dense, nrows=len(rows))).invariant_factors()
+    number = {i: k for k, i in enumerate(sorted(row_cols))}
+    lines = [{number[i]: v for i, v in col.items()} for col in residual]
+    factors = snf(IntMatrix._trusted(len(lines), len(number), lines)).invariant_factors()
     return rank + len(factors), tuple(d for d in factors if d > 1)
 

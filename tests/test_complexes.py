@@ -14,6 +14,7 @@ from posetcoh.complexes import (
     induced_on_homology,
     simplicial_homology,
 )
+from posetcoh.diagrams import Diagram, full_complex_truncated, random_diagram
 from posetcoh.groups import (
     CanonicalGroup,
     GroupHom,
@@ -200,6 +201,36 @@ def test_product_blocks_must_fit_their_factors():
         (0, 1),
         (0, 2),
     )
+
+
+def assert_same_as_checked(M):
+    """M stores no zero: it equals, and hashes like, the checked matrix of its entries."""
+    checked = IntMatrix(M.rows, M.cols, M.entries)
+    assert M == checked and hash(M) == hash(checked)
+    assert all(all(line.values()) for line in M.lines)
+
+
+def test_product_blocks_that_cancel_store_no_zero():
+    one, two = ProductGroup([Z]), ProductGroup([Z, Z])
+    block = IntMatrix.from_rows([[2]])
+    cancelled = one.hom_to(one, [(0, 0, 1, None), (0, 0, -1, None)]).matrix
+    assert cancelled == IntMatrix.zero(1, 1) and hash(cancelled) == hash(IntMatrix.zero(1, 1))
+    partly = two.hom_to(one, [(0, 0, 1, block), (0, 1, 3, None), (0, 0, -2, None)]).matrix
+    assert partly == IntMatrix.from_rows([[0, 3]])
+    assert_same_as_checked(partly)
+    assert block == IntMatrix.from_rows([[2]])
+
+
+def test_unreduced_differentials_cancel_repeated_faces():
+    # the chain (x, x) has the face (x,) twice, with opposite signs
+    point = parse_poset({"elements": ["x"], "relations": []})
+    F = Diagram(point, [PresentedAbGroup.free(2)], {})
+    d0 = full_complex_truncated(F, 2).diffs[0].matrix
+    assert d0 == IntMatrix.zero(2, 2) and hash(d0) == hash(IntMatrix.zero(2, 2))
+    for seed in range(6):
+        P = random_poset(4, 0.6, seed)
+        for d in full_complex_truncated(random_diagram(P, seed), 2).diffs:
+            assert_same_as_checked(d.matrix)
 
 
 def test_complex_homology_ends():

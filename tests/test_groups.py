@@ -118,6 +118,16 @@ def test_from_invariants_round_trip():
     assert canonical_form(g) == CanonicalGroup(2, (2, 6))
 
 
+def test_torsion_orders_must_be_integers():
+    for order in (2.5, "2", None):
+        with pytest.raises(ValueError, match="torsion order is not an integer"):
+            CanonicalGroup(1, (order,))
+        with pytest.raises(ValueError, match=r"entry \(1, 0\) is not an integer"):
+            PresentedAbGroup.from_invariants(1, (order,))
+    assert CanonicalGroup(1, (2.0, 4)) == CanonicalGroup(1, (2, 4))
+    assert CanonicalGroup(1, (2.0,)).render() == "Z ⊕ Z/2"
+
+
 def _column_block(cols, gens):
     return IntMatrix.from_columns(cols, nrows=gens)
 

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -455,3 +456,98 @@ def test_transforms_applied_from_the_logs_match_explicit_products():
         snf(IntMatrix.zero(2, 3)).contains(IntMatrix.zero(3, 1))
     with pytest.raises(ValueError, match="shape mismatch"):
         snf(IntMatrix.zero(2, 3)).solve(IntMatrix.zero(3, 1))
+
+
+def test_checking_constructors_reject_what_is_not_an_integer():
+    for entry in (3.7, "2", None, float("nan"), float("inf"), 1j):
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) is not an integer"):
+            IntMatrix(1, 2, [[1, entry]])
+        with pytest.raises(ValueError, match=r"entry \(1, 0\) is not an integer"):
+            IntMatrix.from_rows([[1], [entry]])
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) is not an integer"):
+            IntMatrix.from_columns([[entry]])
+    # a value equal to its int is that int, and a zero is not stored
+    M = IntMatrix(2, 2, [[True, 3.0], [0.0, False]])
+    assert M == IntMatrix.from_rows([[1, 3], [0, 0]])
+    assert M.lines == [{0: 1, 1: 3}, {}]
+    for build in (
+        lambda: IntMatrix.zero(-1, 2),
+        lambda: IntMatrix.zero(2, -1),
+        lambda: IntMatrix.identity(-1),
+        lambda: IntMatrix(0, -1, []),
+    ):
+        with pytest.raises(ValueError, match="negative matrix shape"):
+            build()
+
+
+def assert_stored_without_zeros(M):
+    assert len(M.lines) == M.rows
+    for line in M.lines:
+        assert all(type(a) is int and a for a in line.values())
+        assert all(0 <= j < M.cols for j in line)
+
+
+def test_no_zero_is_stored_where_entries_cancel():
+    A = IntMatrix.from_rows([[1, -2, 0], [0, 3, 4]])
+    for M in (A + (-A), A - A, IntMatrix.from_rows([[1, 1]]) * IntMatrix.from_rows([[1], [-1]])):
+        zero = IntMatrix.zero(M.rows, M.cols)
+        assert M == zero and hash(M) == hash(zero)
+        assert M.is_zero()
+    cancelled = IntMatrix.from_rows([[1, 2], [3, 4]]) * IntMatrix.from_rows([[2, 2], [-1, 5]])
+    expected = IntMatrix.from_rows([[0, 12], [2, 26]])
+    assert cancelled == expected and hash(cancelled) == hash(expected)
+    rng = random.Random(113)
+    for _ in range(200):
+        M = IntMatrix(*random_shape_rows(rng))
+        dec = snf(M)
+        k = rng.randint(0, 3)
+        B = M * IntMatrix(M.cols, k, [[rng.randint(-2, 2) for _ in range(k)] for _ in range(M.cols)])
+        for derived in (
+            M + (-M), M.transpose() * M, dec.U, dec.D, dec.V, dec.kernel_basis(), dec.solve(B),
+            M.hstack(B), IntMatrix.block_diag([M, B]), M.take_rows(range(M.rows)),
+        ):
+            assert_stored_without_zeros(derived)
+
+
+def random_shape_rows(rng):
+    m, n = rng.randint(0, 6), rng.randint(0, 6)
+    return m, n, [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(n)] for _ in range(m)]
+
+
+def test_no_operation_changes_the_rows_of_its_operands():
+    rng = random.Random(127)
+    for trial in range(300):
+        m, n, rows = random_shape_rows(rng)
+        M = IntMatrix(m, n, rows)
+        k = rng.randint(1, 3)
+        B = IntMatrix(m, k, [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)])
+        Z = IntMatrix.zero(m, k)
+        assert m < 2 or Z.lines[0] is Z.lines[1]  # one empty row, shared
+        C = IntMatrix(n, k, [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)])
+        kernel = snf(M).kernel_basis()
+        operands = (M, B, Z, C, kernel)
+        before = [copy.deepcopy(X.lines) for X in operands]
+        dec = snf(M)
+        dec.U, dec.V
+        for rhs in (B, Z, M * C, M * kernel, B.take_rows([0] * m)):  # the last shares one row
+            dec.contains(rhs), dec.solve(rhs)
+        dec.solve(B.column(0))
+        dec.kernel_basis(), dec.kernel_basis(n // 2)
+        M * C, M * kernel, kernel.transpose() * kernel, B.transpose() * M
+        B + Z, Z + B, B - B, -B
+        M.hstack(B), M.hstack(Z), Z.hstack(M), kernel.hstack(kernel)
+        IntMatrix.block_diag([M, Z, B, kernel])
+        assert [X.lines for X in operands] == before, trial
+
+
+def test_indexing_and_columns_reject_columns_outside():
+    M = IntMatrix.from_rows([[1, 0], [0, 4]])
+    assert [M[i, j] for i in range(2) for j in range(2)] == [1, 0, 0, 4]
+    assert (M[0, -2], M[-1, -1]) == (1, 4)
+    assert (M.column(1), M.column(-2)) == ((0, 4), (1, 0))
+    for ij in ((0, 2), (2, 0), (0, -3)):
+        with pytest.raises(IndexError):
+            M[ij]
+    for j in (2, -3):
+        with pytest.raises(IndexError):
+            M.column(j)
