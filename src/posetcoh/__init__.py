@@ -19,6 +19,7 @@ from .cech import (
     random_presheaf,
     sheaf_presheaf,
     topos_cohomology,
+    topos_support,
 )
 from .complexes import (
     AcyclicityVerdict,
@@ -35,6 +36,7 @@ from .cuts import Cut, CriterionReport, criterion, enumerate_cuts
 from .diagrams import (
     Diagram,
     DiagramError,
+    cohomology_support,
     colimit_complex,
     derived_colimit,
     derived_limit,

@@ -20,11 +20,12 @@ from .diagrams import (
     Diagram,
     DiagramError,
     _cell_complex,
+    cohomology_support,
     derived_limit,
     random_diagram,
     sheafify_value,
 )
-from .groups import GroupHom, PresentedAbGroup, canonical_form, is_isomorphism
+from .groups import CanonicalGroup, GroupHom, PresentedAbGroup, canonical_form, is_isomorphism
 from .linalg import IntMatrix
 from .poset import IntersectionPoset, chains
 
@@ -123,10 +124,20 @@ def cech_cohomology(presheaf, n):
     return derived_limit(presheaf.diagram, n)
 
 
+def topos_support(presheaf):
+    """The degrees the topos groups may carry: the `cohomology_support` of the
+    base poset with the presheaf's value at each element's basic open."""
+    values = presheaf.diagram.values
+    return cohomology_support(presheaf.space, [values[k] for k in presheaf.intersection.lambda_map])
+
+
 def topos_cohomology(presheaf, n):
-    """H^n of the generated sheaf, as a derived limit over the base poset."""
+    """H^n of the generated sheaf, as a derived limit over the base poset;
+    0 without building the complex outside `topos_support`."""
     if n < 0:
         raise DiagramError("degree must be nonnegative")
+    if n not in topos_support(presheaf):
+        return CanonicalGroup(0)
     return presheaf.topos_complex().homology_group(n)
 
 
@@ -207,12 +218,16 @@ def cohomology_top(presheaf):
     Above the base height the topos groups vanish, but the Cech complex
     lives on the node poset, which can be taller, and its groups there need
     not vanish: the face poset of a tetrahedron's boundary gives H^2 = Z
-    over a base of height 1.
+    over a base of height 1.  Degrees outside the Čech `cohomology_support`
+    are skipped, so the complex is built only when one above the height is
+    in it.
     """
     height = presheaf.space.height()
-    cech = presheaf.cech_complex()
-    for n in range(cech.top_degree(), height, -1):
-        if not cech.homology_group(n).is_trivial():
+    diagram = presheaf.diagram
+    for n in sorted(cohomology_support(diagram.base, diagram.values), reverse=True):
+        if n <= height:
+            break
+        if not presheaf.cech_complex().homology_group(n).is_trivial():
             return n
     return height
 

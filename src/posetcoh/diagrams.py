@@ -9,6 +9,8 @@ independent route; derived colimits are homology of the chain complex
 with coefficients at the chain's first element.  These complexes and the
 ordered Cech complex of `cech` differ only in their cells and in the node
 whose value a cell carries; one face builder, `_cell_complex`, makes them all.
+`cohomology_support` bounds the degrees a derived limit can carry from the
+homology of small link posets, without building the complex.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from operator import itemgetter
 
-from .complexes import Complex, ProductGroup, homology_at
+from .complexes import Complex, ProductGroup, homology_at, order_complex_homology
 from .groups import (
     CanonicalGroup,
     GroupHom,
@@ -25,7 +27,7 @@ from .groups import (
     homs_equal,
 )
 from .linalg import IntMatrix
-from .poset import chains
+from .poset import chains, components, core, induced_subposet
 
 
 class DiagramError(ValueError):
@@ -180,10 +182,54 @@ def full_complex_truncated(F, N):
     return _cell_complex(F, cells, itemgetter(-1))
 
 
+def cohomology_support(base, values):
+    """The degrees in which a diagram with these values may have derived limits.
+
+    Filtering the reduced complex by the last element m of a chain gives a
+    first page ⊕_m H̃^(n-1)(Δ(base_{>m}); values[m]) in degree n, so by the
+    universal coefficients degree n can be nonzero only if some m with a
+    nonzero value has an empty link (n = 0), H̃_(n-1) of its link nonzero,
+    or torsion in H̃_(n-2).  A value with generators counts as nonzero.
+    Each element's degrees depend on the base alone and are kept on it.
+    """
+    support = set()
+    for m, value in enumerate(values):
+        if value.generators:
+            if m not in base._links:
+                base._links[m] = _link_degrees(base, base.up[m] - {m})
+            support |= base._links[m]
+    return support
+
+
+def _link_degrees(base, link):
+    """{d + 1 : H̃_d(link) ≠ 0} ∪ {d + 2 : H̃_d(link) has torsion}, with H̃_(-1) of
+    the empty link Z.  H̃_0 is free of rank components - 1, and above degree
+    0 the link has the homology of its core, whose components are the
+    link's components cored one by one."""
+    if not link:
+        return frozenset([0])
+    parts = components(base, link)
+    degrees = {1} if len(parts) > 1 else set()
+    kept = core(base, link)
+    if len(kept) > len(parts):
+        sub = induced_subposet(base, kept)
+        homology = order_complex_homology(lambda k: chains(sub, k), sub.height())
+        for d in range(1, sub.height() + 1):
+            group = homology(d)
+            if not group.is_trivial():
+                degrees.add(d + 1)
+            if group.torsion:
+                degrees.add(d + 2)
+    return frozenset(degrees)
+
+
 def derived_limit(F, n):
-    """The n-th derived limit of the diagram, as a canonical group."""
+    """The n-th derived limit of the diagram, as a canonical group; 0 without
+    building the complex outside `cohomology_support`."""
     if n < 0:
         raise DiagramError("degree must be nonnegative")
+    if n not in cohomology_support(F.base, F.values):
+        return CanonicalGroup(0)
     return F.reduced_complex().homology_group(n)
 
 

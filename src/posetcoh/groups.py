@@ -210,13 +210,16 @@ def is_zero_hom(hom):
 def is_isomorphism(hom):
     """Whether a well-defined homomorphism has trivial kernel and cokernel.
 
-    The cokernel is presented by the map's columns joined with the target
-    relators, so it is trivial iff all their invariant factors are 1.  A
-    surjection between isomorphic finitely generated abelian groups is
-    injective, since such groups are Hopfian, so once the map is onto it is
-    an isomorphism iff source and target have the same canonical form.
+    Source and target must have the same canonical form, and a map between
+    two trivial groups is one.  Otherwise it is an isomorphism iff it is
+    onto, since finitely generated abelian groups are Hopfian; the cokernel
+    is presented by the map's columns joined with the target relators, so
+    it is trivial iff all their invariant factors are 1.
     """
-    combined = hom.matrix.hstack(hom.target.relations)
-    if snf(combined).invariant_factors() != (1,) * hom.target.generators:
+    form = canonical_form(hom.source)
+    if form != canonical_form(hom.target):
         return False
-    return canonical_form(hom.source) == canonical_form(hom.target)
+    if form.is_trivial():
+        return True
+    combined = hom.matrix.hstack(hom.target.relations)
+    return snf(combined).invariant_factors() == (1,) * hom.target.generators

@@ -22,11 +22,12 @@ class Poset:
 
     `down[i]` is the index set {j : j <= i} and `up[i]` is {j : j >= i}; all
     order queries reduce to membership in these frozen sets.  Instances are
-    immutable and compare by value; `chains`, `covers` and `height` keep what
-    they compute on the instance, outside that value.
+    immutable and compare by value; `chains`, `covers`, `height` and
+    `diagrams.cohomology_support` keep what they compute on the instance,
+    outside that value.
     """
 
-    __slots__ = ("elements", "index", "down", "up", "_chains", "_covers", "_height")
+    __slots__ = ("elements", "index", "down", "up", "_chains", "_covers", "_height", "_links")
 
     def __init__(self, elements, down):
         self.elements = tuple(elements)
@@ -62,6 +63,7 @@ class Poset:
                 ups[j].add(i)
         self.up = tuple(frozenset(s) for s in ups)
         self._chains = {}
+        self._links = {}
         self._covers = None
         self._height = None
 

@@ -4,17 +4,17 @@ These deliberately avoid the package's kernel-projection and presentation
 machinery: invariant factors come from gcds of minors, determinants from
 Laplace expansion or fraction-free (Bareiss) elimination, and homology of tiny complexes from direct enumeration of
 group elements with the isomorphism class reconstructed from element-order
-counts.  The theorem census at the end is the exception: it enumerates the
-small posets independently, then runs the package's own criterion and
-comparison on each.
+counts.  The two censuses at the end are the exception: they enumerate the
+small posets independently, then run the package's own criterion and
+comparison, or its vanishing certificate, on each.
 """
 
 import itertools
 import math
 
-from posetcoh.cech import Presheaf, compare_report
+from posetcoh.cech import Presheaf, compare_report, random_presheaf, topos_support
 from posetcoh.cuts import criterion
-from posetcoh.diagrams import Diagram
+from posetcoh.diagrams import Diagram, cohomology_support
 from posetcoh.groups import GroupHom, PresentedAbGroup
 from posetcoh.linalg import IntMatrix, snf
 from posetcoh.poset import IntersectionPoset, Poset, bounds
@@ -533,4 +533,45 @@ def theorem_census(n):
                 compare_report(upset_indicator(intersection, k)).all_iso
                 for k in range(len(intersection))
             )
+    return counts
+
+
+def certificate_check(ps):
+    """(pairs, certified, wrong) over the Čech and topos degrees of a presheaf.
+
+    Every degree of each side's complex is a pair; a pair outside that
+    side's support is certified, and wrong when the group computed from
+    the complex itself is not trivial.
+    """
+    sides = (
+        (ps.cech_complex(), cohomology_support(ps.diagram.base, ps.diagram.values)),
+        (ps.topos_complex(), topos_support(ps)),
+    )
+    pairs = certified = wrong = 0
+    for cx, support in sides:
+        for n in range(cx.top_degree() + 1):
+            pairs += 1
+            if n not in support:
+                certified += 1
+                wrong += not cx.homology_group(n).is_trivial()
+    return pairs, certified, wrong
+
+
+def support_census(n):
+    """The vanishing certificate against computed cohomology on every poset of size n.
+
+    Each poset's constant Z presheaf and every node's up-set indicator are
+    checked by `certificate_check`.  Returns the counts of posets,
+    presheaves, (side, degree) pairs, certified pairs and wrong ones.
+    """
+    counts = dict.fromkeys(["posets", "presheaves", "pairs", "certified", "wrong"], 0)
+    for P in posets_up_to_isomorphism(n):
+        counts["posets"] += 1
+        intersection = IntersectionPoset(P)
+        presheaves = [random_presheaf(intersection, 0, constant=True)]
+        presheaves += [upset_indicator(intersection, k) for k in range(len(intersection))]
+        for ps in presheaves:
+            counts["presheaves"] += 1
+            for key, value in zip(("pairs", "certified", "wrong"), certificate_check(ps)):
+                counts[key] += value
     return counts

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from posetcoh import cech
 from posetcoh.cech import (
     Presheaf,
     cech_cohomology,
@@ -180,6 +181,11 @@ def test_compare_report_reaches_cech_cohomology_above_the_base_height(monkeypatc
         return Complex(cx.groups + [extra], cx.diffs + [GroupHom.zero(top, extra.group)])
 
     monkeypatch.setattr(Presheaf, "cech_complex", one_degree_more)
+    # the extra degree lies above the node poset, so no link certifies it
+    support = cech.cohomology_support
+    monkeypatch.setattr(
+        cech, "cohomology_support", lambda base, values: support(base, values) | {3}
+    )
     ps = load_presheaf(builders.CONSTANT_SQUARE_DOC)
     assert (ps.space.height(), built(ps).top_degree()) == (1, 2)
     rows = compare_report(ps).rows

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import posetcoh
-from posetcoh import cli, complexes
+from posetcoh import cech, cli, complexes, diagrams
 from posetcoh.cech import random_presheaf
 from posetcoh.cli import build_parser, main
 from posetcoh.documents import load_presheaf, render_presheaf
@@ -189,6 +189,29 @@ def test_compare_oracle_checks_the_printed_groups(write, capsys, monkeypatch):
     code, out, err = run(capsys, "topos", poset, sheaf, "--oracle")
     assert (code, out) == (2, "")
     assert err == "oracle mismatch: reduced route disagrees at degree 0: Z/2 vs Z\n"
+
+
+def test_oracle_routes_catch_a_wrong_vanishing_certificate(write, capsys, monkeypatch):
+    # a support without degree 0, where the constant square has Z on both
+    # sides: the printed group and the reduced route read 0, and the routes
+    # that never consult the certificate read Z
+    poset = write("square.json", builders.SQUARE_DOC)
+    sheaf = write("constant.json", builders.CONSTANT_SQUARE_DOC)
+    support = diagrams.cohomology_support
+
+    def wrong(base, values):
+        return support(base, values) - {0}
+
+    for module in (diagrams, cech):
+        monkeypatch.setattr(module, "cohomology_support", wrong)
+    for command, route in (("cech", "ordered"), ("topos", "unreduced")):
+        code, out, err = run(capsys, command, poset, sheaf, "--oracle")
+        assert (code, out) == (2, ""), command
+        assert err == "oracle mismatch: %s route disagrees at degree 0: 0 vs Z\n" % route
+    # compare prints the groups of its own homology, which the reduced route rejects
+    code, out, err = run(capsys, "compare", poset, sheaf, "--oracle")
+    assert (code, out) == (2, "")
+    assert err == "oracle mismatch: reduced route disagrees at degree 0: Z vs 0\n"
 
 
 def test_unreduced_oracle_route_is_built_only_to_the_height(write, capsys, monkeypatch):
@@ -378,7 +401,7 @@ def test_fuzz_violation_writes_a_reloadable_bundle(capsys, monkeypatch, tmp_path
     class Report:
         all_iso, rows = False, [Row]
 
-    monkeypatch.setattr(cli, "compare_report", lambda ps: Report)
+    monkeypatch.setattr(cli, "compare_report", lambda ps, degrees: Report)
     path = tmp_path / "bundle.json"
     code, out, err = run(capsys, "fuzz", "--count", "4", "--seed", "1", "--max-elements", "3",
                          "--presheaves", "1", "--out", str(path))

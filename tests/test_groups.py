@@ -214,18 +214,24 @@ def test_is_isomorphism_decomposes_each_matrix_once(monkeypatch):
     monkeypatch.setattr(groups, "snf", counting_snf)
 
     def fresh_cases():
-        # new groups each time, so no decomposition is cached beforehand
+        # new groups each time, so no decomposition is cached beforehand; the
+        # last number is how often the cokernel's matrix is decomposed: once
+        # for equal nontrivial canonical forms, never for different forms or
+        # two trivial ones
         z2_twice = group(2, [(1, 1), (0, 2)])
-        yield GroupHom.identity(group(2, [(2, 0)])), True
-        yield GroupHom(group(1, [(2,)]), z2_twice, IntMatrix.from_rows([[1], [0]])), True
-        yield GroupHom(group(1, []), group(1, [(2,)]), IntMatrix.from_rows([[1]])), False
-        yield GroupHom(group(1, []), group(1, []), IntMatrix.from_rows([[2]])), False
+        trivial_twice = group(2, [(1, 0), (0, -1)])
+        yield GroupHom.identity(group(2, [(2, 0)])), True, 1
+        yield GroupHom(group(1, [(2,)]), z2_twice, IntMatrix.from_rows([[1], [0]])), True, 1
+        yield GroupHom(group(1, []), group(1, [(2,)]), IntMatrix.from_rows([[1]])), False, 0
+        z = group(1, [])
+        yield GroupHom(z, z, IntMatrix.from_rows([[2]])), False, 1
+        yield GroupHom(group(1, [(1,)]), trivial_twice, IntMatrix.from_rows([[3], [5]])), True, 0
 
-    for hom, expected in fresh_cases():
+    for hom, expected, cokernels in fresh_cases():
         decomposed.clear()
         assert is_isomorphism(hom) == expected
         combined = hom.matrix.hstack(hom.target.relations)
-        assert decomposed.count(combined) == 1
+        assert decomposed.count(combined) == cokernels
         assert len(decomposed) == len(set(decomposed))
 
 
