@@ -32,7 +32,7 @@ from .complexes import (
     induced_on_homology,
     simplicial_homology,
 )
-from .cuts import Cut, CriterionReport, criterion, enumerate_cuts
+from .cuts import Cut, CriterionReport, criterion, enumerate_cuts, principal_meets
 from .diagrams import (
     Diagram,
     DiagramError,

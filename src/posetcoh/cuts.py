@@ -63,12 +63,22 @@ def _components_upward_directed(P):
     return all(any(P.down[g].issuperset(comp) for g in comp) for comp in components(P))
 
 
-def _meet_semilattice_after_adjoining_bottom(P):
-    """Every pairwise lower-bound set is empty or has a greatest element.
+def principal_meets(P):
+    """Every nonempty meet of down-sets is principal.
 
-    Empty pairwise meets land on the adjoined bottom; a nonempty one is a
-    down-set, so it has a greatest element exactly when it is principal.
-    Binary meets give all finite meets.
+    Equivalently the intersection poset has exactly len(P) nodes: each
+    principal down-set is a node, distinct elements give distinct ones, and
+    any other node is a nonempty meet that is not principal.  Binary meets
+    suffice: when every nonempty one is principal, so is, by induction,
+    every nonempty meet of several down-sets.
+    After adjoining a bottom for the empty meets, these are the posets that
+    are meet semilattices.
+
+    Where it holds λ is an order isomorphism onto the node poset, so it
+    matches the chains of nodes with the chains of principal opens and each
+    block of the comparison cochain map is an identity: every ρ_n permutes
+    coordinates, ρ is an isomorphism of complexes, and for every presheaf
+    the Čech and topos cohomology agree in every degree.
     """
     principal = set(P.down)
     meets = (a & b for a, b in combinations(P.down, 2))
@@ -80,7 +90,7 @@ def criterion(P, shortcuts=True):
     if shortcuts:
         if _components_upward_directed(P):
             return CriterionReport(0, [], "directed-components")
-        if _meet_semilattice_after_adjoining_bottom(P):
+        if principal_meets(P):
             return CriterionReport(0, [], "semilattice")
     failures = []
     cone_shortcut = False

@@ -22,7 +22,7 @@ from posetcoh.cech import (
 )
 from posetcoh.cli import main
 from posetcoh.complexes import simplicial_homology
-from posetcoh.cuts import criterion, enumerate_cuts
+from posetcoh.cuts import criterion, enumerate_cuts, principal_meets
 from posetcoh.diagrams import (
     Diagram,
     derived_colimit,
@@ -165,7 +165,7 @@ def test_intersection_route_matches_ordered_route_under_any_order():
 
 def test_criterion_pass_forces_isomorphic_comparison_maps():
     rng = random.Random(9901)
-    passes = comparisons = 0
+    passes = comparisons = principal = 0
     violations = []
     for trial in range(100):
         P = random_poset(rng.randint(1, 6), rng.random(), seed=22_000 + trial)
@@ -179,7 +179,15 @@ def test_criterion_pass_forces_isomorphic_comparison_maps():
             comparisons += 1
             if not report.all_iso:
                 violations.append((trial, k, [r.degree for r in report.rows if not r.iso]))
+            if principal_meets(P):
+                # ρ only relabels coordinates: one 1 in every row and column
+                principal += 1
+                for rho_n in ps.comparison_chain_map().maps:
+                    m = rho_n.matrix
+                    assert [list(line.values()) for line in m.lines] == [[1]] * m.rows
+                    assert sorted(j for line in m.lines for j in line) == list(range(m.cols))
     assert passes >= 20 and comparisons == 5 * passes
+    assert principal >= 50
     assert violations == []
 
 

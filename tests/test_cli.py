@@ -403,7 +403,9 @@ def test_fuzz_violation_writes_a_reloadable_bundle(capsys, monkeypatch, tmp_path
 
     monkeypatch.setattr(cli, "compare_report", lambda ps, degrees: Report)
     path = tmp_path / "bundle.json"
-    code, out, err = run(capsys, "fuzz", "--count", "4", "--seed", "1", "--max-elements", "3",
+    # principal draws are certified without a comparison; these reach two
+    # posets with a non-principal intersection
+    code, out, err = run(capsys, "fuzz", "--count", "25", "--seed", "3", "--max-elements", "9",
                          "--presheaves", "1", "--out", str(path))
     assert (code, out) == (1, "")
     assert err == (
@@ -414,6 +416,24 @@ def test_fuzz_violation_writes_a_reloadable_bundle(capsys, monkeypatch, tmp_path
     ps = load_presheaf(bundle["presheaf"], space=parse_poset(bundle["poset"]))
     rebuilt = random_presheaf(IntersectionPoset(ps.space), bundle["presheaf_seed"])
     assert render_presheaf(rebuilt) == bundle["presheaf"]
+
+
+def test_fuzz_compares_only_draws_with_a_non_principal_intersection(capsys, monkeypatch):
+    calls = []
+    real = cli.compare_report
+
+    def counting(ps, degrees):
+        calls.append(len(ps.intersection.nodes) > len(ps.space))
+        return real(ps, degrees)
+
+    monkeypatch.setattr(cli, "compare_report", counting)
+    code, out, _ = run(capsys, "fuzz", "--count", "25", "--seed", "3", "--max-elements", "9",
+                       "--json")
+    assert (code, out) == (
+        0, '{"comparisons":125,"criterion_passes":25,"posets":25,"violations":0}\n'
+    )
+    # two of the 25 PASS posets have a non-principal intersection
+    assert calls == [True] * 10
 
 
 def test_parser_is_built_once_and_shared_by_later_calls(write, capsys):

@@ -2,9 +2,10 @@ import random
 
 from posetcoh import poset
 from posetcoh.complexes import acyclicity_check, order_complex_homology
-from posetcoh.cuts import criterion, enumerate_cuts
+from posetcoh.cuts import criterion, enumerate_cuts, principal_meets
 from posetcoh.groups import CanonicalGroup
 from posetcoh.poset import (
+    IntersectionPoset,
     bounds,
     chains,
     components,
@@ -142,6 +143,19 @@ def test_directed_and_semilattice_posets_pass():
         assert report.verdict == "PASS"
         assert report.shortcut == "directed-components"
         assert criterion(coned, shortcuts=False).verdict == "PASS"
+
+
+def test_principal_meets_is_a_node_poset_no_larger_than_the_base():
+    rng = random.Random(89)
+    principal = 0
+    for trial in range(300):
+        P = random_poset(rng.randint(1, 9), rng.random(), seed=5400 + trial)
+        certified = principal_meets(P)
+        assert certified == (len(IntersectionPoset(P)) == len(P)), trial
+        if certified:
+            principal += 1
+            assert criterion(P, shortcuts=False).verdict == "PASS", trial
+    assert 200 <= principal < 300
 
 
 def full_sweep(P, cut):
