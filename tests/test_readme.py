@@ -58,7 +58,7 @@ def test_readme_library_example(capsys):
 
 
 def test_readme_has_the_examples():
-    assert len(EXAMPLES) == 11
+    assert len(EXAMPLES) == 12
 
 
 @pytest.mark.parametrize(
