@@ -371,7 +371,8 @@ def cmd_fuzz(args):
 
 @functools.lru_cache(maxsize=None)
 def build_parser():
-    """The argument parser, built on first use and shared by later calls."""
+    """The argument parser, built on first use and shared by later calls;
+    its `commands` maps each command name to that command's own parser."""
     parser = argparse.ArgumentParser(
         prog="posetcoh",
         description=(
@@ -430,6 +431,7 @@ def build_parser():
         "--presheaves", type=int, default=5, help="presheaves per passing poset"
     )
     fuzz.add_argument("--seed", type=int, required=True, help="random seed")
+    parser.commands = sub.choices
     return parser
 
 
@@ -453,9 +455,26 @@ def _attached_windows(argv):
     return out
 
 
+def _parse(argv):
+    """The arguments of a command line, parsed once where it names a command.
+
+    The command's own parser reads the rest, as the full parser would hand
+    it on; a line that names no command or leaves a token over goes through
+    the full parser, so argparse writes its own text for the whole line.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attached_windows(argv))
+    args = _parse(_attached_windows(argv))
     try:
         code, payload, text = args.func(args)
         if text is None:

@@ -1,10 +1,11 @@
 """Dedekind-MacNeille cuts and the acyclicity criterion for agreement.
 
-Every nonempty set of lower bounds is a node of the intersection poset, so
-one cut per node enumerates exactly the cuts with nonempty lower half.  The
-criterion passes when the upper section of every such cut has the integer
-homology of a point; two structural fast paths decide the verdict without
-any homology work and can be disabled for a full recheck.
+Every nonempty set of lower bounds is a nonempty meet of down-sets, so one
+cut per set of `poset.meet_closure` enumerates exactly the cuts with
+nonempty lower half.  The criterion passes when the upper section of every
+such cut has the integer homology of a point; two structural fast paths
+decide the verdict without any homology work and can be disabled for a
+full recheck.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .complexes import acyclicity_check
-from .poset import IntersectionPoset, bounds, components
+from .poset import bounds, components, meet_closure
 
 
 class Cut:
@@ -30,15 +31,14 @@ class Cut:
 
 
 def enumerate_cuts(P):
-    """All cuts with nonempty lower half, one per intersection-poset node.
+    """All cuts with nonempty lower half, one per `meet_closure` node, in order.
 
     A node is the meet of its witness's down-sets, so the witness lies in the
     node's upper bounds, whose lower bounds are the node again.
     """
-    intersection = IntersectionPoset(P)
     return [
         Cut(node, bounds(P, node, "upper"), witness)
-        for node, witness in zip(intersection.nodes, intersection.witnesses)
+        for node, witness in zip(*meet_closure(P))
     ]
 
 

@@ -457,7 +457,8 @@ def snf(M):
             A[t] = [a + b for a, b in zip(At, A[offender])]
             row_ops.append((offender, t, 1))
         if A[t][t] < 0:
-            A[t] = [-a for a in A[t]]
+            # the passes above left row t zero outside column t
+            A[t][t] = -A[t][t]
             row_ops.append((t, t, -1))
         t += 1
 

@@ -3,9 +3,10 @@
 A finite poset I carries the topology whose open sets are the downward closed
 subsets; the minimal basic open at i is the principal down-set L(i) = {j : j <= i}
 and these form the canonical covering of the space.  This module owns the
-carrier type, the bound operators X^- and X^+, the poset of distinct nonempty
-intersections of the L(i) (the values of X^-), strict-chain enumeration,
-cores, and the plumbing needed to build and serialize posets.
+carrier type, the bound operators X^- and X^+, the distinct nonempty
+intersections of the L(i) (the values of X^-) and the poset they form,
+strict-chain enumeration, cores, and the plumbing needed to build and
+serialize posets.
 """
 
 from __future__ import annotations
@@ -123,16 +124,15 @@ def subset_name(poset, indices):
     return "{" + ",".join(sorted(poset.elements[i] for i in indices)) + "}"
 
 
-class IntersectionPoset:
+def meet_closure(base):
     """The distinct nonempty intersections of the minimal basic opens.
 
     Every nonempty set of lower bounds X^- is a finite intersection of down
     sets L(x), so the closure of {L(i)} under pairwise nonempty intersection
-    enumerates exactly the candidate lower halves of cuts.  Nodes are frozen
-    sets of base indices, listed by size and then by sorted member names;
-    the node poset orders them by inclusion and names them by `subset_name`.
-    `lambda_map` locates L(i), and each node remembers one generating subset
-    of the base poset as a witness.
+    enumerates exactly the candidate lower halves of cuts.  Returns the
+    nodes, frozen sets of base indices listed by size and then by sorted
+    member names, and for each node one generating subset of the base poset
+    as its witness, a sorted index tuple.
 
     The closure runs in rounds.  Each round sweeps the pairs (a, b) of the
     sets found before it, both in order of their sorted members, and a new
@@ -143,41 +143,49 @@ class IntersectionPoset:
     symmetric, so every witness is that of the full sweep.  Each set's
     sorted members are computed once.
     """
+    found = {}
+    for i in range(len(base.elements)):
+        found.setdefault(base.down[i], (i,))
+    members = {s: sorted(s) for s in found}
+    last = set(found)
+    while last:
+        current = sorted(found, key=members.__getitem__)
+        last_sorted = [s for s in current if s in last]
+        new = set()
+        seen = 0  # members of last_sorted at or before a
+        for k, a in enumerate(current):
+            seen += a in last
+            for b in current[k:] if a in last else last_sorted[seen:]:
+                c = a & b
+                if c and c not in found:
+                    found[c] = tuple(sorted(set(found[a]) | set(found[b])))
+                    members[c] = sorted(c)
+                    new.add(c)
+        last = new
+    nodes = tuple(sorted(found, key=lambda s: (len(s), sorted(base.elements[i] for i in s))))
+    return nodes, tuple(found[s] for s in nodes)
+
+
+class IntersectionPoset:
+    """The nodes of `meet_closure` ordered by inclusion.
+
+    The node poset names each node by `subset_name`, `lambda_map` locates
+    L(i), and `witnesses` holds each node's generating subset.
+    """
 
     __slots__ = ("base", "poset", "nodes", "lambda_map", "witnesses")
 
     def __init__(self, base):
         self.base = base
-        found = {}
-        for i in range(len(base.elements)):
-            found.setdefault(base.down[i], (i,))
-        members = {s: sorted(s) for s in found}
-        last = set(found)
-        while last:
-            current = sorted(found, key=members.__getitem__)
-            last_sorted = [s for s in current if s in last]
-            new = set()
-            seen = 0  # members of last_sorted at or before a
-            for k, a in enumerate(current):
-                seen += a in last
-                for b in current[k:] if a in last else last_sorted[seen:]:
-                    c = a & b
-                    if c and c not in found:
-                        found[c] = tuple(sorted(set(found[a]) | set(found[b])))
-                        members[c] = sorted(c)
-                        new.add(c)
-            last = new
-
-        ordered = sorted(found, key=lambda s: (len(s), sorted(base.elements[i] for i in s)))
-        self.nodes = tuple(ordered)
+        nodes, self.witnesses = meet_closure(base)
+        self.nodes = nodes
         # a subset is never longer, so it sits at or before its superset
         down_sets = [
-            frozenset(j for j in range(k + 1) if ordered[j] <= s) for k, s in enumerate(ordered)
+            frozenset(j for j in range(k + 1) if nodes[j] <= s) for k, s in enumerate(nodes)
         ]
-        self.poset = Poset([subset_name(base, s) for s in ordered], down_sets)
-        position = {s: k for k, s in enumerate(ordered)}
+        self.poset = Poset([subset_name(base, s) for s in nodes], down_sets)
+        position = {s: k for k, s in enumerate(nodes)}
         self.lambda_map = tuple(position[base.down[i]] for i in range(len(base.elements)))
-        self.witnesses = tuple(found[s] for s in ordered)
 
     def __len__(self):
         return len(self.nodes)

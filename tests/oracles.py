@@ -6,13 +6,18 @@ Laplace expansion or fraction-free (Bareiss) elimination, and homology of tiny c
 group elements with the isomorphism class reconstructed from element-order
 counts.  The two censuses at the end are the exception: they enumerate the
 small posets independently, then run the package's own criterion and
-comparison, or its vanishing certificate, on each.
+comparison, or its vanishing certificate, on each.  `main_by_full_parse`
+is the command-line frontend with every line read by the full argument
+parser.
 """
 
 import itertools
+import json
 import math
+import sys
 
 from posetcoh.cech import Presheaf, compare_report, random_presheaf, topos_support
+from posetcoh.cli import _attached_windows, build_parser
 from posetcoh.cuts import criterion
 from posetcoh.diagrams import Diagram, cohomology_support
 from posetcoh.groups import GroupHom, PresentedAbGroup
@@ -575,3 +580,28 @@ def support_census(n):
             for key, value in zip(("pairs", "certified", "wrong"), certificate_check(ps)):
                 counts[key] += value
     return counts
+
+
+def main_by_full_parse(argv):
+    """`posetcoh.cli.main` with the whole line read by the top-level parser.
+
+    Its subparsers action hands the rest of the line to the named command's
+    parser, and leftover tokens fail the top-level parse; the command then
+    runs and its result is written as `main` writes it.
+    """
+    args = build_parser().parse_args(_attached_windows(argv))
+    try:
+        code, payload, text = args.func(args)
+        if text is None:
+            return code
+        if args.json:
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
+        return code
+    except (ValueError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2

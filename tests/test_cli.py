@@ -14,6 +14,7 @@ from posetcoh.groups import CanonicalGroup
 from posetcoh.poset import IntersectionPoset, parse_poset, random_poset, serialize_poset
 
 import builders
+from oracles import main_by_full_parse
 
 
 @pytest.fixture
@@ -455,6 +456,117 @@ def test_parser_is_built_once_and_shared_by_later_calls(write, capsys):
     # a flag given to one call must not leak into the next
     assert json.loads(shared[1][1])["shortcut"] == "none"
     assert json.loads(shared[2][1])["shortcut"] != "none"
+
+
+# {p} a poset, {s} a presheaf on it, {h} a poset with homology in degree 2
+PARSE_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "fuzz"],
+    ["nosuch"],
+    [""],
+    ["FUZZ", "--seed", "1"],
+    ["Validate", "{p}"],
+    ["--json", "validate", "{p}"],
+    ["fuzz"],
+    ["fuzz", "-h"],
+    ["fuzz", "--seed", "1", "--help"],
+    ["fuzz", "--seed", "1", "--bogus"],
+    ["fuzz", "--count", "x", "--seed", "1"],
+    ["fuzz", "--count", "x", "--bogus"],
+    ["fuzz", "--seed", "1", "--count", "2", "--max-elements", "4", "--json"],
+    ["fuzz", "--co", "2", "--seed", "1"],
+    ["fuzz", "--seed=1", "--count=0"],
+    ["fuzz", "--seed", "-1", "--count", "0"],
+    ["fuzz", "--seed", "1", "--count", "0", "--", "x"],
+    ["fuzz", "--seed", "1", "--count", "1", "--presheaves", "-3"],
+    ["validate", "{p}"],
+    ["validate", "--", "{p}"],
+    ["validate"],
+    ["validate", "-x"],
+    ["validate", "{p}", "extra"],
+    ["validate", "{p}", "--json", "--json"],
+    ["validate", "{p}", "--json", "--out"],
+    ["validate", "{p}.missing"],
+    ["cuts", "{p}", "--json"],
+    ["criterion", "{p}", "--no-s"],
+    ["criterion", "{p}", "--n", "--json"],
+    ["criterion", "--", "{p}", "--json"],
+    ["skeleton", "{p}", "-h"],
+    ["homology", "{h}", "--deg", "0..1"],
+    ["homology", "{h}", "--degrees", "-1..2"],
+    ["homology", "{h}", "--deg", "-1..2"],
+    ["homology", "{h}", "--degrees=0..1"],
+    ["homology", "{h}", "--degrees"],
+    ["cech", "{p}", "{s}", "--degrees", "0..1", "--json"],
+    ["cech", "{p}", "{s}", "--o"],
+    ["topos", "{p}", "{s}", "--order", "p0"],
+    ["compare", "{p}", "{s}", "--co"],
+    ["compare", "{p}", "{s}", "--deg", "0..1"],
+    ["compare", "{p}"],
+    ["random-poset", "3", "--seed", "2"],
+    ["random-poset", "--seed", "2"],
+    ["random-poset", "3", "--seed", "2", "--density", "abc"],
+]
+
+
+def outcome(capsys, entry, argv):
+    """((returned or exited, code), stdout, stderr) of one command line."""
+    try:
+        end = ("returned", entry(list(argv)))
+    except SystemExit as exc:
+        end = ("exited", exc.code)
+    captured = capsys.readouterr()
+    return end, captured.out, captured.err
+
+
+@pytest.fixture
+def corpus(write):
+    paths = {
+        "p": write("square.json", builders.SQUARE_DOC),
+        "s": write("constant.json", builders.CONSTANT_SQUARE_DOC),
+        "h": write("sphere.json", builders.SPHERE_DOC),
+    }
+    return [[token.format(**paths) for token in argv] for argv in PARSE_CORPUS]
+
+
+def test_main_matches_the_full_parse_on_every_line(corpus, capsys):
+    # exit codes, usage lines, help and error text are argparse's own, so
+    # both sides run in this interpreter
+    for argv in corpus:
+        assert outcome(capsys, main, argv) == outcome(capsys, main_by_full_parse, argv), argv
+
+
+def test_a_valid_command_line_never_runs_the_top_level_parse(write, capsys, monkeypatch):
+    square = write("square.json", builders.SQUARE_DOC)
+    sphere = write("sphere.json", builders.SPHERE_DOC)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    build_parser.cache_clear()
+    try:
+        parser = build_parser()
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        for argv, code in [
+            (["validate", square], 0),
+            (["validate", "--", square], 0),
+            (["cuts", square, "--json"], 0),
+            (["criterion", square, "--no-s", "--json"], 1),
+            (["homology", sphere, "--degrees=0..1"], 0),
+            # a valid line whose window the command rejects
+            (["homology", sphere, "--deg", "-1..2"], 2),
+            (["fuzz", "--co", "2", "--seed", "1"], 0),
+            (["random-poset", "3", "--seed", "2"], 0),
+        ]:
+            assert run(capsys, *argv)[0] == code, argv
+        # a token the command does not take sends the line to the full parse
+        with pytest.raises(AssertionError, match="top-level parser ran"):
+            main(["fuzz", "--seed", "1", "--bogus"])
+    finally:
+        build_parser.cache_clear()
 
 
 def test_module_entry_point(write, tmp_path):

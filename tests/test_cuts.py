@@ -212,9 +212,9 @@ def test_cut_verdicts_match_those_of_the_built_upper_sections():
 
 
 def test_criterion_builds_no_poset_per_upper_section(monkeypatch):
-    # one Poset for the intersection poset and one per core of two or more
-    # elements; a poset built for every upper section or every one-point
-    # core would exceed the count
+    # one Poset per core of two or more elements and none for the
+    # intersection poset; a poset built for every upper section or every
+    # one-point core would exceed the count
     P = random_poset(14, 0.4, seed=14)
     larger_cores = sum(len(core(P, cut.upper)) >= 2 for cut in enumerate_cuts(P))
     built = []
@@ -227,7 +227,29 @@ def test_criterion_builds_no_poset_per_upper_section(monkeypatch):
     monkeypatch.setattr(poset.Poset, "__init__", counting)
     report = criterion(P, shortcuts=False)
     assert report.cuts_examined == 15
-    assert len(built) <= 1 + larger_cores < 1 + report.cuts_examined
+    assert len(built) <= larger_cores < report.cuts_examined
+
+
+def test_cuts_and_criterion_build_no_intersection_poset(monkeypatch):
+    # the cuts read the meet closure alone: the named and ordered node
+    # poset is for presheaves
+    posets = [builders.square(), builders.zigzag(), random_poset(14, 0.4, seed=14)]
+
+    def answers(P):
+        cuts = [(cut.lower, cut.upper, cut.witness) for cut in enumerate_cuts(P)]
+        reports = [criterion(P, shortcuts=shortcuts) for shortcuts in (True, False)]
+        return cuts, [
+            (r.verdict, r.cuts_examined, r.shortcut, [(c.lower, n, g) for c, n, g in r.failures])
+            for r in reports
+        ]
+
+    want = [answers(P) for P in posets]
+
+    def refuse(self, base):
+        raise AssertionError("an intersection poset was built")
+
+    monkeypatch.setattr(poset.IntersectionPoset, "__init__", refuse)
+    assert [answers(P) for P in posets] == want
 
 
 def swept_on_the_built_core(P, members, shortcuts):

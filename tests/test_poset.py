@@ -4,6 +4,7 @@ import random
 import pytest
 
 from posetcoh.complexes import simplicial_homology
+from posetcoh.cuts import enumerate_cuts
 from posetcoh.poset import (
     IntersectionPoset,
     Poset,
@@ -170,10 +171,17 @@ def assert_ordered_by_inclusion(U, P, nodes):
     )
 
 
+def assert_cuts_follow_the_nodes(P, nodes, witnesses):
+    # `enumerate_cuts` reads the closure without building the node poset
+    assert [(cut.lower, cut.witness, cut.upper) for cut in enumerate_cuts(P)] == [
+        (node, witness, bounds(P, node, "upper")) for node, witness in zip(nodes, witnesses)
+    ]
+
+
 def test_intersection_closure_matches_the_full_sweep():
     # only the sets new in the last round are met after the first round;
     # nodes, their order and the witnesses `cuts` prints stay those of the
-    # full pairwise sweep
+    # full pairwise sweep, in the intersection poset and in the cuts
     rng = random.Random(61)
     for trial in range(220):
         P = random_poset(rng.randint(1, 14), rng.uniform(0.2, 0.7), seed=6100 + trial)
@@ -183,6 +191,7 @@ def test_intersection_closure_matches_the_full_sweep():
         assert list(U.witnesses) == witnesses
         assert U.lambda_map == tuple(nodes.index(P.down[i]) for i in range(len(P)))
         assert_ordered_by_inclusion(U, P, nodes)
+        assert_cuts_follow_the_nodes(P, nodes, witnesses)
     # height-one posets on 7 + 7 elements: their later rounds add sets, and
     # some sets are reached by pairs with different witnesses
     for trial in range(70):
@@ -194,6 +203,7 @@ def test_intersection_closure_matches_the_full_sweep():
         U = IntersectionPoset(P)
         assert (list(U.nodes), list(U.witnesses)) == (nodes, witnesses)
         assert_ordered_by_inclusion(U, P, nodes)
+        assert_cuts_follow_the_nodes(P, nodes, witnesses)
 
 
 def test_chains_square():
