@@ -81,8 +81,6 @@ class Presheaf:
                 given.setdefault(high, []).append(low)
             if len(lam) != len(self.intersection) or pulled != given:
                 self._topos = self.pulled_diagram().reduced_complex()
-            elif lam == tuple(range(len(lam))):
-                self._topos = self.cech_complex()
             else:
                 cells = [
                     [tuple(lam[i] for i in c) for c in chains(self.space, n)]

@@ -96,7 +96,7 @@ class Complex:
     complex built from a functor, as `Diagram.verify` checks a diagram is.
     """
 
-    __slots__ = ("groups", "diffs", "_ends")
+    __slots__ = ("groups", "diffs")
 
     def __init__(self, groups, diffs):
         self.groups = list(groups)
@@ -106,13 +106,6 @@ class Complex:
         for n, d in enumerate(self.diffs):
             if d.source != self.groups[n].group or d.target != self.groups[n + 1].group:
                 raise ComplexError("differential %d endpoint mismatch" % n)
-        if self.groups:
-            # the zero maps into degree 0 and out of the top degree
-            zero = PresentedAbGroup.zero()
-            self._ends = (
-                GroupHom.zero(zero, self.groups[0].group),
-                GroupHom.zero(self.groups[-1].group, zero),
-            )
 
     def verify(self):
         """Check that every differential is well defined and d after d is zero."""
@@ -135,15 +128,11 @@ class Complex:
     def incoming(self, n):
         if 1 <= n <= len(self.diffs):
             return self.diffs[n - 1]
-        if n == 0 and self.groups:
-            return self._ends[0]
         return GroupHom.zero(PresentedAbGroup.zero(), self.product(n).group)
 
     def outgoing(self, n):
         if 0 <= n < len(self.diffs):
             return self.diffs[n]
-        if n == len(self.diffs) and self.groups:
-            return self._ends[1]
         return GroupHom.zero(self.product(n).group, PresentedAbGroup.zero())
 
     def homology(self, n):
@@ -334,40 +323,51 @@ class AcyclicityVerdict:
         )
 
 
-def acyclicity_check(poset, shortcuts=True, members=None):
-    """Whether the order complex has the homology of a point.
+def subposet_homology(poset, members=None):
+    """The degrees in which the subposet on `members` differs from a point.
 
-    `members` is the set of element indices to work within (default: every
-    element); the answer is then that of the subposet they induce, which is
-    never built itself.  A disconnected comparability graph fails at degree
-    0 before any matrix work; a least element makes the complex a cone and,
-    with shortcuts on, settles the verdict without homology.  Otherwise the
-    verdict is that of the core, which has the same homology and usually far
-    fewer chains.  A one-point core has the homology of a point, read off
-    directly; a larger core is built as a poset and H_n is computed degree
-    by degree from 1 up to its longest chain length (the core is connected,
-    so H_0 = Z, and H_n vanishes above); each
-    degree's chains are enumerated and each boundary matrix is built and
-    reduced at most once, on first use, so a sweep that stops early never
-    enumerates the higher degrees.
+    `members` is a nonempty set of element indices (default: every element).
+    Yields (n, H_n) lowest degree first: degree 0 with Z^c when there are
+    c > 1 components, then each degree n >= 1 with H_n nonzero, read off the
+    core, which has the same homology and usually far fewer chains.  A core
+    with one point per component has nothing above degree 0; a larger one is
+    built as a poset when it leaves out some element, and swept from degree 1
+    up to its height, each degree's chains enumerated and each boundary
+    reduced on first use, so a caller that stops early builds no more.
     """
-    from .poset import chains, components, core, induced_subposet
+    from .poset import PosetError, chains, components, core, induced_subposet
 
     members = frozenset(range(len(poset.elements)) if members is None else members)
+    if not members:
+        raise PosetError("homology needs a nonempty set of elements")
     parts = components(poset, members)
     if len(parts) > 1:
-        return AcyclicityVerdict(False, 0, CanonicalGroup(len(parts)), via="components")
-    if shortcuts and any(members <= poset.up[i] for i in members):
-        return AcyclicityVerdict(True, via="least-element")
+        yield 0, CanonicalGroup(len(parts))
     kept = core(poset, members)
-    if len(kept) == 1:
-        return AcyclicityVerdict(True, via="homology")
+    if len(kept) == len(parts):
+        return
     if len(kept) < len(poset.elements):
         poset = induced_subposet(poset, kept)
     height = poset.height()
     homology = order_complex_homology(lambda k: chains(poset, k), height)
-    for degree in range(1, height + 1):
-        h = homology(degree)
-        if not h.is_trivial():
-            return AcyclicityVerdict(False, degree, h)
+    for n in range(1, height + 1):
+        group = homology(n)
+        if not group.is_trivial():
+            yield n, group
+
+
+def acyclicity_check(poset, shortcuts=True, members=None):
+    """Whether the order complex has the homology of a point.
+
+    `members` is the set of element indices to work within (default: every
+    element), whose induced subposet is never built itself.  A least
+    element makes the complex a cone and, with shortcuts on, settles the
+    verdict without homology.  Otherwise the first degree `subposet_homology`
+    yields fails, via the components at degree 0; with none, it is acyclic.
+    """
+    members = frozenset(range(len(poset.elements)) if members is None else members)
+    if shortcuts and any(members <= poset.up[i] for i in members):
+        return AcyclicityVerdict(True, via="least-element")
+    for degree, group in subposet_homology(poset, members):
+        return AcyclicityVerdict(False, degree, group, via="homology" if degree else "components")
     return AcyclicityVerdict(True, via="homology")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from operator import itemgetter
 
-from .complexes import Complex, ProductGroup, homology_at, order_complex_homology
+from .complexes import Complex, ProductGroup, homology_at, subposet_homology
 from .groups import (
     CanonicalGroup,
     GroupHom,
@@ -27,7 +27,7 @@ from .groups import (
     homs_equal,
 )
 from .linalg import IntMatrix
-from .poset import chains, components, core, induced_subposet
+from .poset import chains
 
 
 class DiagramError(ValueError):
@@ -203,23 +203,16 @@ def cohomology_support(base, values):
 
 def _link_degrees(base, link):
     """{d + 1 : H̃_d(link) ≠ 0} ∪ {d + 2 : H̃_d(link) has torsion}, with H̃_(-1) of
-    the empty link Z.  H̃_0 is free of rank components - 1, and above degree
-    0 the link has the homology of its core, whose components are the
-    link's components cored one by one."""
+    the empty link Z.  H̃_d differs from H_d only at degree 0, where it is
+    nonzero exactly when H_0 is not Z, so the degrees `subposet_homology`
+    yields are those with H̃_d nonzero."""
     if not link:
         return frozenset([0])
-    parts = components(base, link)
-    degrees = {1} if len(parts) > 1 else set()
-    kept = core(base, link)
-    if len(kept) > len(parts):
-        sub = induced_subposet(base, kept)
-        homology = order_complex_homology(lambda k: chains(sub, k), sub.height())
-        for d in range(1, sub.height() + 1):
-            group = homology(d)
-            if not group.is_trivial():
-                degrees.add(d + 1)
-            if group.torsion:
-                degrees.add(d + 2)
+    degrees = set()
+    for d, group in subposet_homology(base, link):
+        degrees.add(d + 1)
+        if group.torsion:
+            degrees.add(d + 2)
     return frozenset(degrees)
 
 

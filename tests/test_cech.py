@@ -279,10 +279,11 @@ def assert_same_complex(a, b):
 
 
 def test_topos_complex_is_the_pulled_diagrams_complex():
-    # the relabeled route, its identity case and the fallback all give the
-    # complex of the pulled diagram, group for group and matrix for matrix;
-    # the random, pulled and sheaf diagrams are functors, and both complexes
-    # and the comparison chain map pass their algebra checks
+    # the relabeled route, on an identity λ as on a permuted one, and the
+    # fallback all give the complex of the pulled diagram, group for group
+    # and matrix for matrix; the random, pulled and sheaf diagrams are
+    # functors, and both complexes and the comparison chain map pass their
+    # algebra checks
     rng = random.Random(31)
     kinds = {"identity": 0, "permuted": 0, "non-principal": 0}
     fixed = [builders.square(), builders.crown3(), builders.pass7(), builders.capped_square()]

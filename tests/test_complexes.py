@@ -13,7 +13,9 @@ from posetcoh.complexes import (
     homology_at,
     induced_on_homology,
     simplicial_homology,
+    subposet_homology,
 )
+from posetcoh.cuts import enumerate_cuts
 from posetcoh.diagrams import Diagram, full_complex_truncated, random_diagram
 from posetcoh.groups import (
     CanonicalGroup,
@@ -23,7 +25,15 @@ from posetcoh.groups import (
     is_isomorphism,
 )
 from posetcoh.linalg import IntMatrix
-from posetcoh.poset import IntersectionPoset, chains, core, parse_poset, random_poset
+from posetcoh.poset import (
+    IntersectionPoset,
+    PosetError,
+    chains,
+    core,
+    induced_subposet,
+    parse_poset,
+    random_poset,
+)
 
 import builders
 from oracles import brute_force_homology
@@ -390,6 +400,50 @@ def test_acyclicity_sweep_enumerates_only_the_degrees_it_reads(monkeypatch):
             verdict = acyclicity_check(poset, shortcuts=shortcuts)
             assert verdict.degree == 1 and verdict.group == CanonicalGroup(1)
             assert sorted(asked) == read
+
+
+def test_subposet_homology_is_that_of_the_built_subposet():
+    # every degree in which the induced subposet's order complex differs
+    # from a point, on whole posets, cut upper sections, upper links and
+    # random subsets: the projective plane has torsion in H_1, the dunce
+    # hat is acyclic with no beat point, and most subsets are disconnected
+    rng = random.Random(47)
+    posets = [builders.projective_plane(), builders.dunce_hat(), builders.sphere(), builders.crown3()]
+    posets += [random_poset(rng.randint(2, 9), rng.random(), seed=7000 + t) for t in range(30)]
+    seen = {"disconnected": 0, "torsion": 0, "above 0": 0, "point": 0}
+    for P in posets:
+        sets = [set(range(len(P)))] + [cut.upper for cut in enumerate_cuts(P)]
+        sets += [P.up[m] - {m} for m in range(len(P)) if len(P.up[m]) > 1]
+        sets += [{i for i in range(len(P)) if rng.random() < 0.6} for _ in range(4)]
+        for members in filter(None, sets):
+            sub = induced_subposet(P, members)
+            levels = [chains(sub, k) for k in range(sub.height() + 1)]
+            expected = []
+            for n in range(len(levels)):
+                group = simplicial_homology(levels, n)
+                if group != (CanonicalGroup(1) if n == 0 else CanonicalGroup(0)):
+                    expected.append((n, group))
+            assert list(subposet_homology(P, members)) == expected, (P, sorted(members))
+            seen["disconnected"] += any(n == 0 for n, _ in expected)
+            seen["torsion"] += any(group.torsion for _, group in expected)
+            seen["above 0"] += any(n > 0 for n, _ in expected)
+            seen["point"] += not expected
+    assert all(seen.values()), seen
+
+
+def test_subposet_homology_of_no_elements_raises(monkeypatch):
+    # an empty order complex has H_0 = 0, not the homology of a point, and
+    # the sweep refuses it before looking at components or cores
+    import posetcoh.poset
+
+    for name in ("components", "core", "induced_subposet"):
+        monkeypatch.setattr(posetcoh.poset, name, None)
+    P = builders.square()
+    with pytest.raises(PosetError, match="nonempty"):
+        next(subposet_homology(P, set()))
+    for shortcuts in (True, False):
+        with pytest.raises(PosetError, match="nonempty"):
+            acyclicity_check(P, shortcuts=shortcuts, members=set())
 
 
 def test_acyclicity_cone_shortcut_and_recheck():
