@@ -148,15 +148,14 @@ class HomologyData:
 
     Column j of `cycles` is a middle-group vector representing generator j;
     `coordinates` inverts that correspondence for arbitrary cycles, with the
-    Smith decomposition of `cycles` when one is handed over as `dec`.
+    Smith decomposition that `cycles` keeps.
     """
 
-    __slots__ = ("group", "cycles", "_dec")
+    __slots__ = ("group", "cycles")
 
-    def __init__(self, group, cycles, dec=None):
+    def __init__(self, group, cycles):
         self.group = group
         self.cycles = cycles
-        self._dec = dec
 
     def coordinates(self, cycles):
         """Express middle-group cycles on homology generators.
@@ -166,9 +165,7 @@ class HomologyData:
         """
         if isinstance(cycles, IntMatrix) and cycles.cols == 0:
             return IntMatrix.zero(self.cycles.cols, 0)
-        if self._dec is None:
-            self._dec = snf(self.cycles)
-        y = self._dec.solve(cycles)
+        y = snf(self.cycles).solve(cycles)
         if y is None:
             raise ComplexError("vector is not a cycle of this homology computation")
         return y
@@ -193,13 +190,11 @@ def _homology(d_in, d_out):
     middle = d_out.source
     out_combined = d_out.matrix.hstack(d_out.target.relations)
     cycles = snf(out_combined).kernel_basis(middle.generators)
+    # with no boundaries and no relations the stack is `cycles` itself, so
+    # `coordinates` reuses the decomposition made here
     boundary_sources = cycles.hstack(d_in.matrix).hstack(middle.relations)
-    dec = snf(boundary_sources)
-    relations = dec.kernel_basis(cycles.cols)
-    # with no boundaries and no relations the stack is `cycles`, whose
-    # decomposition `coordinates` would otherwise compute again
-    handed = None if d_in.matrix.cols or middle.relations.cols else dec
-    return HomologyData(PresentedAbGroup(cycles.cols, relations), cycles, handed)
+    relations = snf(boundary_sources).kernel_basis(cycles.cols)
+    return HomologyData(PresentedAbGroup(cycles.cols, relations), cycles)
 
 
 class ChainMap:

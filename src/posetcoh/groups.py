@@ -15,7 +15,7 @@ from .linalg import IntMatrix, checked_int, snf
 class PresentedAbGroup:
     """Z^generators modulo the column lattice of `relations`."""
 
-    __slots__ = ("generators", "relations", "_dec", "_canonical")
+    __slots__ = ("generators", "relations", "_canonical")
 
     def __init__(self, generators, relations=None):
         if generators < 0:
@@ -29,7 +29,6 @@ class PresentedAbGroup:
             )
         self.generators = generators
         self.relations = relations
-        self._dec = None
         self._canonical = None
 
     @classmethod
@@ -53,11 +52,6 @@ class PresentedAbGroup:
         rel = IntMatrix.from_columns(cols, nrows=gens) if cols else None
         return cls(gens, rel)
 
-    def relation_dec(self):
-        if self._dec is None:
-            self._dec = snf(self.relations)
-        return self._dec
-
     def in_relation_lattice(self, vectors):
         """Whether every column of the matrix `vectors` is zero in the group.
 
@@ -70,7 +64,7 @@ class PresentedAbGroup:
         >>> g.in_relation_lattice(IntMatrix.from_rows([[0, 0], [2, 1]]))
         False
         """
-        return vectors.is_zero() or self.relation_dec().contains(vectors)
+        return vectors.is_zero() or snf(self.relations).contains(vectors)
 
     def __eq__(self, other):
         return (
@@ -137,7 +131,7 @@ class CanonicalGroup:
 def canonical_form(group):
     """Free rank and invariant factors of a presented group, kept on the group."""
     if group._canonical is None:
-        factors = group.relation_dec().invariant_factors()
+        factors = snf(group.relations).invariant_factors()
         rank = group.generators - len(factors)
         torsion = tuple(d for d in factors if d > 1)
         group._canonical = CanonicalGroup(rank, torsion)
@@ -180,12 +174,6 @@ class GroupHom:
         if inner.target is not self.source and inner.target != self.source:
             raise ValueError("composition endpoint mismatch")
         return GroupHom(inner.source, self.target, self.matrix * inner.matrix)
-
-    def __add__(self, other):
-        return GroupHom(self.source, self.target, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return GroupHom(self.source, self.target, self.matrix - other.matrix)
 
     def __repr__(self):
         return "GroupHom(%r -> %r)" % (self.source, self.target)

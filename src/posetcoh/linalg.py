@@ -19,12 +19,14 @@ class IntMatrix:
 
     No zero is stored, and no stored row is changed once the matrix is
     built, so matrices may share rows; `entries` is the dense view for output.
+    The one other thing a matrix keeps is its Smith decomposition, which
+    `snf` stores on the first call and returns on every later one.
 
     >>> IntMatrix.from_rows([[1, 2], [3, 4]]).transpose().entries
     ((1, 3), (2, 4))
     """
 
-    __slots__ = ("rows", "cols", "lines")
+    __slots__ = ("rows", "cols", "lines", "_smith")
 
     def __init__(self, rows, cols, entries):
         _check_shape(rows, cols)
@@ -41,6 +43,7 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.lines = lines
+        self._smith = None
 
     @classmethod
     def _trusted(cls, rows, cols, lines):
@@ -53,6 +56,7 @@ class IntMatrix:
         m.rows = rows
         m.cols = cols
         m.lines = lines
+        m._smith = None
         return m
 
     @classmethod
@@ -170,7 +174,8 @@ class IntMatrix:
         return tuple(sum(a * vector[j] for j, a in line.items()) for line in self.lines)
 
     def hstack(self, other):
-        """Columns of self followed by columns of other."""
+        """Columns of self followed by columns of other; self when other has
+        none, which then shares self's Smith decomposition."""
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
         if not other.cols:
@@ -223,12 +228,12 @@ class SmithDecomposition:
     for `contains`, `solve` and `kernel_basis`.  U and V are kept as the
     logged row and column operations of the elimination, replayed on copies
     of the rows of each operand; U and V themselves are built when read.
+    M itself is not kept: D has its shape, and M keeps the decomposition.
     """
 
-    __slots__ = ("matrix", "D", "rank", "_row_ops", "_col_ops", "_U", "_V")
+    __slots__ = ("D", "rank", "_row_ops", "_col_ops", "_U", "_V")
 
-    def __init__(self, matrix, D, rank, row_ops, col_ops):
-        self.matrix = matrix
+    def __init__(self, D, rank, row_ops, col_ops):
         self.D = D
         self.rank = rank
         self._row_ops = row_ops
@@ -239,14 +244,14 @@ class SmithDecomposition:
     @property
     def U(self):
         if self._U is None:
-            m = self.matrix.rows
+            m = self.D.rows
             self._U = IntMatrix._trusted(m, m, _replay([{i: 1} for i in range(m)], self._row_ops))
         return self._U
 
     @property
     def V(self):
         if self._V is None:
-            n = self.matrix.cols
+            n = self.D.cols
             self._V = IntMatrix._trusted(n, n, self._replay_columns([{i: 1} for i in range(n)]))
         return self._V
 
@@ -262,8 +267,8 @@ class SmithDecomposition:
         rows, or None when a row of U B past the rank is nonzero or a row is
         not divisible by its invariant factor."""
         r = self.rank
-        if B.rows != self.matrix.rows:
-            raise ValueError("shape mismatch: %d rows, expected %d" % (B.rows, self.matrix.rows))
+        if B.rows != self.D.rows:
+            raise ValueError("shape mismatch: %d rows, expected %d" % (B.rows, self.D.rows))
         rows = _replay([dict(line) for line in B.lines], self._row_ops)
         factors = self.invariant_factors()
         if any(rows[r:]) or any(c % d for row, d in zip(rows, factors) for c in row.values()):
@@ -282,21 +287,21 @@ class SmithDecomposition:
         A vector is solved as a one-column matrix and its solution comes
         back as a tuple.
         """
-        M = self.matrix
+        m, n = self.D.rows, self.D.cols
         vector = not isinstance(b, IntMatrix)
         if vector:
-            b = IntMatrix.from_columns([b], nrows=M.rows)
+            b = IntMatrix.from_columns([b], nrows=m)
         Y = self._quotient(b)
         if Y is None:
             return None
-        lines = self._replay_columns(Y + [{} for _ in range(M.cols - self.rank)])
-        X = IntMatrix._trusted(M.cols, b.cols, lines)
+        lines = self._replay_columns(Y + [{} for _ in range(n - self.rank)])
+        X = IntMatrix._trusted(n, b.cols, lines)
         return X.column(0) if vector else X
 
     def kernel_basis(self, rows=None):
         """Columns forming a lattice basis of {x : M x = 0}: V times the identity
         columns past the rank, or only the leading `rows` rows of that."""
-        n, r = self.matrix.cols, self.rank
+        n, r = self.D.cols, self.rank
         rows = n if rows is None else rows
         if not 0 <= rows <= n:
             raise ValueError("kernel rows %d outside 0..%d" % (rows, n))
@@ -327,27 +332,38 @@ def _replay(rows, ops):
 
 
 def snf(M):
-    """Smith normal form of M with unimodular transforms.
+    """Smith normal form of M with unimodular transforms, kept on M.
 
-    Row and column eliminations use a pivot of minimal absolute value, which
-    keeps intermediate entries small in practice.  Before a pivot is accepted,
-    it is made to divide every remaining entry of the working submatrix, so
-    the divisibility chain on the diagonal holds by construction.  Only M is
-    eliminated; each row and column operation is logged, and U and V are
-    replayed from the logs when first read.
+    The first call eliminates M (`_eliminate`) and stores the decomposition
+    on M, and every later call returns it: a matrix never changes once built.
+
+    >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
+    >>> snf(M).invariant_factors(), snf(M) is snf(M)
+    ((2, 4), True)
+    """
+    if M._smith is None:
+        M._smith = _eliminate(M)
+    return M._smith
+
+
+def _eliminate(M):
+    """The Smith decomposition of M.  Row and column eliminations use a
+    pivot of minimal absolute value, which keeps intermediate entries small
+    in practice.  Before a pivot is accepted, it is made to divide every
+    remaining entry of the working submatrix, so the divisibility chain on
+    the diagonal holds by construction.  Only M is eliminated; each row and
+    column operation is logged, and U and V are replayed from the logs when
+    first read.
 
     The work follows the live block: a row that a pivot search found zero
     is never visited again, a column swap touches only the pivot row and
     the rows below it, and a row operation only the nonzero columns of the
     pivot row.  What is skipped cannot change, so the pivots and the logs
     are those of the full sweep.
-
-    >>> snf(IntMatrix.from_rows([[2, 4], [6, 8]])).invariant_factors()
-    (2, 4)
     """
     m, n = M.rows, M.cols
     if not m or not n:
-        return SmithDecomposition(M, M, 0, [], [])
+        return SmithDecomposition(IntMatrix.zero(m, n), 0, [], [])
     A = M._scratch()
     row_ops = []  # (src, dst, q) as `_replay` reads them
     col_ops = []
@@ -463,7 +479,7 @@ def snf(M):
         t += 1
 
     D = IntMatrix._trusted(m, n, [{i: A[i][i]} for i in range(t)] + [{}] * (m - t))
-    return SmithDecomposition(M, D, t, row_ops, col_ops)
+    return SmithDecomposition(D, t, row_ops, col_ops)
 
 
 def rank_and_torsion(columns):

@@ -144,6 +144,31 @@ def test_cycle_lift_round_trip():
         assert h.coordinates(z) is not None
 
 
+def test_homology_without_boundaries_or_relations_eliminates_its_cycles_once(monkeypatch):
+    # with no incoming columns and no relations the stack [cycles | d_in | R]
+    # is `cycles` itself, so the relations and `coordinates` share one
+    # elimination of it; with boundaries `coordinates` eliminates it apart
+    import posetcoh.linalg
+
+    eliminated = []
+    eliminate = posetcoh.linalg._eliminate
+
+    def counting(M):
+        eliminated.append(M)
+        return eliminate(M)
+
+    monkeypatch.setattr(posetcoh.linalg, "_eliminate", counting)
+    plane = PresentedAbGroup.free(3)
+    for d_in, count in ((GroupHom.zero(ZERO, plane), 2), (hom(Z, plane, [[2], [2], [0]]), 3)):
+        eliminated.clear()
+        h = homology_at(d_in, hom(plane, Z, [[1, -1, 0]]))
+        y = IntMatrix.from_rows([[1, 0], [2, 1]])
+        assert h.coordinates(h.cycles * y) == y
+        assert h.coordinates(h.cycles.column(1)) == (0, 1)
+        assert len(eliminated) == count, d_in
+        assert sum(M is h.cycles for M in eliminated) == 1, d_in
+
+
 def test_brute_force_oracle_on_torsion_quotients():
     rng = random.Random(37)
     trials = 0

@@ -109,8 +109,6 @@ def test_compose_and_arithmetic():
     double = GroupHom(z, z, IntMatrix.from_rows([[2]]))
     triple = GroupHom(z, z, IntMatrix.from_rows([[3]]))
     assert double.compose(triple).matrix == IntMatrix.from_rows([[6]])
-    assert (double + triple).matrix == IntMatrix.from_rows([[5]])
-    assert (double - double).matrix.is_zero()
 
 
 def test_from_invariants_round_trip():
@@ -185,7 +183,7 @@ def test_in_relation_lattice_edge_cases():
     assert PresentedAbGroup.zero().in_relation_lattice(IntMatrix.zero(0, 0))
     g = group(3, [(2, 0, 0), (0, 4, 2)])  # Z/2 + Z/2 + Z, and its U is not diagonal
     assert g.in_relation_lattice(IntMatrix.zero(3, 0))
-    dec = g.relation_dec()
+    dec = snf(g.relations)
     assert dec.invariant_factors() == (2, 2)
     # U v is zero up to the rank and nonzero past it: every entry is even,
     # so only the past-the-rank test rejects it

@@ -1,10 +1,11 @@
 import copy
+import gc
 import random
 
 import pytest
 
 from posetcoh.diagrams import full_complex_truncated, random_diagram
-from posetcoh.linalg import IntMatrix, rank_and_torsion, snf
+from posetcoh.linalg import IntMatrix, SmithDecomposition, rank_and_torsion, snf
 from posetcoh.poset import parse_poset
 
 from oracles import (
@@ -519,25 +520,65 @@ def test_no_operation_changes_the_rows_of_its_operands():
     for trial in range(300):
         m, n, rows = random_shape_rows(rng)
         M = IntMatrix(m, n, rows)
+        fresh = copy.deepcopy(M.lines)
+        dec = snf(M)  # kept on M, which must therefore never change
+        assert M.lines == fresh, trial
         k = rng.randint(1, 3)
         B = IntMatrix(m, k, [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)])
         Z = IntMatrix.zero(m, k)
         assert m < 2 or Z.lines[0] is Z.lines[1]  # one empty row, shared
         C = IntMatrix(n, k, [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)])
-        kernel = snf(M).kernel_basis()
+        kernel = dec.kernel_basis()
         operands = (M, B, Z, C, kernel)
         before = [copy.deepcopy(X.lines) for X in operands]
-        dec = snf(M)
         dec.U, dec.V
-        for rhs in (B, Z, M * C, M * kernel, B.take_rows([0] * m)):  # the last shares one row
+        for rhs in (M, B, Z, M * C, M * kernel, B.take_rows([0] * m)):  # the last shares one row
             dec.contains(rhs), dec.solve(rhs)
         dec.solve(B.column(0))
         dec.kernel_basis(), dec.kernel_basis(n // 2)
         M * C, M * kernel, kernel.transpose() * kernel, B.transpose() * M
-        B + Z, Z + B, B - B, -B
+        B + Z, Z + B, B - B, -B, M + M, M - M, -M, M.transpose(), M.take_rows(range(m))
         M.hstack(B), M.hstack(Z), Z.hstack(M), kernel.hstack(kernel)
         IntMatrix.block_diag([M, Z, B, kernel])
         assert [X.lines for X in operands] == before, trial
+        assert snf(M) is dec, trial
+
+
+def test_snf_is_kept_on_its_matrix():
+    rng = random.Random(131)
+    for trial in range(100):
+        M = IntMatrix(*random_shape_rows(rng))
+        dec = snf(M)
+        assert snf(M) is dec, trial
+        assert snf(M.hstack(IntMatrix.zero(M.rows, 0))) is dec, trial
+        assert snf(IntMatrix(M.rows, M.cols, M.entries)) is not dec, trial
+        check_decomposition(M, dec)
+
+
+def _reachable(root):
+    """Every object reachable from `root` through matrices, decompositions
+    and the containers they hold; a type is not followed."""
+    seen = {}
+    todo = [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            if isinstance(obj, (IntMatrix, SmithDecomposition, list, tuple, dict)):
+                todo.extend(gc.get_referents(obj))
+    return seen.values()
+
+
+def test_a_kept_decomposition_holds_no_reference_to_its_matrix():
+    # so no cycle keeps a dropped matrix alive, and refcounting frees its logs
+    shapes = [(0, 0), (0, 3), (3, 0), (2, 2), (3, 4)]
+    for m, n in shapes:
+        M = IntMatrix(m, n, [[(i + 2 * j) % 3 - 1 for j in range(n)] for i in range(m)])
+        dec = snf(M)
+        dec.U, dec.V, dec.kernel_basis()
+        assert any(obj is dec for obj in gc.get_referents(M)), (m, n)
+        assert all(obj is not M for obj in _reachable(dec)), (m, n)
+        assert dec.D is not M and (dec.D.rows, dec.D.cols) == (m, n)
 
 
 def test_indexing_and_columns_reject_columns_outside():
