@@ -19,7 +19,6 @@ from .cech import (
     random_presheaf,
     sheaf_presheaf,
     topos_cohomology,
-    topos_support,
 )
 from .complexes import (
     AcyclicityVerdict,

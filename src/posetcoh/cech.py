@@ -25,7 +25,7 @@ from .diagrams import (
     random_diagram,
     sheafify_value,
 )
-from .groups import CanonicalGroup, GroupHom, PresentedAbGroup, canonical_form, is_isomorphism
+from .groups import GroupHom, PresentedAbGroup, canonical_form, is_isomorphism
 from .linalg import IntMatrix
 from .poset import IntersectionPoset, chains
 
@@ -122,21 +122,9 @@ def cech_cohomology(presheaf, n):
     return derived_limit(presheaf.diagram, n)
 
 
-def topos_support(presheaf):
-    """The degrees the topos groups may carry: the `cohomology_support` of the
-    base poset with the presheaf's value at each element's basic open."""
-    values = presheaf.diagram.values
-    return cohomology_support(presheaf.space, [values[k] for k in presheaf.intersection.lambda_map])
-
-
 def topos_cohomology(presheaf, n):
-    """H^n of the generated sheaf, as a derived limit over the base poset;
-    0 without building the complex outside `topos_support`."""
-    if n < 0:
-        raise DiagramError("degree must be nonnegative")
-    if n not in topos_support(presheaf):
-        return CanonicalGroup(0)
-    return presheaf.topos_complex().homology_group(n)
+    """H^n of the generated sheaf, as a derived limit over the base poset."""
+    return derived_limit(presheaf.pulled_diagram(), n)
 
 
 def comparison_map(presheaf, n):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import re
@@ -27,8 +28,8 @@ from .cech import (
     compare_report,
     random_presheaf,
     topos_cohomology,
-    topos_support,
 )
+from .complexes import subposet_homology
 from .cuts import criterion, enumerate_cuts, principal_meets
 from .diagrams import cohomology_support, derived_limit, full_complex_truncated
 from .documents import (
@@ -41,13 +42,11 @@ from .documents import (
 from .groups import CanonicalGroup
 from .poset import (
     IntersectionPoset,
-    chains,
     parse_poset,
     random_poset,
     serialize_poset,
     subset_name,
 )
-from .complexes import order_complex_homology
 
 
 def _read_json(path):
@@ -222,10 +221,10 @@ def cmd_cohomology(args):
     cech = args.command == "cech"
     order = _order_list(args) if cech else None
     space, ps = _load_presheaf(args)
+    diagram = ps.diagram if cech else ps.pulled_diagram()
     if args.oracle:
-        diagram = ps.diagram if cech else ps.pulled_diagram()
         diagram.verify()
-        (ps.cech_complex() if cech else ps.topos_complex()).verify()
+        diagram.reduced_complex().verify()
     top = functools.partial(cohomology_top, ps) if cech else space.height
     low, high = _degree_window(args, top)
     group = cech_cohomology if cech else topos_cohomology
@@ -294,8 +293,10 @@ def cmd_compare(args):
 def cmd_homology(args):
     P = _load_poset(args.poset)
     low, high = _degree_window(args, P.height)
-    homology = order_complex_homology(lambda k: chains(P, k), P.height())
-    return _groups("H_%d = %s", [(n, homology(n)) for n in range(low, high + 1)])
+    # the sweep yields the degrees that differ from a point's, lowest first
+    found = dict(itertools.takewhile(lambda row: row[0] <= high, subposet_homology(P)))
+    rows = [(n, found.get(n, CanonicalGroup(int(n == 0)))) for n in range(low, high + 1)]
+    return _groups("H_%d = %s", rows)
 
 
 def cmd_random_poset(args):
@@ -334,7 +335,7 @@ def cmd_fuzz(args):
             ps = random_presheaf(intersection, presheaf_seed)
             # outside both supports a degree maps 0 to 0, an isomorphism
             support = cohomology_support(intersection.poset, ps.diagram.values)
-            support |= topos_support(ps)
+            support |= cohomology_support(P, ps.pulled_diagram().values)
             outcome = compare_report(ps, [n for n in range(cohomology_top(ps) + 1) if n in support])
             if not outcome.all_iso:
                 violations.append((P, ps, presheaf_seed, outcome))

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from posetcoh.cech import Presheaf, compare_report, random_presheaf, topos_support
+from posetcoh.cech import Presheaf, compare_report, random_presheaf
 from posetcoh.cli import _attached_windows, build_parser
 from posetcoh.cuts import criterion
 from posetcoh.diagrams import Diagram, cohomology_support
@@ -550,7 +550,7 @@ def certificate_check(ps):
     """
     sides = (
         (ps.cech_complex(), cohomology_support(ps.diagram.base, ps.diagram.values)),
-        (ps.topos_complex(), topos_support(ps)),
+        (ps.topos_complex(), cohomology_support(ps.space, ps.pulled_diagram().values)),
     )
     pairs = certified = wrong = 0
     for cx, support in sides:

@@ -12,6 +12,7 @@ from posetcoh.cech import (
     comparison_map,
     random_presheaf,
     sheaf_presheaf,
+    topos_cohomology,
 )
 from posetcoh.complexes import Complex, ProductGroup
 from posetcoh.diagrams import DiagramError, random_diagram, sheafify_value
@@ -36,7 +37,7 @@ def presheaf_over(P, seed, **params):
 def test_skyscraper_comparison_fails_at_degree_zero():
     ps = load_presheaf(builders.SKYSCRAPER_DOC)
     assert cech_cohomology(ps, 0) == CanonicalGroup(1)
-    assert topos(ps, 0) == CanonicalGroup(2)
+    assert topos_cohomology(ps, 0) == CanonicalGroup(2)
     lam = comparison_map(ps, 0)
     assert canonical_form(lam.source) == CanonicalGroup(1)
     assert canonical_form(lam.target) == CanonicalGroup(2)
@@ -47,17 +48,11 @@ def test_skyscraper_comparison_fails_at_degree_zero():
     assert [(row.degree, row.iso) for row in report.rows] == [(0, False), (1, True)]
 
 
-def topos(ps, n):
-    from posetcoh.cech import topos_cohomology
-
-    return topos_cohomology(ps, n)
-
-
 def test_constant_square_comparison_fails_at_degree_one():
     ps = load_presheaf(builders.CONSTANT_SQUARE_DOC)
     assert cech_cohomology(ps, 0) == CanonicalGroup(1)
     assert cech_cohomology(ps, 1) == CanonicalGroup(0)
-    assert topos(ps, 1) == CanonicalGroup(1)
+    assert topos_cohomology(ps, 1) == CanonicalGroup(1)
     assert is_isomorphism(comparison_map(ps, 0))
     lam = comparison_map(ps, 1)
     assert canonical_form(lam.source) == CanonicalGroup(0)
@@ -74,7 +69,7 @@ def test_sphere_sheaf_mode_splits_at_degree_two():
     assert cech_cohomology(ps, 1) == CanonicalGroup(0)
     assert cech_cohomology(ps, 2) == CanonicalGroup(0)
     assert cech_cohomology(ps, 3) == CanonicalGroup(0)
-    assert topos(ps, 2) == CanonicalGroup(1)
+    assert topos_cohomology(ps, 2) == CanonicalGroup(1)
     report = compare_report(ps)
     assert [(row.degree, row.iso) for row in report.rows] == [(0, True), (1, True), (2, False)]
     assert report.rows[2].cech == CanonicalGroup(0)
@@ -282,8 +277,9 @@ def test_topos_complex_is_the_pulled_diagrams_complex():
     # the relabeled route, on an identity λ as on a permuted one, and the
     # fallback all give the complex of the pulled diagram, group for group
     # and matrix for matrix; the random, pulled and sheaf diagrams are
-    # functors, and both complexes and the comparison chain map pass their
-    # algebra checks
+    # functors, both complexes and the comparison chain map pass their
+    # algebra checks, and the topos groups, derived limits of the pulled
+    # diagram, are the relabeled complex's
     rng = random.Random(31)
     kinds = {"identity": 0, "permuted": 0, "non-principal": 0}
     fixed = [builders.square(), builders.crown3(), builders.pass7(), builders.capped_square()]
@@ -308,6 +304,9 @@ def test_topos_complex_is_the_pulled_diagrams_complex():
         ps.cech_complex().verify()
         ps.topos_complex().verify()
         ps.comparison_chain_map().verify()
+        # the relabeled route agrees with what `topos` prints
+        for n in range(ps.space.height() + 2):
+            assert topos_cohomology(ps, n) == ps.topos_complex().homology_group(n)
 
 
 def diamond_doc(left_first):

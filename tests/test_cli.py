@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -9,12 +10,13 @@ import posetcoh
 from posetcoh import cech, cli, complexes, diagrams
 from posetcoh.cech import random_presheaf
 from posetcoh.cli import build_parser, main
-from posetcoh.documents import load_presheaf, render_presheaf
+from posetcoh.complexes import order_complex_homology
+from posetcoh.documents import load_presheaf, render_group, render_presheaf
 from posetcoh.groups import CanonicalGroup
-from posetcoh.poset import IntersectionPoset, parse_poset, random_poset, serialize_poset
+from posetcoh.poset import IntersectionPoset, chains, core, parse_poset, random_poset, serialize_poset
 
 import builders
-from oracles import main_by_full_parse
+from oracles import main_by_full_parse, posets_up_to_isomorphism
 
 
 @pytest.fixture
@@ -185,7 +187,7 @@ def test_compare_oracle_checks_the_printed_groups(write, capsys, monkeypatch):
         code, out, err = run(capsys, "compare", poset, sheaf, "--oracle")
         assert (code, out) == (2, ""), field
         assert err == "oracle mismatch: reduced route disagrees at degree 0: Z/2 vs Z\n"
-    # and so does `topos`, whose groups come from the presheaf's topos complex
+    # and so does `topos`, whose groups are derived limits of the pulled diagram
     monkeypatch.setattr(cli, "topos_cohomology", lambda ps, n: CanonicalGroup(0, (2,)))
     code, out, err = run(capsys, "topos", poset, sheaf, "--oracle")
     assert (code, out) == (2, "")
@@ -233,6 +235,31 @@ def test_unreduced_oracle_route_is_built_only_to_the_height(write, capsys, monke
     lines = out.splitlines()
     assert lines[0] == "H^0 = Z"
     assert lines[4:] == ["H^%d = 0" % n for n in range(4, 8)]
+
+
+def test_oracle_verifies_the_complex_the_groups_come_from(write, capsys, monkeypatch):
+    # `cech` and `topos` print derived limits of one diagram each, and
+    # --oracle verifies that diagram's reduced complex, where λ is a
+    # bijection as where some node is not principal
+    verified, loaded = [], []
+    load = cli._load_presheaf
+    monkeypatch.setattr(cli, "_load_presheaf", lambda args: loaded.append(load(args)) or loaded[-1])
+    monkeypatch.setattr(complexes.Complex, "verify", lambda cx: verified.append(cx))
+    diamond = IntersectionPoset(parse_poset(builders.DIAMOND_DOC))
+    assert len(diamond) == 4
+    cases = [
+        (builders.SQUARE_DOC, builders.CONSTANT_SQUARE_DOC),
+        (builders.DIAMOND_DOC, render_presheaf(random_presheaf(diamond, 0))),
+    ]
+    for poset_doc, sheaf_doc in cases:
+        poset, sheaf = write("p.json", poset_doc), write("f.json", sheaf_doc)
+        for command in ("cech", "topos"):
+            verified.clear()
+            loaded.clear()
+            code, _, err = run(capsys, command, poset, sheaf, "--oracle")
+            _, ps = loaded[0]
+            diagram = ps.diagram if command == "cech" else ps.pulled_diagram()
+            assert (code, err) == (0, "") and verified == [diagram.reduced_complex()], command
 
 
 def test_compare_command_negative(write, capsys):
@@ -343,6 +370,39 @@ def test_homology_command(write, capsys):
     code, out, _ = run(capsys, "homology", poset)
     assert code == 0
     assert out.splitlines() == ["H_0 = Z", "H_1 = 0", "H_2 = 0"]
+
+
+def test_homology_command_matches_the_whole_order_complex(write, capsys):
+    # the command reads the core's sweep; every degree it prints, in text,
+    # in JSON and in a window past the height, is that of the order complex
+    # of the whole poset, every chain of it reduced
+    rng = random.Random(32)
+    antichain = parse_poset({"elements": ["a", "b", "c"], "relations": []})
+    posets = [P for n in range(1, 6) for P in posets_up_to_isomorphism(n)]
+    posets += [random_poset(rng.randint(1, 12), rng.random(), seed=3200 + k) for k in range(300)]
+    posets += [
+        builders.point(), builders.vee(), builders.square(), builders.sphere(), builders.zigzag(),
+        builders.crown3(), builders.pass8(), builders.pass7(), builders.capped_square(),
+        builders.cells9(), builders.tetrahedron(), builders.projective_plane(), builders.dunce_hat(),
+        antichain,
+    ]
+    for P in posets:
+        path = write("p.json", serialize_poset(P))
+        height = P.height()
+        homology = order_complex_homology(lambda k: chains(P, k), height)
+        expected = [(n, homology(n)) for n in range(height + 1)]
+        code, out, _ = run(capsys, "homology", path)
+        assert (code, out) == (0, "".join("H_%d = %s\n" % (n, g.render()) for n, g in expected)), P
+        code, out, _ = run(capsys, "homology", path, "--json")
+        groups = [{"degree": n, "group": render_group(g)} for n, g in expected]
+        assert (code, json.loads(out)) == (0, {"groups": groups}), P
+        code, out, _ = run(capsys, "homology", path, "--degrees", "%d..%d" % (height, height + 2))
+        rows = [expected[-1][1].render(), "0", "0"]
+        assert (code, out) == (0, "".join("H_%d = %s\n" % (height + k, g) for k, g in enumerate(rows))), P
+    code, out, _ = run(capsys, "homology", write("rp2.json", serialize_poset(builders.projective_plane())))
+    assert out.splitlines() == ["H_0 = Z", "H_1 = Z/2", "H_2 = 0"]
+    code, out, _ = run(capsys, "homology", write("antichain.json", serialize_poset(antichain)))
+    assert out.splitlines() == ["H_0 = Z^3"]
 
 
 def test_random_poset_command(write, capsys, tmp_path):
@@ -708,8 +768,6 @@ def test_document_commands_print_one_canonical_line_with_json(write, capsys):
 
 
 def test_homology_reduces_each_boundary_once(write, capsys, monkeypatch):
-    P = random_poset(12, 0.5, 7)
-    path = write("p.json", serialize_poset(P))
     calls = []
     original = complexes.rank_and_torsion
 
@@ -718,7 +776,16 @@ def test_homology_reduces_each_boundary_once(write, capsys, monkeypatch):
         return original(columns)
 
     monkeypatch.setattr(complexes, "rank_and_torsion", counted)
-    code, out, _ = run(capsys, "homology", path)
+    # the core of this poset is one point, read off without a boundary
+    P = random_poset(12, 0.5, 7)
+    assert len(core(P)) == 1
+    code, out, _ = run(capsys, "homology", write("p.json", serialize_poset(P)))
     assert code == 0 and len(out.splitlines()) == P.height() + 1
-    # one boundary into each degree below the top
-    assert 0 < len(calls) <= P.height()
+    assert calls == []
+    # the core of these is the whole poset: one boundary into each degree below the top
+    for P in (builders.dunce_hat(), builders.projective_plane()):
+        assert core(P) == list(range(len(P)))
+        calls.clear()
+        code, out, _ = run(capsys, "homology", write("p.json", serialize_poset(P)))
+        assert code == 0 and len(out.splitlines()) == P.height() + 1
+        assert 0 < len(calls) <= P.height()
