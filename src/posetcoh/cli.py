@@ -177,34 +177,27 @@ def _groups(fmt, rows):
     return 0, payload, "\n".join(fmt % (n, g.render()) for n, g in rows)
 
 
-def _route_problem(rows, diagram, ordered=None):
+def _unreduced_route(diagram, top):
+    """The unreduced complex of `diagram` as a labeled route up to degree
+    `top`, truncated there or at the base height, whichever is lower;
+    derived limits vanish above the height, so there it gives the zero group."""
+    cap = min(top, diagram.base.height())
+    routed = full_complex_truncated(diagram, cap)
+    return "unreduced", lambda n: routed.homology_group(n) if n <= cap else CanonicalGroup(0)
+
+
+def _route_problem(rows, routes):
     """The first printed row that an independent route disagrees with, or None.
 
-    `rows` are the (degree, group) pairs a command prints as derived limits
-    of `diagram`.  Each is checked against the derived limit recomputed from
-    the reduced complex of `diagram`, and that against a second route: the
-    ordered Cech complex `ordered` when one is given, else the unreduced
-    complex of `diagram` truncated at the top degree or at the base height,
-    whichever is lower.  Derived limits vanish above the height, so there the
-    second route gives the zero group.
+    `rows` are the (degree, group) pairs a command prints, and `routes` the
+    (label, group in degree n) pairs each row is compared with, in order.
     """
-    top = max(n for n, _ in rows)
-    if ordered is None:
-        top = min(top, diagram.base.height())
-        label, routed = "unreduced", full_complex_truncated(diagram, top)
-    else:
-        label, routed = "ordered", ordered
     for n, printed in rows:
-        direct = derived_limit(diagram, n)
-        other = routed.homology_group(n) if n <= top else CanonicalGroup(0)
-        for name, a, b in (("reduced", printed, direct), (label, direct, other)):
-            if a != b:
+        for label, route in routes:
+            other = route(n)
+            if printed != other:
                 return "%s route disagrees at degree %d: %s vs %s" % (
-                    name,
-                    n,
-                    a.render(),
-                    b.render(),
-                )
+                    label, n, printed.render(), other.render())
     return None
 
 
@@ -230,8 +223,11 @@ def cmd_cohomology(args):
     group = cech_cohomology if cech else topos_cohomology
     rows = [(n, group(ps, n)) for n in range(low, high + 1)]
     if args.oracle:
-        ordered = cech_ordered_complex(ps, order) if cech else None
-        problem = _route_problem(rows, diagram, ordered)
+        if cech:
+            route = "ordered", cech_ordered_complex(ps, order).homology_group
+        else:
+            route = _unreduced_route(diagram, high)
+        problem = _route_problem(rows, [route])
         if problem:
             return _oracle_mismatch(problem)
     return _groups("H^%d = %s", rows)
@@ -248,12 +244,16 @@ def cmd_compare(args):
     report = compare_report(ps, range(low, high + 1))
     rows = report.rows
     if args.oracle:
-        cech = [(row.degree, row.cech) for row in rows]
-        ordered = cech_ordered_complex(ps, order)
-        problem = (
-            _route_problem(cech, ps.diagram, ordered)
-            or _route_problem(cech, ps.diagram)
-            or _route_problem([(row.degree, row.topos) for row in rows], ps.pulled_diagram())
+        # groups of the comparison's own homology: derived limits are a route too
+        pulled = ps.pulled_diagram()
+        problem = _route_problem(
+            [(row.degree, row.cech) for row in rows],
+            [("reduced", functools.partial(derived_limit, ps.diagram)),
+             ("ordered", cech_ordered_complex(ps, order).homology_group),
+             _unreduced_route(ps.diagram, high)],
+        ) or _route_problem(
+            [(row.degree, row.topos) for row in rows],
+            [("reduced", functools.partial(derived_limit, pulled)), _unreduced_route(pulled, high)],
         )
         if problem:
             return _oracle_mismatch(problem)

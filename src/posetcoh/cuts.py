@@ -93,12 +93,10 @@ def criterion(P, shortcuts=True):
         if principal_meets(P):
             return CriterionReport(0, [], "semilattice")
     failures = []
-    cone_shortcut = False
     cuts = enumerate_cuts(P)
     for cut in cuts:
         verdict = acyclicity_check(P, shortcuts=shortcuts, members=cut.upper)
-        if verdict.via == "least-element":
-            cone_shortcut = True
         if not verdict:
             failures.append((cut, verdict.degree, verdict.group))
-    return CriterionReport(len(cuts), failures, "least-element" if cone_shortcut else "none")
+    # with shortcuts some cut took the least-element path: x is least in the U(x) of <L(x), U(x)>
+    return CriterionReport(len(cuts), failures, "least-element" if shortcuts else "none")

@@ -308,9 +308,9 @@ def parse_poset(doc):
 
     Relation pairs [a, b] assert a <= b; they may be arbitrary assertions, not
     only covers, and the reflexive-transitive closure is taken.  Raises
-    PosetError naming the offenders for duplicate elements, unknown names and
-    names holding "," or "->", which node names and map keys use;
-    `Poset` names the two elements of a relation cycle.
+    PosetError naming the offenders for unknown names and names holding ","
+    or "->", which node names and map keys use; `Poset` names a duplicate
+    element and the two elements of a relation cycle.
     """
     if not isinstance(doc, dict):
         raise PosetError("poset document must be an object")
@@ -323,11 +323,6 @@ def parse_poset(doc):
         for sep in (",", "->"):
             if sep in name:
                 raise PosetError("element name %r contains %r" % (name, sep))
-    seen = set()
-    for name in elements:
-        if name in seen:
-            raise PosetError("duplicate element name: %r" % name)
-        seen.add(name)
     index = {name: i for i, name in enumerate(elements)}
     n = len(elements)
     preds = [set() for _ in range(n)]

@@ -187,11 +187,42 @@ def test_compare_oracle_checks_the_printed_groups(write, capsys, monkeypatch):
         code, out, err = run(capsys, "compare", poset, sheaf, "--oracle")
         assert (code, out) == (2, ""), field
         assert err == "oracle mismatch: reduced route disagrees at degree 0: Z/2 vs Z\n"
-    # and so does `topos`, whose groups are derived limits of the pulled diagram
+    # `topos` prints derived limits of the pulled diagram, which its unreduced route checks
     monkeypatch.setattr(cli, "topos_cohomology", lambda ps, n: CanonicalGroup(0, (2,)))
     code, out, err = run(capsys, "topos", poset, sheaf, "--oracle")
     assert (code, out) == (2, "")
-    assert err == "oracle mismatch: reduced route disagrees at degree 0: Z/2 vs Z\n"
+    assert err == "oracle mismatch: unreduced route disagrees at degree 0: Z/2 vs Z\n"
+
+
+def test_oracle_recomputes_no_derived_limit_that_printed_a_row(write, capsys, monkeypatch):
+    # `cech` and `topos` print derived limits, so recomputing them would check
+    # nothing; `compare` prints its own homology, which the derived limits of
+    # both sides check, once per row each
+    calls = []
+    limit = cli.derived_limit
+    monkeypatch.setattr(cli, "derived_limit", lambda diagram, n: calls.append(n) or limit(diagram, n))
+    P = random_poset(5, 0.5, 6)
+    cases = [
+        (builders.SQUARE_DOC, builders.CONSTANT_SQUARE_DOC, ["Z", "0"], ["Z", "Z"]),
+        (
+            serialize_poset(P),
+            render_presheaf(random_presheaf(IntersectionPoset(P), 0)),
+            ["0", "Z", "0"],
+            ["0", "Z", "Z"],
+        ),
+    ]
+    for poset_doc, sheaf_doc, cech_groups, topos_groups in cases:
+        poset, sheaf = write("p.json", poset_doc), write("f.json", sheaf_doc)
+        for command, groups in (("cech", cech_groups), ("topos", topos_groups)):
+            calls.clear()
+            result = run(capsys, command, poset, sheaf, "--oracle")
+            lines = "".join("H^%d = %s\n" % row for row in enumerate(groups))
+            assert result == (0, lines, "") and calls == [], command
+        calls.clear()
+        code, out, err = run(capsys, "compare", poset, sheaf, "--oracle")
+        rows = len(cech_groups)
+        assert (code, err, len(out.splitlines())) == (1, "", rows + 1)
+        assert sorted(calls) == sorted(2 * list(range(rows)))
 
 
 def test_oracle_routes_catch_a_wrong_vanishing_certificate(write, capsys, monkeypatch):

@@ -17,7 +17,7 @@ from posetcoh.poset import (
 )
 
 import builders
-from oracles import brute_force_cuts
+from oracles import brute_force_cuts, posets_up_to_isomorphism
 
 
 def cut_names(P, cuts):
@@ -107,6 +107,28 @@ def test_shortcut_labels():
     assert full.shortcut == "none"
     assert full.cuts_examined == 4
     assert criterion(builders.pass8()).shortcut == "least-element"
+
+
+def test_every_poset_past_the_shortcuts_has_a_cone_cut():
+    # the criterion labels every run of the cut loop with shortcuts on
+    # "least-element": some cut's upper section must then be a cone
+    def reaches_the_cuts(P):
+        report = criterion(P)
+        if report.cuts_examined:
+            assert report.shortcut == "least-element"
+            assert any(
+                acyclicity_check(P, members=cut.upper).via == "least-element"
+                for cut in enumerate_cuts(P)
+            ), P.elements
+        return report.cuts_examined > 0
+
+    census = [P for n in range(1, 7) for P in posets_up_to_isomorphism(n)]
+    assert sum(map(reaches_the_cuts, census)) == 95
+    rng = random.Random(97)
+    drawn = [
+        random_poset(rng.randint(4, 12), rng.uniform(0.2, 0.6), seed=9700 + k) for k in range(300)
+    ]
+    assert sum(map(reaches_the_cuts, drawn)) == 81
 
 
 def test_zigzag_full_recheck():

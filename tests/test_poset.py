@@ -56,6 +56,8 @@ def test_parse_errors():
         parse_poset({"elements": ["a", "b"], "relations": [["a", "b"], ["b", "a"]]})
     with pytest.raises(PosetError, match="duplicate.*'a'"):
         parse_poset({"elements": ["a", "a"], "relations": []})
+    with pytest.raises(PosetError, match="duplicate element name: 'a'"):
+        parse_poset({"elements": ["a", "a", "b"], "relations": [["a", "b"]]})
     with pytest.raises(PosetError, match="unknown.*'z'"):
         parse_poset({"elements": ["a"], "relations": [["a", "z"]]})
     with pytest.raises(PosetError):
