@@ -33,7 +33,7 @@ from .poset import IntersectionPoset, chains
 class Presheaf:
     """Abelian groups on the intersection poset, restriction on reverse inclusion."""
 
-    __slots__ = ("intersection", "diagram", "_pulled", "_topos", "_rho")
+    __slots__ = ("intersection", "diagram", "_pulled", "_rho")
 
     def __init__(self, intersection, diagram):
         nodes = intersection.poset
@@ -42,7 +42,6 @@ class Presheaf:
         self.intersection = intersection
         self.diagram = diagram
         self._pulled = None
-        self._topos = None
         self._rho = None
 
     @property
@@ -65,29 +64,27 @@ class Presheaf:
         return self.diagram.reduced_complex()
 
     def topos_complex(self):
-        """The reduced complex of the pulled diagram.
+        """The reduced complex of the pulled diagram, built on each call; the
+        one the comparison reads is kept on ρ.
 
         When λ is a bijection and each node lists its edge maps in the order
         of the λ-images of its element's lower covers, every composite of
         the pulled diagram is the presheaf's own, so this is the presheaf
         diagram's complex on the relabeled base chains, built without it.
         """
-        if self._topos is None:
-            lam = self.intersection.lambda_map
-            pulled, given = {}, {}
-            for low, high in self.space.covers():
-                pulled.setdefault(lam[high], []).append(lam[low])
-            for high, low in self.diagram.edge_maps:
-                given.setdefault(high, []).append(low)
-            if len(lam) != len(self.intersection) or pulled != given:
-                self._topos = self.pulled_diagram().reduced_complex()
-            else:
-                cells = [
-                    [tuple(lam[i] for i in c) for c in chains(self.space, n)]
-                    for n in range(self.space.height() + 1)
-                ]
-                self._topos = _cell_complex(self.diagram, cells, itemgetter(-1))
-        return self._topos
+        lam = self.intersection.lambda_map
+        pulled, given = {}, {}
+        for low, high in self.space.covers():
+            pulled.setdefault(lam[high], []).append(lam[low])
+        for high, low in self.diagram.edge_maps:
+            given.setdefault(high, []).append(low)
+        if len(lam) != len(self.intersection) or pulled != given:
+            return self.pulled_diagram().reduced_complex()
+        cells = [
+            [tuple(lam[i] for i in c) for c in chains(self.space, n)]
+            for n in range(self.space.height() + 1)
+        ]
+        return _cell_complex(self.diagram, cells, itemgetter(-1))
 
     def comparison_chain_map(self):
         """The cochain map from node cochains to principal-chain cochains.

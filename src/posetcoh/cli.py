@@ -237,8 +237,8 @@ def cmd_compare(args):
     order = _order_list(args)
     _, ps = _load_presheaf(args)
     if args.oracle:
-        for built in (ps.diagram, ps.pulled_diagram(), ps.cech_complex(), ps.topos_complex(),
-                      ps.comparison_chain_map()):
+        rho = ps.comparison_chain_map()
+        for built in (ps.diagram, ps.pulled_diagram(), rho.source, rho.target, rho):
             built.verify()
     low, high = _degree_window(args, functools.partial(cohomology_top, ps))
     report = compare_report(ps, range(low, high + 1))

@@ -9,7 +9,7 @@ how every cohomology group in this package is reported.
 
 from __future__ import annotations
 
-from .linalg import IntMatrix, checked_int, snf
+from .linalg import IntMatrix, checked_int, rank_and_torsion, snf
 
 
 class PresentedAbGroup:
@@ -129,12 +129,10 @@ class CanonicalGroup:
 
 
 def canonical_form(group):
-    """Free rank and invariant factors of a presented group, kept on the group."""
+    """Free rank and invariant factors by `rank_and_torsion`, kept on the group."""
     if group._canonical is None:
-        factors = snf(group.relations).invariant_factors()
-        rank = group.generators - len(factors)
-        torsion = tuple(d for d in factors if d > 1)
-        group._canonical = CanonicalGroup(rank, torsion)
+        rank, torsion = rank_and_torsion(group.relations.transpose().lines)
+        group._canonical = CanonicalGroup(group.generators - rank, torsion)
     return group._canonical
 
 
@@ -202,7 +200,7 @@ def is_isomorphism(hom):
     two trivial groups is one.  Otherwise it is an isomorphism iff it is
     onto, since finitely generated abelian groups are Hopfian; the cokernel
     is presented by the map's columns joined with the target relators, so
-    it is trivial iff all their invariant factors are 1.
+    it is trivial iff they have full rank and no invariant factor above 1.
     """
     form = canonical_form(hom.source)
     if form != canonical_form(hom.target):
@@ -210,4 +208,4 @@ def is_isomorphism(hom):
     if form.is_trivial():
         return True
     combined = hom.matrix.hstack(hom.target.relations)
-    return snf(combined).invariant_factors() == (1,) * hom.target.generators
+    return rank_and_torsion(combined.transpose().lines) == (hom.target.generators, ())

@@ -4,8 +4,8 @@ Everything downstream (group presentations, homology, derived limits) reduces
 to three primitives over the integers: the Smith normal form of a matrix with
 unimodular row and column transforms, solving M x = b over the integers, and
 computing a lattice basis of a kernel.  Where only the isomorphism class of
-a homology group is wanted, `rank_and_torsion` reads rank and invariant
-factors off a sparse matrix without any transforms.  Arbitrary-precision ints
+a group is wanted, `rank_and_torsion` reads rank and invariant factors off
+a sparse matrix without any transforms.  Arbitrary-precision ints
 are used throughout; there is no floating point anywhere in this package.
 """
 
@@ -517,10 +517,10 @@ def rank_and_torsion(columns):
         ks = row_cols.get(r)
         if ks is None or len(ks) != count:
             continue
-        units = [k for k in ks if cols[k][r] in (1, -1)]
+        units = [(len(cols[k]), k) for k in ks if cols[k][r] in (1, -1)]
         if not units:
             continue  # filed again if a later update touches it
-        c = min(units, key=lambda k: (len(cols[k]), k))
+        c = min(units)[1]
         pivot = cols[c]
         cols[c] = None
         sign = pivot[r]

@@ -293,6 +293,31 @@ def test_oracle_verifies_the_complex_the_groups_come_from(write, capsys, monkeyp
             assert (code, err) == (0, "") and verified == [diagram.reduced_complex()], command
 
 
+def test_compare_oracle_verifies_the_complexes_rho_holds(write, capsys, monkeypatch):
+    # `compare` prints the homology of ρ's source and target, and --oracle
+    # verifies those two complexes and ρ itself, where the topos complex is
+    # the pulled diagram's (the square) as where λ relabels the presheaf's
+    verified, loaded = [], []
+    load = cli._load_presheaf
+    monkeypatch.setattr(cli, "_load_presheaf", lambda args: loaded.append(load(args)) or loaded[-1])
+    monkeypatch.setattr(complexes.Complex, "verify", lambda cx: verified.append(cx))
+    monkeypatch.setattr(complexes.ChainMap, "verify", lambda f: verified.append(f))
+    diamond = IntersectionPoset(parse_poset(builders.DIAMOND_DOC))
+    cases = [
+        (builders.SQUARE_DOC, builders.CONSTANT_SQUARE_DOC),
+        (builders.DIAMOND_DOC, render_presheaf(random_presheaf(diamond, 0))),
+    ]
+    for poset_doc, sheaf_doc in cases:
+        poset, sheaf = write("p.json", poset_doc), write("f.json", sheaf_doc)
+        verified.clear()
+        loaded.clear()
+        code, _, err = run(capsys, "compare", poset, sheaf, "--oracle")
+        _, ps = loaded[0]
+        rho = ps.comparison_chain_map()
+        assert code in (0, 1) and err == ""
+        assert list(map(id, verified)) == list(map(id, (rho.source, rho.target, rho)))
+
+
 def test_compare_command_negative(write, capsys):
     poset = write("square.json", builders.SQUARE_DOC)
     sky = write("sky.json", builders.SKYSCRAPER_DOC)
