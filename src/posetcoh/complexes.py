@@ -222,17 +222,10 @@ def induced_on_homology(chain_map, n):
     """The map on degree-n homology along a chain map of well-defined maps.
 
     It is well defined with no check, since cycles go to cycles and boundaries
-    to boundaries.  Where the two complexes agree on everything `_homology`
-    reads at degree n, the source's homology serves the target too.
+    to boundaries.
     """
-
-    def around(c):
-        d_in, d_out = c.incoming(n), c.outgoing(n)
-        return d_in.matrix, d_out.matrix, d_out.source, d_out.target
-
     src = chain_map.source.homology(n)
-    same = around(chain_map.source) == around(chain_map.target)
-    tgt = src if same else chain_map.target.homology(n)
+    tgt = chain_map.target.homology(n)
     matrix = tgt.coordinates(chain_map.maps[n].matrix * src.cycles)
     return GroupHom(src.group, tgt.group, matrix)
 
@@ -351,18 +344,14 @@ def subposet_homology(poset, members=None):
             yield n, group
 
 
-def acyclicity_check(poset, shortcuts=True, members=None):
+def acyclicity_check(poset, members=None):
     """Whether the order complex has the homology of a point.
 
     `members` is the set of element indices to work within (default: every
-    element), whose induced subposet is never built itself.  A least
-    element makes the complex a cone and, with shortcuts on, settles the
-    verdict without homology.  Otherwise the first degree `subposet_homology`
-    yields fails, via the components at degree 0; with none, it is acyclic.
+    element), whose induced subposet is never built itself.  The first
+    degree `subposet_homology` yields fails, via the components at degree 0;
+    with none, it is acyclic.
     """
-    members = frozenset(range(len(poset.elements)) if members is None else members)
-    if shortcuts and any(members <= poset.up[i] for i in members):
-        return AcyclicityVerdict(True, via="least-element")
     for degree, group in subposet_homology(poset, members):
         return AcyclicityVerdict(False, degree, group, via="homology" if degree else "components")
     return AcyclicityVerdict(True, via="homology")

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from posetcoh.cech import random_presheaf
 from posetcoh.complexes import (
     AcyclicityVerdict,
     ChainMap,
@@ -15,7 +14,7 @@ from posetcoh.complexes import (
     simplicial_homology,
     subposet_homology,
 )
-from posetcoh.cuts import enumerate_cuts
+from posetcoh.cuts import criterion, enumerate_cuts
 from posetcoh.diagrams import Diagram, full_complex_truncated, random_diagram
 from posetcoh.groups import (
     CanonicalGroup,
@@ -26,7 +25,6 @@ from posetcoh.groups import (
 )
 from posetcoh.linalg import IntMatrix
 from posetcoh.poset import (
-    IntersectionPoset,
     PosetError,
     chains,
     core,
@@ -303,54 +301,6 @@ def test_induced_respects_composition():
     assert homs_equal(lhs, rhs)
 
 
-def induced_from_separate_homologies(chain_map, n):
-    """The induced map with the target's homology computed on its own."""
-    src = homology_at(chain_map.source.incoming(n), chain_map.source.outgoing(n))
-    tgt = homology_at(chain_map.target.incoming(n), chain_map.target.outgoing(n))
-    return GroupHom(src.group, tgt.group, tgt.coordinates(chain_map.maps[n].matrix * src.cycles))
-
-
-def test_induced_on_homology_reuses_only_where_the_complexes_agree():
-    # comparison maps, whose two complexes agree in every degree for most
-    # posets with principal intersections only, and quotient maps
-    # Cech -> Cech / (c d y) that change one group only, so the complexes
-    # agree in some degrees and not in the two next to the changed group
-    rng = random.Random(83)
-    reused = separate = 0
-    for trial in range(120):
-        P = random_poset(rng.randint(1, 5), rng.random(), seed=8300 + trial)
-        ps = random_presheaf(IntersectionPoset(P), seed=trial, max_generators=2, max_relators=1)
-        rho = ps.comparison_chain_map()
-        maps = [rho]
-        C = rho.source
-        if C.top_degree() >= 1:
-            j = rng.randint(1, C.top_degree())
-            y = [rng.randint(-2, 2) for _ in range(C.groups[j - 1].group.generators)]
-            c = rng.choice([1, 1, 2, 3])
-            r = [c * a for a in C.diffs[j - 1].matrix.apply(y)]
-            groups = [g.group for g in C.groups]
-            groups[j] = PresentedAbGroup(
-                groups[j].generators, groups[j].relations.hstack(IntMatrix.from_columns([r]))
-            )
-            diffs = [d.matrix for d in C.diffs]
-            S, Q = build_complex([g.group for g in C.groups], diffs), build_complex(groups, diffs)
-            identities = [
-                GroupHom(s.group, q.group, IntMatrix.identity(s.group.generators))
-                for s, q in zip(S.groups, Q.groups)
-            ]
-            maps.append(ChainMap(S, Q, identities))
-        for chain_map in maps:
-            for n in range(chain_map.source.top_degree() + 1):
-                h = induced_on_homology(chain_map, n)
-                expected = induced_from_separate_homologies(chain_map, n)
-                assert (h.source, h.target, h.matrix) == (expected.source, expected.target, expected.matrix)
-                if h.target is h.source:
-                    reused += 1
-                else:
-                    separate += 1
-    assert reused > 100 and separate > 100, (reused, separate)
-
-
 def test_chain_map_verification_failure_names_degree():
     cx = build_complex([Z, Z], [IntMatrix.from_rows([[2]])])
     with pytest.raises(ComplexError, match="degree 0"):
@@ -382,13 +332,12 @@ def test_acyclicity_dunce_hat_is_told_by_homology_alone():
     # contractible but free of beat points: its core is all of it
     P = builders.dunce_hat()
     assert len(core(P)) == len(P.elements) == 17 + 52 + 36
-    for shortcuts in (True, False):
-        verdict = acyclicity_check(P, shortcuts=shortcuts)
-        assert verdict.acyclic and verdict.via == "homology"
+    verdict = acyclicity_check(P)
+    assert verdict.acyclic and verdict.via == "homology"
 
 
 def test_acyclicity_projective_plane_fails_at_one_with_torsion():
-    verdict = acyclicity_check(builders.projective_plane(), shortcuts=False)
+    verdict = acyclicity_check(builders.projective_plane())
     assert not verdict.acyclic
     assert verdict.degree == 1 and verdict.group == CanonicalGroup(0, (2,))
 
@@ -420,11 +369,10 @@ def test_acyclicity_sweep_enumerates_only_the_degrees_it_reads(monkeypatch):
 
     monkeypatch.setattr(posetcoh.poset, "chains", counting_chains)
     for poset, read in ((P, [0, 1]), (Q, [0, 1, 2])):
-        for shortcuts in (True, False):
-            asked.clear()
-            verdict = acyclicity_check(poset, shortcuts=shortcuts)
-            assert verdict.degree == 1 and verdict.group == CanonicalGroup(1)
-            assert sorted(asked) == read
+        asked.clear()
+        verdict = acyclicity_check(poset)
+        assert verdict.degree == 1 and verdict.group == CanonicalGroup(1)
+        assert sorted(asked) == read
 
 
 def test_subposet_homology_is_that_of_the_built_subposet():
@@ -466,19 +414,17 @@ def test_subposet_homology_of_no_elements_raises(monkeypatch):
     P = builders.square()
     with pytest.raises(PosetError, match="nonempty"):
         next(subposet_homology(P, set()))
-    for shortcuts in (True, False):
-        with pytest.raises(PosetError, match="nonempty"):
-            acyclicity_check(P, shortcuts=shortcuts, members=set())
+    with pytest.raises(PosetError, match="nonempty"):
+        acyclicity_check(P, members=set())
 
 
 def test_acyclicity_cone_shortcut_and_recheck():
     P = parse_poset(
         {"elements": ["bot", "a", "b"], "relations": [["bot", "a"], ["bot", "b"]]}
     )
-    fast = acyclicity_check(P)
-    assert fast.acyclic and fast.via == "least-element"
-    slow = acyclicity_check(P, shortcuts=False)
-    assert slow.acyclic and slow.via == "homology"
+    # a cone is told by homology here; `criterion` owns the least-element test
+    verdict = acyclicity_check(P)
+    assert verdict.acyclic and verdict.via == "homology"
 
 
 def test_acyclicity_least_or_greatest_element_posets():
@@ -491,11 +437,15 @@ def test_acyclicity_least_or_greatest_element_posets():
             + [[e, "top"] for e in P.elements],
         }
         with_top = parse_poset(doc)
-        assert acyclicity_check(with_top, shortcuts=False).acyclic
+        assert acyclicity_check(with_top).acyclic
 
 
 def test_shortcut_agreement_on_random_posets():
     rng = random.Random(43)
     for trial in range(25):
         P = random_poset(rng.randint(1, 7), rng.random(), seed=6000 + trial)
-        assert acyclicity_check(P).acyclic == acyclicity_check(P, shortcuts=False).acyclic
+        fast, slow = criterion(P), criterion(P, shortcuts=False)
+        assert fast.verdict == slow.verdict
+        assert [(c.lower, n, g) for c, n, g in fast.failures] == [
+            (c.lower, n, g) for c, n, g in slow.failures
+        ]

@@ -1,5 +1,6 @@
 import random
 
+from posetcoh import cuts as cuts_module
 from posetcoh import poset
 from posetcoh.complexes import acyclicity_check, order_complex_homology
 from posetcoh.cuts import criterion, enumerate_cuts, principal_meets
@@ -109,17 +110,47 @@ def test_shortcut_labels():
     assert criterion(builders.pass8()).shortcut == "least-element"
 
 
-def test_every_poset_past_the_shortcuts_has_a_cone_cut():
-    # the criterion labels every run of the cut loop with shortcuts on
-    # "least-element": some cut's upper section must then be a cone
+def test_a_cut_is_a_cone_exactly_when_its_lower_half_is_principal():
+    # L = U^- and U = L^+: a least element x of U gives L = ↓x, and L = ↓x
+    # gives U = ↑x, whose least element is x
+    for n in range(1, 7):
+        for P in posets_up_to_isomorphism(n):
+            principal = set(P.down)
+            for cut in enumerate_cuts(P):
+                least = any(cut.upper <= P.up[i] for i in cut.upper)
+                assert least == (cut.lower in principal), (P.elements, cut)
+
+
+def test_criterion_sweeps_exactly_the_cuts_that_are_not_cones(monkeypatch):
+    # with shortcuts on, the cut loop leaves the principal cuts to the
+    # least-element test and sweeps the rest in order; with them off it
+    # sweeps every cut.  Each ↓x is a cut, so the label names a path that ran
+    swept = []
+    check = cuts_module.acyclicity_check
+
+    def recording(P, members=None):
+        swept.append(frozenset(members))
+        return check(P, members)
+
+    monkeypatch.setattr(cuts_module, "acyclicity_check", recording)
+
     def reaches_the_cuts(P):
+        cuts = enumerate_cuts(P)
+        principal = set(P.down)
+        swept.clear()
         report = criterion(P)
         if report.cuts_examined:
-            assert report.shortcut == "least-element"
-            assert any(
-                acyclicity_check(P, members=cut.upper).via == "least-element"
-                for cut in enumerate_cuts(P)
-            ), P.elements
+            assert (report.shortcut, report.cuts_examined) == ("least-element", len(cuts))
+            assert any(cut.lower in principal for cut in cuts)
+            assert swept == [cut.upper for cut in cuts if cut.lower not in principal]
+        else:
+            assert swept == []
+        swept.clear()
+        full = criterion(P, shortcuts=False)
+        assert swept == [cut.upper for cut in cuts]
+        assert [(c.lower, d, g) for c, d, g in report.failures] == [
+            (c.lower, d, g) for c, d, g in full.failures
+        ]
         return report.cuts_examined > 0
 
     census = [P for n in range(1, 7) for P in posets_up_to_isomorphism(n)]
@@ -199,7 +230,7 @@ def test_core_sweep_matches_the_full_sweep():
         P = random_poset(rng.randint(8, 12), rng.uniform(0.3, 0.5), seed=5400 + trial)
         failing = False
         for cut in enumerate_cuts(P):
-            verdict = acyclicity_check(P, shortcuts=False, members=cut.upper)
+            verdict = acyclicity_check(P, cut.upper)
             assert (verdict.acyclic, verdict.degree, verdict.group) == full_sweep(P, cut)
             failing |= not verdict
         failing_posets += failing
@@ -225,12 +256,11 @@ def test_cut_verdicts_match_those_of_the_built_upper_sections():
     for trial in range(40):
         P = random_poset(rng.randint(6, 12), rng.uniform(0.3, 0.6), seed=8300 + trial)
         for cut in enumerate_cuts(P):
-            for shortcuts in (True, False):
-                got = acyclicity_check(P, shortcuts=shortcuts, members=cut.upper)
-                want = acyclicity_check(induced_subposet(P, cut.upper), shortcuts=shortcuts)
-                assert (got.acyclic, got.degree, got.group, got.via) == (
-                    want.acyclic, want.degree, want.group, want.via
-                )
+            got = acyclicity_check(P, cut.upper)
+            want = acyclicity_check(induced_subposet(P, cut.upper))
+            assert (got.acyclic, got.degree, got.group, got.via) == (
+                want.acyclic, want.degree, want.group, want.via
+            )
 
 
 def test_criterion_builds_no_poset_per_upper_section(monkeypatch):
@@ -274,19 +304,17 @@ def test_cuts_and_criterion_build_no_intersection_poset(monkeypatch):
     assert [answers(P) for P in posets] == want
 
 
-def swept_on_the_built_core(P, members, shortcuts):
+def swept_on_the_built_core(P, members):
     """(acyclic, degree, group, via) with the core built as a poset and
-    swept, a one-point core too; the components and least-element tests
-    come first, as in acyclicity_check."""
+    swept, a one-point core too; the components test comes first, as in
+    acyclicity_check."""
     members = frozenset(members)
     parts = components(P, members)
     if len(parts) > 1:
         return False, 0, CanonicalGroup(len(parts)), "components"
-    if shortcuts and any(members <= P.up[i] for i in members):
-        return True, None, None, "least-element"
     Q = induced_subposet(P, core(P, members))
     homology = order_complex_homology(lambda k: chains(Q, k), Q.height())
-    for n in range(1 if shortcuts else 0, Q.height() + 1):
+    for n in range(Q.height() + 1):
         h = homology(n)
         if h != (CanonicalGroup(1) if n == 0 else CanonicalGroup(0)):
             return False, n, h, "homology"
@@ -304,17 +332,16 @@ def test_one_point_cores_read_off_match_the_sweep_of_the_built_core():
         for trial in range(40)
     ]
     single = [builders.point(), random_poset(1, 0.5, seed=0)]
-    point_cores = {True: 0, False: 0}
+    point_cores = 0
     for P in single + [builders.vee()] + chain_posets + seeded:
         cases = [range(len(P))] + [cut.upper for cut in enumerate_cuts(P)]
         for members in cases:
-            for shortcuts in (True, False):
-                got = acyclicity_check(P, shortcuts=shortcuts, members=members)
-                want = swept_on_the_built_core(P, members, shortcuts)
-                assert (got.acyclic, got.degree, got.group, got.via) == want
-                point_cores[shortcuts] += want[3] == "homology" and len(core(P, members)) == 1
-    # with shortcuts on and with them off, some cuts end at a one-point core
-    assert min(point_cores.values()) > 0
+            got = acyclicity_check(P, members)
+            want = swept_on_the_built_core(P, members)
+            assert (got.acyclic, got.degree, got.group, got.via) == want
+            point_cores += want[3] == "homology" and len(core(P, members)) == 1
+    # some cuts end at a one-point core
+    assert point_cores > 0
 
 
 def test_dunce_hat_over_two_bottoms_passes_by_sweeping_one_core():
@@ -328,7 +355,7 @@ def test_dunce_hat_over_two_bottoms_passes_by_sweeping_one_core():
     bottoms = frozenset({P.index["b1"], P.index["b2"]})
     (cut,) = [cut for cut in enumerate_cuts(P) if cut.lower == bottoms]
     assert len(cut.upper) == len(core(P, cut.upper)) == len(hat["elements"])
+    assert acyclicity_check(P, cut.upper).via == "homology"
     for shortcuts in (True, False):
-        assert acyclicity_check(P, shortcuts=shortcuts, members=cut.upper).via == "homology"
         report = criterion(P, shortcuts=shortcuts)
         assert (report.verdict, report.cuts_examined) == ("PASS", 108)
