@@ -25,6 +25,7 @@ from .groups import (
     is_zero_hom,
 )
 from .linalg import IntMatrix, rank_and_torsion, snf
+from .poset import PosetError, chains, components, core, induced_subposet
 
 
 class ComplexError(ValueError):
@@ -323,8 +324,6 @@ def subposet_homology(poset, members=None):
     up to its height, each degree's chains enumerated and each boundary
     reduced on first use, so a caller that stops early builds no more.
     """
-    from .poset import PosetError, chains, components, core, induced_subposet
-
     members = frozenset(range(len(poset.elements)) if members is None else members)
     if not members:
         raise PosetError("homology needs a nonempty set of elements")

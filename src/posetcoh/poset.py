@@ -18,17 +18,25 @@ class PosetError(ValueError):
     """Raised for inputs that do not describe a finite poset."""
 
 
+_BIT = (1).__lshift__  # _BIT(j) is the mask of element j
+
+
 class Poset:
     """A finite partially ordered set over named elements.
 
-    `down[i]` is the index set {j : j <= i} and `up[i]` is {j : j >= i}; all
-    order queries reduce to membership in these frozen sets.  Instances are
-    immutable and compare by value; `chains`, `covers`, `height` and
+    `down[i]` is the index set {j : j <= i} and `up[i]` is {j : j >= i}, as
+    frozen sets.  Both are held a second time as int bit masks, bit j for
+    element j, and the kernels of this module (`components`, `core`,
+    `bounds`, `meet_closure`) run on those; subsets still pass between
+    layers as frozensets or sorted index lists.  Instances are immutable
+    and compare by value; `chains`, `covers`, `height`, the masks and
     `diagrams.cohomology_support` keep what they compute on the instance,
     outside that value.
     """
 
-    __slots__ = ("elements", "index", "down", "up", "_chains", "_covers", "_height", "_links")
+    __slots__ = (
+        "elements", "index", "down", "up", "_masks", "_chains", "_covers", "_height", "_links"
+    )
 
     def __init__(self, elements, down):
         self.elements = tuple(elements)
@@ -63,6 +71,7 @@ class Poset:
                     )
                 ups[j].add(i)
         self.up = tuple(frozenset(s) for s in ups)
+        self._masks = None
         self._chains = {}
         self._links = {}
         self._covers = None
@@ -118,6 +127,46 @@ class Poset:
         """Element indices in an order listing smaller elements first."""
         return sorted(range(len(self.elements)), key=lambda i: (len(self.down[i]), i))
 
+    def _bits(self):
+        """The down-sets and up-sets as bit masks, built on first use."""
+        if self._masks is None:
+            # transposing the down-sets is cheaper than summing each up-set
+            up = [0] * len(self.elements)
+            for i, s in enumerate(self.down):
+                bit = 1 << i
+                for j in s:
+                    up[j] |= bit
+            self._masks = (tuple([sum(map(_BIT, s)) for s in self.down]), tuple(up))
+        return self._masks
+
+
+def _checked(poset, members):
+    """`members` as a frozenset of element indices, each checked against the range."""
+    members = frozenset(members)
+    n = len(poset.elements)
+    if members and (min(members) < 0 or max(members) >= n):
+        for x in members:
+            if not 0 <= x < n:
+                raise PosetError("subset index %r out of range" % (x,))
+    return members
+
+
+def _mask(poset, members):
+    """The bit mask of a set of element indices, or of every element for None."""
+    if members is None:
+        return (1 << len(poset.elements)) - 1
+    return sum(map(_BIT, _checked(poset, members)))
+
+
+def _indices(mask):
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
 
 def subset_name(poset, indices):
     """The name {a,b} of a set of element indices: its sorted member names."""
@@ -144,9 +193,9 @@ def meet_closure(base):
     sorted members are computed once.
     """
     found = {}
-    for i in range(len(base.elements)):
-        found.setdefault(base.down[i], (i,))
-    members = {s: sorted(s) for s in found}
+    for i, node in enumerate(base._bits()[0]):
+        found.setdefault(node, 1 << i)
+    members = {s: _indices(s) for s in found}
     last = set(found)
     while last:
         current = sorted(found, key=members.__getitem__)
@@ -158,12 +207,16 @@ def meet_closure(base):
             for b in current[k:] if a in last else last_sorted[seen:]:
                 c = a & b
                 if c and c not in found:
-                    found[c] = tuple(sorted(set(found[a]) | set(found[b])))
-                    members[c] = sorted(c)
+                    found[c] = found[a] | found[b]
+                    members[c] = _indices(c)
                     new.add(c)
         last = new
-    nodes = tuple(sorted(found, key=lambda s: (len(s), sorted(base.elements[i] for i in s))))
-    return nodes, tuple(found[s] for s in nodes)
+    names = base.elements
+    nodes = sorted(found, key=lambda s: (len(members[s]), sorted(names[i] for i in members[s])))
+    return (
+        tuple(frozenset(members[s]) for s in nodes),
+        tuple(tuple(_indices(found[s])) for s in nodes),
+    )
 
 
 class IntersectionPoset:
@@ -201,16 +254,12 @@ def bounds(poset, subset, direction):
     """
     if direction not in ("lower", "upper"):
         raise PosetError("direction must be 'lower' or 'upper'")
-    table = poset.down if direction == "lower" else poset.up
-    n = len(poset.elements)
-    indices = frozenset(subset)
-    for x in indices:
-        if not 0 <= x < n:
-            raise PosetError("subset index %r out of range" % (x,))
-    result = set(range(n))
-    for x in indices:
+    down, up = poset._bits()
+    table = down if direction == "lower" else up
+    result = (1 << len(poset.elements)) - 1
+    for x in _checked(poset, subset):
         result &= table[x]
-    return frozenset(result)
+    return frozenset(_indices(result))
 
 
 def chains(poset, n):
@@ -241,21 +290,21 @@ def components(poset, members=None):
     the poset's own indices.  Components are listed by their smallest
     element index.
     """
-    todo = set(range(len(poset.elements)) if members is None else members)
+    down, up = poset._bits()
+    todo = _mask(poset, members)
     out = []
-    for start in sorted(todo):
-        if start not in todo:
-            continue
-        todo.discard(start)
-        comp = []
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            reached = (poset.down[i] | poset.up[i]) & todo
-            todo -= reached
-            stack.extend(reached)
-        out.append(sorted(comp))
+    while todo:
+        part = frontier = todo & -todo
+        todo ^= part
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            i = low.bit_length() - 1
+            reached = (down[i] | up[i]) & todo
+            todo ^= reached
+            frontier |= reached
+            part |= reached
+        out.append(_indices(part))
     return out
 
 
@@ -268,28 +317,36 @@ def core(poset, members=None):
     1966), so the subposet induced on the core has the homology of the poset.
     `members` is the set of element indices to work within (default: every
     element), so the core of an induced subposet is found without building
-    that subposet.  Returns the sorted indices that remain, in the poset's
-    own indices.
+    that subposet.  Each pass tries the elements present at its start in
+    ascending index order, each against the elements present at that point.
+    Returns the sorted indices that remain, in the poset's own indices.
     """
-    present = set(range(len(poset.elements)) if members is None else members)
-
-    def is_beat(i):
-        # the others below (above) i have one cover exactly when they have a
-        # greatest (least) element
-        for table in (poset.down, poset.up):
-            others = (table[i] & present) - {i}
-            if others and any(others <= table[j] for j in others):
-                return True
-        return False
-
+    tables = poset._bits()
+    present = _mask(poset, members)
     removed = True
     while removed:
         removed = False
-        for i in sorted(present):
-            if is_beat(i):
-                present.discard(i)
-                removed = True
-    return sorted(present)
+        todo = present
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            i = bit.bit_length() - 1
+            for table in tables:
+                # the others below (above) i have one cover exactly when they
+                # have a greatest (least) element j, one whose down-set
+                # (up-set) holds them all; `rest` stops at j, or runs out
+                others = (table[i] & present) ^ bit
+                rest = others
+                while rest:
+                    low = rest & -rest
+                    if table[low.bit_length() - 1] & others == others:
+                        break
+                    rest ^= low
+                if rest:
+                    present ^= bit
+                    removed = True
+                    break
+    return _indices(present)
 
 
 def induced_subposet(poset, subset):

@@ -4,7 +4,9 @@ These deliberately avoid the package's kernel-projection and presentation
 machinery: invariant factors come from gcds of minors, determinants from
 Laplace expansion or fraction-free (Bareiss) elimination, and homology of tiny complexes from direct enumeration of
 group elements with the isomorphism class reconstructed from element-order
-counts.  The two censuses at the end are the exception: they enumerate the
+counts.  `components_by_sets` and `core_by_sets` walk frozensets of element
+indices, as the package's order kernels did before they ran on bit masks.
+The two censuses at the end are the exception: they enumerate the
 small posets independently, then run the package's own criterion and
 comparison, or its vanishing certificate, on each.  `main_by_full_parse`
 is the command-line frontend with every line read by the full argument
@@ -65,6 +67,69 @@ def intersection_closure_by_full_sweep(base):
                     changed = True
     ordered = sorted(found, key=lambda s: (len(s), sorted(base.elements[i] for i in s)))
     return ordered, [found[s] for s in ordered]
+
+
+def components_by_sets(poset, members=None):
+    """Connected components of the comparability graph, as sorted index lists.
+
+    The frozenset reference for `poset.components`, which runs on bit masks.
+
+    `members` is the set of element indices to work within (default: every
+    element); the graph is then that of the subposet they induce, given in
+    the poset's own indices.  Components are listed by their smallest
+    element index.
+    """
+    todo = set(range(len(poset.elements)) if members is None else members)
+    out = []
+    for start in sorted(todo):
+        if start not in todo:
+            continue
+        todo.discard(start)
+        comp = []
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            reached = (poset.down[i] | poset.up[i]) & todo
+            todo -= reached
+            stack.extend(reached)
+        out.append(sorted(comp))
+    return out
+
+
+def core_by_sets(poset, members=None):
+    """What remains after removing beat points one at a time.
+
+    The frozenset reference for `poset.core`, which runs on bit masks.
+
+    A beat point has exactly one lower cover or exactly one upper cover among
+    the elements still present.  Removing one is a strong deformation retract
+    of the order complex (Stong, "Finite topological spaces", Trans. AMS 123,
+    1966), so the subposet induced on the core has the homology of the poset.
+    `members` is the set of element indices to work within (default: every
+    element), so the core of an induced subposet is found without building
+    that subposet.  Returns the sorted indices that remain, in the poset's
+    own indices.
+    """
+    present = set(range(len(poset.elements)) if members is None else members)
+
+    def is_beat(i):
+        # the others below (above) i have one cover exactly when they have a
+        # greatest (least) element
+        for table in (poset.down, poset.up):
+            others = (table[i] & present) - {i}
+            if others and any(others <= table[j] for j in others):
+                return True
+        return False
+
+    removed = True
+    while removed:
+        removed = False
+        for i in sorted(present):
+            if is_beat(i):
+                present.discard(i)
+                removed = True
+    return sorted(present)
 
 
 def laplace_det(rows):

@@ -27,6 +27,7 @@ from posetcoh.linalg import IntMatrix
 from posetcoh.poset import (
     PosetError,
     chains,
+    components,
     core,
     induced_subposet,
     parse_poset,
@@ -358,16 +359,16 @@ def test_acyclicity_sweep_enumerates_only_the_degrees_it_reads(monkeypatch):
     elements = ["a1", "a2", "b2"] + [x for level in levels for x in level]
     Q = parse_poset({"elements": elements, "relations": cycle + joins})
     assert Q.height() == 4 and core(Q) == list(range(len(Q)))
-    import posetcoh.poset
+    import posetcoh.complexes
 
     asked = []
-    enumerate_chains = posetcoh.poset.chains
+    enumerate_chains = posetcoh.complexes.chains
 
     def counting_chains(poset, n):
         asked.append(n)
         return enumerate_chains(poset, n)
 
-    monkeypatch.setattr(posetcoh.poset, "chains", counting_chains)
+    monkeypatch.setattr(posetcoh.complexes, "chains", counting_chains)
     for poset, read in ((P, [0, 1]), (Q, [0, 1, 2])):
         asked.clear()
         verdict = acyclicity_check(poset)
@@ -407,15 +408,27 @@ def test_subposet_homology_is_that_of_the_built_subposet():
 def test_subposet_homology_of_no_elements_raises(monkeypatch):
     # an empty order complex has H_0 = 0, not the homology of a point, and
     # the sweep refuses it before looking at components or cores
-    import posetcoh.poset
+    import posetcoh.complexes
 
     for name in ("components", "core", "induced_subposet"):
-        monkeypatch.setattr(posetcoh.poset, name, None)
+        monkeypatch.setattr(posetcoh.complexes, name, None)
     P = builders.square()
     with pytest.raises(PosetError, match="nonempty"):
         next(subposet_homology(P, set()))
     with pytest.raises(PosetError, match="nonempty"):
         acyclicity_check(P, members=set())
+
+
+def test_member_indices_outside_the_poset_are_refused():
+    # one range check turns members into a bit mask; it names the index
+    # as `bounds` does, rather than answering or raising IndexError
+    P = random_poset(5, 0.5, 1)
+    kernels = (components, core, lambda P, m: next(subposet_homology(P, m)), acyclicity_check)
+    for bad in (-1, len(P)):
+        for kernel in kernels:
+            for members in ({bad}, {bad, 0}):
+                with pytest.raises(PosetError, match="subset index %d out of range" % bad):
+                    kernel(P, members)
 
 
 def test_acyclicity_cone_shortcut_and_recheck():

@@ -21,11 +21,25 @@ from posetcoh.poset import (
 )
 
 import builders
-from oracles import intersection_closure_by_full_sweep
+from oracles import (
+    components_by_sets,
+    core_by_sets,
+    intersection_closure_by_full_sweep,
+    posets_up_to_isomorphism,
+)
 
 
 def names_of(P, subset):
     return {P.elements[i] for i in subset}
+
+
+def seeded_posets(count=300):
+    """`count` reproducible random posets of 1 to 16 elements."""
+    rng = random.Random(36)
+    return [
+        random_poset(rng.randint(1, 16), rng.uniform(0.2, 0.7), seed=3600 + trial)
+        for trial in range(count)
+    ]
 
 
 def test_parse_square():
@@ -206,6 +220,13 @@ def test_intersection_closure_matches_the_full_sweep():
         assert (list(U.nodes), list(U.witnesses)) == (nodes, witnesses)
         assert_ordered_by_inclusion(U, P, nodes)
         assert_cuts_follow_the_nodes(P, nodes, witnesses)
+    # the closure runs on bit masks; posets of up to 16 elements
+    for P in seeded_posets():
+        U = IntersectionPoset(P)
+        nodes, witnesses = intersection_closure_by_full_sweep(P)
+        assert (list(U.nodes), list(U.witnesses)) == (nodes, witnesses)
+        assert_ordered_by_inclusion(U, P, nodes)
+        assert_cuts_follow_the_nodes(P, nodes, witnesses)
 
 
 def test_chains_square():
@@ -263,6 +284,22 @@ def test_components_and_core_within_members_match_the_induced_subposet():
         assert set(core(P, members)) <= members
     P = builders.sphere()
     assert core(P, range(len(P))) == list(range(len(P)))
+
+
+def test_mask_kernels_match_the_set_kernels():
+    # the same lists in the same order as the frozenset walks, on the whole
+    # poset, every cut's upper half and every up-link, over every poset of
+    # up to six elements and seeded ones of up to sixteen
+    posets = [P for n in range(1, 7) for P in posets_up_to_isomorphism(n)]
+    checked = 0
+    for P in posets + seeded_posets():
+        member_sets = [None] + [cut.upper for cut in enumerate_cuts(P)]
+        member_sets += [P.up[m] - {m} for m in range(len(P))]
+        for members in member_sets:
+            assert components(P, members) == components_by_sets(P, members)
+            assert core(P, members) == core_by_sets(P, members)
+            checked += 1
+    assert len(posets) == 405 and checked > 10000
 
 
 def test_chains_deterministic_order():
