@@ -13,7 +13,6 @@ to the Cech groups.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import itemgetter
 
 from .complexes import ChainMap, induced_on_homology
 from .diagrams import (
@@ -64,27 +63,7 @@ class Presheaf:
         return self.diagram.reduced_complex()
 
     def topos_complex(self):
-        """The reduced complex of the pulled diagram, built on each call; the
-        one the comparison reads is kept on ρ.
-
-        When λ is a bijection and each node lists its edge maps in the order
-        of the λ-images of its element's lower covers, every composite of
-        the pulled diagram is the presheaf's own, so this is the presheaf
-        diagram's complex on the relabeled base chains, built without it.
-        """
-        lam = self.intersection.lambda_map
-        pulled, given = {}, {}
-        for low, high in self.space.covers():
-            pulled.setdefault(lam[high], []).append(lam[low])
-        for high, low in self.diagram.edge_maps:
-            given.setdefault(high, []).append(low)
-        if len(lam) != len(self.intersection) or pulled != given:
-            return self.pulled_diagram().reduced_complex()
-        cells = [
-            [tuple(lam[i] for i in c) for c in chains(self.space, n)]
-            for n in range(self.space.height() + 1)
-        ]
-        return _cell_complex(self.diagram, cells, itemgetter(-1))
+        return self.pulled_diagram().reduced_complex()
 
     def comparison_chain_map(self):
         """The cochain map from node cochains to principal-chain cochains.

@@ -244,7 +244,9 @@ def cmd_compare(args):
     report = compare_report(ps, range(low, high + 1))
     rows = report.rows
     if args.oracle:
-        # groups of the comparison's own homology: derived limits are a route too
+        # groups of the comparison's own homology.  The derived limits read
+        # ρ's source and target, so they check the vanishing certificate;
+        # the ordered and unreduced routes are the independent ones
         pulled = ps.pulled_diagram()
         problem = _route_problem(
             [(row.degree, row.cech) for row in rows],

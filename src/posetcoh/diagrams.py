@@ -27,7 +27,7 @@ from .groups import (
     homs_equal,
 )
 from .linalg import IntMatrix
-from .poset import chains
+from .poset import _checked, chains
 
 
 class DiagramError(ValueError):
@@ -267,7 +267,7 @@ def sheafify_value(F, subset):
     cover inside the subset.  Returned with one projection per element, each
     well defined since the cycles send cone relations to block-diagonal ones.
     """
-    indices = sorted(subset)
+    indices = sorted(_checked(F.base, subset))
     if not indices:
         raise DiagramError("sections need a nonempty open")
     index_set = set(indices)

@@ -351,7 +351,7 @@ def core(poset, members=None):
 
 def induced_subposet(poset, subset):
     """The restriction of the order to a nonempty subset, names preserved."""
-    indices = sorted(subset)
+    indices = sorted(_checked(poset, subset))
     if not indices:
         raise PosetError("induced subposet needs a nonempty subset")
     old_to_new = {old: new for new, old in enumerate(indices)}

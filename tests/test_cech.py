@@ -274,12 +274,11 @@ def assert_same_complex(a, b):
 
 
 def test_topos_complex_is_the_pulled_diagrams_complex():
-    # the relabeled route, on an identity λ as on a permuted one, and the
-    # fallback all give the complex of the pulled diagram, group for group
-    # and matrix for matrix; the random, pulled and sheaf diagrams are
-    # functors, both complexes and the comparison chain map pass their
-    # algebra checks, and the topos groups, derived limits of the pulled
-    # diagram, are the relabeled complex's
+    # on an identity λ, a permuted one and a non-principal one, the topos
+    # complex is the one kept on the pulled diagram; the random, pulled and
+    # sheaf diagrams are functors, both complexes and the comparison chain
+    # map pass their algebra checks, and the topos groups, derived limits
+    # of the pulled diagram, are the topos complex's
     rng = random.Random(31)
     kinds = {"identity": 0, "permuted": 0, "non-principal": 0}
     fixed = [builders.square(), builders.crown3(), builders.pass7(), builders.capped_square()]
@@ -298,13 +297,14 @@ def test_topos_complex_is_the_pulled_diagrams_complex():
         presheaves.append(sheaf_presheaf(random_diagram(P, seed=trial)))
     assert min(kinds.values()) >= 20, kinds
     for ps in presheaves:
-        assert_same_complex(ps.topos_complex(), ps.pulled_diagram().reduced_complex())
+        assert ps.topos_complex() is ps.pulled_diagram().reduced_complex()
+        assert ps.comparison_chain_map().target is ps.topos_complex()
         ps.diagram.verify()
         ps.pulled_diagram().verify()
         ps.cech_complex().verify()
         ps.topos_complex().verify()
         ps.comparison_chain_map().verify()
-        # the relabeled route agrees with what `topos` prints
+        # the topos complex agrees with what `topos` prints
         for n in range(ps.space.height() + 2):
             assert topos_cohomology(ps, n) == ps.topos_complex().homology_group(n)
 
@@ -345,21 +345,6 @@ def test_topos_complex_keeps_the_pulled_composites_on_a_diamond():
         assert lam == (3, 1, 2, 0)
         top, bot = lam[0], lam[3]
         assert ps.diagram.map(top, bot).matrix == IntMatrix.from_rows([[1 if left_first else 3]])
-        topos = ps.topos_complex()
-        relabeled = ps._pulled is None
-        assert_same_complex(topos, ps.pulled_diagram().reduced_complex())
-        # the relabeled route builds no pulled diagram; the fallback does
-        assert relabeled == left_first
+        assert_same_complex(ps.topos_complex(), ps.pulled_diagram().reduced_complex())
         assert ps.pulled_diagram().map(0, 3).matrix == IntMatrix.from_rows([[1]])
         assert compare_report(ps).all_iso
-
-
-def test_compare_report_builds_no_pulled_diagram_when_lambda_is_bijective():
-    for P in (builders.point(), builders.vee(), builders.zigzag()):
-        ps = presheaf_over(P, seed=7)
-        assert len(ps.intersection) == len(P)
-        assert compare_report(ps).all_iso
-        assert ps._pulled is None
-    ps = presheaf_over(builders.capped_square(), seed=7)
-    compare_report(ps)
-    assert ps._pulled is not None

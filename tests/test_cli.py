@@ -295,8 +295,8 @@ def test_oracle_verifies_the_complex_the_groups_come_from(write, capsys, monkeyp
 
 def test_compare_oracle_verifies_the_complexes_rho_holds(write, capsys, monkeypatch):
     # `compare` prints the homology of ρ's source and target, and --oracle
-    # verifies those two complexes and ρ itself, where the topos complex is
-    # the pulled diagram's (the square) as where λ relabels the presheaf's
+    # verifies those two complexes and ρ itself, on the square, whose meets
+    # are not principal, as on the diamond, whose λ is a bijection
     verified, loaded = [], []
     load = cli._load_presheaf
     monkeypatch.setattr(cli, "_load_presheaf", lambda args: loaded.append(load(args)) or loaded[-1])

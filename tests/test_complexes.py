@@ -15,7 +15,7 @@ from posetcoh.complexes import (
     subposet_homology,
 )
 from posetcoh.cuts import criterion, enumerate_cuts
-from posetcoh.diagrams import Diagram, full_complex_truncated, random_diagram
+from posetcoh.diagrams import Diagram, full_complex_truncated, random_diagram, sheafify_value
 from posetcoh.groups import (
     CanonicalGroup,
     GroupHom,
@@ -420,15 +420,31 @@ def test_subposet_homology_of_no_elements_raises(monkeypatch):
 
 
 def test_member_indices_outside_the_poset_are_refused():
-    # one range check turns members into a bit mask; it names the index
-    # as `bounds` does, rather than answering or raising IndexError
+    # one range check turns members into a bit mask or an index list; it
+    # names the index as `bounds` does, rather than answering, misnaming a
+    # duplicate element or raising IndexError
     P = random_poset(5, 0.5, 1)
-    kernels = (components, core, lambda P, m: next(subposet_homology(P, m)), acyclicity_check)
+    F = random_diagram(P, seed=0)
+    kernels = (
+        components,
+        core,
+        lambda P, m: next(subposet_homology(P, m)),
+        acyclicity_check,
+        induced_subposet,
+        lambda P, m: sheafify_value(F, m),
+    )
     for bad in (-1, len(P)):
         for kernel in kernels:
             for members in ({bad}, {bad, 0}):
                 with pytest.raises(PosetError, match="subset index %d out of range" % bad):
                     kernel(P, members)
+    # -1 would read as the top of the chain a < b and give Z^2, not Z
+    chain = parse_poset({"elements": ["a", "b"], "relations": [["a", "b"]]})
+    Z = PresentedAbGroup.free(1)
+    constant = Diagram(chain, [Z, Z], {(1, 0): GroupHom.identity(Z)})
+    assert canonical_form(sheafify_value(constant, [0, 1]).group) == CanonicalGroup(1)
+    with pytest.raises(PosetError, match="subset index -1 out of range"):
+        sheafify_value(constant, [0, 1, -1])
 
 
 def test_acyclicity_cone_shortcut_and_recheck():
