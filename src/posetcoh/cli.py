@@ -244,9 +244,10 @@ def cmd_compare(args):
     report = compare_report(ps, range(low, high + 1))
     rows = report.rows
     if args.oracle:
-        # groups of the comparison's own homology.  The derived limits read
-        # ρ's source and target, so they check the vanishing certificate;
-        # the ordered and unreduced routes are the independent ones
+        # groups of the comparison's own homology, which read the vanishing
+        # certificate outside it.  The derived limits read ρ's source and
+        # target and the same certificate, so only the ordered and
+        # unreduced routes check it
         pulled = ps.pulled_diagram()
         problem = _route_problem(
             [(row.degree, row.cech) for row in rows],

@@ -6,7 +6,8 @@ projection of an explicit kernel, its generating columns become the homology
 generators, and their relation lattice is again a kernel projection.  The
 generator-to-cycle matrix is kept, so cocycles can be expressed in homology
 coordinates and homology classes lifted back; that is exactly what an induced
-map between two complexes needs.
+map between two complexes needs.  In a degree where a complex's homology is
+known to vanish, the third step is left out.
 
 Order complexes are complexes of free groups with +1/-1 boundary entries and
 need no lifts, so their homology is read off the rank and torsion of each
@@ -95,13 +96,16 @@ class Complex:
     `groups[n]` is a ProductGroup and `diffs[n]` maps degree n to degree n+1.
     Construction checks shapes and `verify` the algebra, which holds for every
     complex built from a functor, as `Diagram.verify` checks a diagram is.
+    `support` is a set of degrees outside which the homology is known to
+    vanish, or None when nothing is known; `homology` trusts it unchecked.
     """
 
-    __slots__ = ("groups", "diffs")
+    __slots__ = ("groups", "diffs", "support")
 
-    def __init__(self, groups, diffs):
+    def __init__(self, groups, diffs, support=None):
         self.groups = list(groups)
         self.diffs = list(diffs)
+        self.support = support
         if len(self.diffs) != max(len(self.groups) - 1, 0):
             raise ComplexError("need one differential between consecutive degrees")
         for n, d in enumerate(self.diffs):
@@ -137,8 +141,17 @@ class Complex:
         return GroupHom.zero(self.product(n).group, PresentedAbGroup.zero())
 
     def homology(self, n):
-        """Homology in degree n of a complex, whose d after d is zero."""
-        return _homology(self.incoming(n), self.outgoing(n))
+        """Homology in degree n of a complex, whose d after d is zero.
+
+        Outside a known `support` the cycles are computed as in every other
+        degree, so maps induced on homology are written on the same
+        generators, but the group is presented as zero on them: every
+        generator is a relator, and the relation lattice is not computed.
+        """
+        if self.support is None or n in self.support:
+            return _homology(self.incoming(n), self.outgoing(n))
+        cycles = _cycles(self.outgoing(n))
+        return HomologyData(PresentedAbGroup(cycles.cols, IntMatrix.identity(cycles.cols)), cycles)
 
     def homology_group(self, n):
         return canonical_form(self.homology(n).group)
@@ -189,13 +202,18 @@ def homology_at(d_in, d_out):
 def _homology(d_in, d_out):
     """`homology_at` for differentials already known to compose to zero."""
     middle = d_out.source
-    out_combined = d_out.matrix.hstack(d_out.target.relations)
-    cycles = snf(out_combined).kernel_basis(middle.generators)
+    cycles = _cycles(d_out)
     # with no boundaries and no relations the stack is `cycles` itself, so
     # `coordinates` reuses the decomposition made here
     boundary_sources = cycles.hstack(d_in.matrix).hstack(middle.relations)
     relations = snf(boundary_sources).kernel_basis(cycles.cols)
     return HomologyData(PresentedAbGroup(cycles.cols, relations), cycles)
+
+
+def _cycles(d_out):
+    """Generators of the lattice of middle vectors that `d_out` sends to relations."""
+    out_combined = d_out.matrix.hstack(d_out.target.relations)
+    return snf(out_combined).kernel_basis(d_out.source.generators)
 
 
 class ChainMap:

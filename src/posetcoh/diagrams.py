@@ -128,7 +128,7 @@ def _faces(lower, upper, node):
             yield row, position[face], (-1) ** i, node(face), top
 
 
-def _cell_complex(F, cells, node, colimit=False):
+def _cell_complex(F, cells, node, colimit=False, support=None):
     """The complex of products over `cells[n]`, one cell list per degree.
 
     A cell is a tuple of element indices; the product of degree n has one
@@ -140,7 +140,7 @@ def _cell_complex(F, cells, node, colimit=False):
     maps faces to cells, restricting from the face's node to the cell's.
     With `colimit` the blocks are transposed: the boundary maps cells to
     faces along the map from the cell's node, and the degrees are listed
-    top degree first.
+    top degree first.  `support` goes to the complex as it is.
     """
     groups = [ProductGroup([F.value(node(c)) for c in level]) for level in cells]
     diffs = []
@@ -156,13 +156,14 @@ def _cell_complex(F, cells, node, colimit=False):
     if colimit:
         groups.reverse()
         diffs.reverse()
-    return Complex(groups, diffs)
+    return Complex(groups, diffs, support)
 
 
 def reduced_complex(F):
-    """The cochain complex over strictly decreasing chains of the base."""
+    """The cochain complex over strictly decreasing chains of the base,
+    carrying `cohomology_support` as the degrees where it may have homology."""
     cells = [chains(F.base, n) for n in range(F.base.height() + 1)]
-    return _cell_complex(F, cells, itemgetter(-1))
+    return _cell_complex(F, cells, itemgetter(-1), support=cohomology_support(F.base, F.values))
 
 
 def full_complex_truncated(F, N):

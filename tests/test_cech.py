@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from posetcoh import cech
+from posetcoh import cech, complexes, diagrams
 from posetcoh.cech import (
     Presheaf,
     cech_cohomology,
@@ -28,6 +28,7 @@ from posetcoh.linalg import IntMatrix, snf
 from posetcoh.poset import IntersectionPoset, random_poset
 
 import builders
+from oracles import posets_up_to_isomorphism
 
 
 def presheaf_over(P, seed, **params):
@@ -348,3 +349,54 @@ def test_topos_complex_keeps_the_pulled_composites_on_a_diamond():
         assert_same_complex(ps.topos_complex(), ps.pulled_diagram().reduced_complex())
         assert ps.pulled_diagram().map(0, 3).matrix == IntMatrix.from_rows([[1]])
         assert compare_report(ps).all_iso
+
+
+def _certified_presheaves():
+    posets = [P for n in range(1, 6) for P in posets_up_to_isomorphism(n)]
+    posets += [builders.tetrahedron(), builders.projective_plane(), builders.dunce_hat(), builders.sphere()]
+    for k, P in enumerate(posets):
+        for seed in range(3):
+            yield presheaf_over(P, seed)
+        yield sheaf_presheaf(random_diagram(P, k))
+
+
+def _rows(ps):
+    return [
+        (row.degree, row.cech, row.topos, row.map.matrix.entries, row.iso)
+        for row in compare_report(ps).rows
+    ]
+
+
+def test_degrees_outside_the_support_keep_their_cycles_and_skip_the_relations(monkeypatch):
+    new = []
+
+    def counting(M):
+        new.append(M._smith is None)
+        return snf(M)
+
+    monkeypatch.setattr(complexes, "snf", counting)
+    outside = 0
+    for ps in _certified_presheaves():
+        rows = _rows(ps)
+        rho = ps.comparison_chain_map()
+        for c in (rho.source, rho.target):
+            assert c.support is not None
+            for n in range(len(c.groups)):
+                got = c.homology(n)
+                full = complexes._homology(c.incoming(n), c.outgoing(n))
+                assert got.cycles.entries == full.cycles.entries
+                assert canonical_form(got.group) == canonical_form(full.group)
+                if n not in c.support:
+                    outside += 1
+                    assert canonical_form(full.group).is_trivial()
+        # the same rows from the relation lattice in every degree
+        rho.source.support = rho.target.support = None
+        assert _rows(ps) == rows
+        # a fresh complex: the cycles are its only new decomposition outside
+        # the support, where the relation lattice would be a second one
+        fresh = diagrams.reduced_complex(ps.pulled_diagram())
+        for n in range(len(fresh.groups)):
+            del new[:]
+            fresh.homology(n)
+            assert sum(new) == (2 if n in fresh.support else 1), n
+    assert outside > 0
