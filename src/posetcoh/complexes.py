@@ -26,7 +26,7 @@ from .groups import (
     is_zero_hom,
 )
 from .linalg import IntMatrix, rank_and_torsion, snf
-from .poset import PosetError, chains, components, core, induced_subposet
+from .poset import PosetError, _components, _core, _mask, chains, induced_subposet
 
 
 class ComplexError(ValueError):
@@ -333,25 +333,27 @@ class AcyclicityVerdict:
 def subposet_homology(poset, members=None):
     """The degrees in which the subposet on `members` differs from a point.
 
-    `members` is a nonempty set of element indices (default: every element).
-    Yields (n, H_n) lowest degree first: degree 0 with Z^c when there are
-    c > 1 components, then each degree n >= 1 with H_n nonzero, read off the
+    `members` is a nonempty subset of the elements, a collection of element
+    indices or an int bit mask (default: every element).  Yields (n, H_n)
+    lowest degree first: degree 0 with Z^c when there are c > 1
+    components, then each degree n >= 1 with H_n nonzero, read off the
     core, which has the same homology and usually far fewer chains.  A core
     with one point per component has nothing above degree 0; a larger one is
     built as a poset when it leaves out some element, and swept from degree 1
     up to its height, each degree's chains enumerated and each boundary
     reduced on first use, so a caller that stops early builds no more.
     """
-    members = frozenset(range(len(poset.elements)) if members is None else members)
-    if not members:
+    mask = _mask(poset, members)
+    if not mask:
         raise PosetError("homology needs a nonempty set of elements")
-    parts = components(poset, members)
-    if len(parts) > 1:
-        yield 0, CanonicalGroup(len(parts))
-    kept = core(poset, members)
-    if len(kept) == len(parts):
+    parts = len(_components(poset, mask))
+    if parts > 1:
+        yield 0, CanonicalGroup(parts)
+    kept = _core(poset, mask)
+    size = kept.bit_count()
+    if size == parts:
         return
-    if len(kept) < len(poset.elements):
+    if size < len(poset.elements):
         poset = induced_subposet(poset, kept)
     height = poset.height()
     homology = order_complex_homology(lambda k: chains(poset, k), height)
@@ -364,8 +366,9 @@ def subposet_homology(poset, members=None):
 def acyclicity_check(poset, members=None):
     """Whether the order complex has the homology of a point.
 
-    `members` is the set of element indices to work within (default: every
-    element), whose induced subposet is never built itself.  The first
+    `members` is the subset of the elements to work within, a collection of
+    element indices or an int bit mask (default: every element), whose
+    induced subposet is never built itself.  The first
     degree `subposet_homology` yields fails, via the components at degree 0;
     with none, it is acyclic.
     """

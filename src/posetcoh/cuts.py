@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .complexes import acyclicity_check
-from .poset import bounds, components, meet_closure
+from .poset import _components, _indices, _mask, _meet_closure
 
 
 class Cut:
@@ -30,16 +30,30 @@ class Cut:
         return "Cut(%s, %s)" % (sorted(self.lower), sorted(self.upper))
 
 
-def enumerate_cuts(P):
-    """All cuts with nonempty lower half, one per `meet_closure` node, in order.
+def _cut_masks(P):
+    """The (lower, upper, witness) bit masks of each cut, in `enumerate_cuts` order.
 
     A node is the meet of its witness's down-sets, so the witness lies in the
-    node's upper bounds, whose lower bounds are the node again.
+    node's upper bounds, the AND of its members' up-sets, whose lower bounds
+    are the node again.
     """
-    return [
-        Cut(node, bounds(P, node, "upper"), witness)
-        for node, witness in zip(*meet_closure(P))
-    ]
+    up = P._bits()[1]
+    everything = _mask(P, None)
+    for lower, witness in zip(*_meet_closure(P)):
+        upper = everything
+        for i in _indices(lower):
+            upper &= up[i]
+        yield lower, upper, witness
+
+
+def _cut(lower, upper, witness):
+    """The `Cut` of three masks: frozen index sets and a sorted witness tuple."""
+    return Cut(frozenset(_indices(lower)), frozenset(_indices(upper)), tuple(_indices(witness)))
+
+
+def enumerate_cuts(P):
+    """All cuts with nonempty lower half, one per `meet_closure` node, in order."""
+    return [_cut(*masks) for masks in _cut_masks(P)]
 
 
 class CriterionReport:
@@ -60,7 +74,11 @@ class CriterionReport:
 
 def _components_upward_directed(P):
     """Each component is upward directed: being finite, it has a greatest element."""
-    return all(any(P.down[g].issuperset(comp) for g in comp) for comp in components(P))
+    down = P._bits()[0]
+    return all(
+        any(down[g] & comp == comp for g in _indices(comp))
+        for comp in _components(P, _mask(P, None))
+    )
 
 
 def principal_meets(P):
@@ -80,8 +98,9 @@ def principal_meets(P):
     coordinates, ρ is an isomorphism of complexes, and for every presheaf
     the Čech and topos cohomology agree in every degree.
     """
-    principal = set(P.down)
-    meets = (a & b for a, b in combinations(P.down, 2))
+    down = P._bits()[0]
+    principal = set(down)
+    meets = (a & b for a, b in combinations(down, 2))
     return all(not common or common in principal for common in meets)
 
 
@@ -93,14 +112,15 @@ def criterion(P, shortcuts=True):
         if principal_meets(P):
             return CriterionReport(0, [], "semilattice")
     failures = []
-    cuts = enumerate_cuts(P)
+    examined = 0
     # a principal lower half L = ↓x has U = ↑x, a cone on its least element x;
     # each ↓x is a cut, so with shortcuts on this path always runs
-    principal = set(P.down) if shortcuts else ()
-    for cut in cuts:
-        if cut.lower in principal:
+    principal = set(P._bits()[0]) if shortcuts else ()
+    for lower, upper, witness in _cut_masks(P):
+        examined += 1
+        if lower in principal:
             continue
-        verdict = acyclicity_check(P, cut.upper)
+        verdict = acyclicity_check(P, upper)
         if not verdict:
-            failures.append((cut, verdict.degree, verdict.group))
-    return CriterionReport(len(cuts), failures, "least-element" if shortcuts else "none")
+            failures.append((_cut(lower, upper, witness), verdict.degree, verdict.group))
+    return CriterionReport(examined, failures, "least-element" if shortcuts else "none")

@@ -27,7 +27,7 @@ from .groups import (
     homs_equal,
 )
 from .linalg import IntMatrix
-from .poset import _checked, chains
+from .poset import _indices, _mask, chains
 
 
 class DiagramError(ValueError):
@@ -194,10 +194,11 @@ def cohomology_support(base, values):
     Each element's degrees depend on the base alone and are kept on it.
     """
     support = set()
+    up = base._bits()[1]
     for m, value in enumerate(values):
         if value.generators:
             if m not in base._links:
-                base._links[m] = _link_degrees(base, base.up[m] - {m})
+                base._links[m] = _link_degrees(base, up[m] ^ (1 << m))
             support |= base._links[m]
     return support
 
@@ -268,7 +269,7 @@ def sheafify_value(F, subset):
     cover inside the subset.  Returned with one projection per element, each
     well defined since the cycles send cone relations to block-diagonal ones.
     """
-    indices = sorted(_checked(F.base, subset))
+    indices = _indices(_mask(F.base, subset))
     if not indices:
         raise DiagramError("sections need a nonempty open")
     index_set = set(indices)

@@ -27,8 +27,11 @@ class Poset:
     `down[i]` is the index set {j : j <= i} and `up[i]` is {j : j >= i}, as
     frozen sets.  Both are held a second time as int bit masks, bit j for
     element j, and the kernels of this module (`components`, `core`,
-    `bounds`, `meet_closure`) run on those; subsets still pass between
-    layers as frozensets or sorted index lists.  Instances are immutable
+    `bounds`, `meet_closure`) run on those.  Wherever a subset of the
+    elements is read, `members` may be a collection of element indices or
+    an int bit mask; the cut sweep passes masks from the meet closure to
+    the homology test, and frozensets are built only for what is printed
+    or kept on an intersection poset.  Instances are immutable
     and compare by value; `chains`, `covers`, `height`, the masks and
     `diagrams.cohomology_support` keep what they compute on the instance,
     outside that value.
@@ -140,22 +143,33 @@ class Poset:
         return self._masks
 
 
-def _checked(poset, members):
-    """`members` as a frozenset of element indices, each checked against the range."""
-    members = frozenset(members)
-    n = len(poset.elements)
-    if members and (min(members) < 0 or max(members) >= n):
-        for x in members:
-            if not 0 <= x < n:
-                raise PosetError("subset index %r out of range" % (x,))
-    return members
-
-
 def _mask(poset, members):
-    """The bit mask of a set of element indices, or of every element for None."""
+    """The bit mask of a subset of the elements, each member range-checked.
+
+    `members` is None for every element, an int bit mask, or a collection
+    of element indices.  A bool is neither, and a member that is not an
+    int, a negative mask and an index outside the poset raise PosetError
+    naming the offender.
+    """
+    n = len(poset.elements)
     if members is None:
-        return (1 << len(poset.elements)) - 1
-    return sum(map(_BIT, _checked(poset, members)))
+        return (1 << n) - 1
+    if type(members) is int:
+        if members < 0:
+            raise PosetError("subset mask %d out of range" % members)
+        if members >> n:
+            raise PosetError("subset index %d out of range" % (members.bit_length() - 1))
+        return members
+    if isinstance(members, bool):
+        raise PosetError("subset %r is neither a mask nor a set of indices" % members)
+    mask = 0
+    for x in members:
+        if type(x) is not int:
+            raise PosetError("subset member %r is not an element index" % (x,))
+        if not 0 <= x < n:
+            raise PosetError("subset index %d out of range" % x)
+        mask |= 1 << x
+    return mask
 
 
 def _indices(mask):
@@ -182,6 +196,16 @@ def meet_closure(base):
     nodes, frozen sets of base indices listed by size and then by sorted
     member names, and for each node one generating subset of the base poset
     as its witness, a sorted index tuple.
+    """
+    nodes, witnesses = _meet_closure(base)
+    return (
+        tuple(frozenset(_indices(s)) for s in nodes),
+        tuple(tuple(_indices(w)) for w in witnesses),
+    )
+
+
+def _meet_closure(base):
+    """`meet_closure` on masks: the node masks in node order, and their witness masks.
 
     The closure runs in rounds.  Each round sweeps the pairs (a, b) of the
     sets found before it, both in order of their sorted members, and a new
@@ -212,11 +236,8 @@ def meet_closure(base):
                     new.add(c)
         last = new
     names = base.elements
-    nodes = sorted(found, key=lambda s: (len(members[s]), sorted(names[i] for i in members[s])))
-    return (
-        tuple(frozenset(members[s]) for s in nodes),
-        tuple(tuple(_indices(found[s])) for s in nodes),
-    )
+    nodes = sorted(found, key=lambda s: (s.bit_count(), sorted(map(names.__getitem__, members[s]))))
+    return nodes, [found[s] for s in nodes]
 
 
 class IntersectionPoset:
@@ -249,15 +270,16 @@ def bounds(poset, subset, direction):
 
     X^- is the intersection of the down-sets of the members of X, X^+ the
     intersection of the up-sets; for the empty subset both equal the whole
-    carrier.  The subset is any iterable of element indices, each checked
-    against the poset's range; the result is a frozenset of indices.
+    carrier.  The subset is a collection of element indices or an int bit
+    mask, each member checked against the poset's range; the result is a
+    frozenset of indices.
     """
     if direction not in ("lower", "upper"):
         raise PosetError("direction must be 'lower' or 'upper'")
     down, up = poset._bits()
     table = down if direction == "lower" else up
     result = (1 << len(poset.elements)) - 1
-    for x in _checked(poset, subset):
+    for x in _indices(_mask(poset, subset)):
         result &= table[x]
     return frozenset(_indices(result))
 
@@ -285,13 +307,17 @@ def chains(poset, n):
 def components(poset, members=None):
     """Connected components of the comparability graph, as sorted index lists.
 
-    `members` is the set of element indices to work within (default: every
-    element); the graph is then that of the subposet they induce, given in
-    the poset's own indices.  Components are listed by their smallest
-    element index.
+    `members` is the subset of the elements to work within, a collection of
+    element indices or an int bit mask (default: every element); the graph
+    is then that of the subposet they induce, given in the poset's own
+    indices.  Components are listed by their smallest element index.
     """
+    return [_indices(part) for part in _components(poset, _mask(poset, members))]
+
+
+def _components(poset, todo):
+    """`components` within a checked mask, as a list of component masks."""
     down, up = poset._bits()
-    todo = _mask(poset, members)
     out = []
     while todo:
         part = frontier = todo & -todo
@@ -304,7 +330,7 @@ def components(poset, members=None):
             todo ^= reached
             frontier |= reached
             part |= reached
-        out.append(_indices(part))
+        out.append(part)
     return out
 
 
@@ -315,14 +341,19 @@ def core(poset, members=None):
     the elements still present.  Removing one is a strong deformation retract
     of the order complex (Stong, "Finite topological spaces", Trans. AMS 123,
     1966), so the subposet induced on the core has the homology of the poset.
-    `members` is the set of element indices to work within (default: every
-    element), so the core of an induced subposet is found without building
-    that subposet.  Each pass tries the elements present at its start in
-    ascending index order, each against the elements present at that point.
-    Returns the sorted indices that remain, in the poset's own indices.
+    `members` is the subset of the elements to work within, a collection of
+    element indices or an int bit mask (default: every element), so the
+    core of an induced subposet is found without building that subposet.
+    Each pass tries the elements present at its start in ascending index
+    order, each against the elements present at that point.  Returns the
+    sorted indices that remain, in the poset's own indices.
     """
+    return _indices(_core(poset, _mask(poset, members)))
+
+
+def _core(poset, present):
+    """`core` within a checked mask, as the mask of the elements that remain."""
     tables = poset._bits()
-    present = _mask(poset, members)
     removed = True
     while removed:
         removed = False
@@ -346,12 +377,15 @@ def core(poset, members=None):
                     present ^= bit
                     removed = True
                     break
-    return _indices(present)
+    return present
 
 
 def induced_subposet(poset, subset):
-    """The restriction of the order to a nonempty subset, names preserved."""
-    indices = sorted(_checked(poset, subset))
+    """The restriction of the order to a nonempty subset, names preserved.
+
+    The subset is a collection of element indices or an int bit mask.
+    """
+    indices = _indices(_mask(poset, subset))
     if not indices:
         raise PosetError("induced subposet needs a nonempty subset")
     old_to_new = {old: new for new, old in enumerate(indices)}

@@ -5,7 +5,9 @@ machinery: invariant factors come from gcds of minors, determinants from
 Laplace expansion or fraction-free (Bareiss) elimination, and homology of tiny complexes from direct enumeration of
 group elements with the isomorphism class reconstructed from element-order
 counts.  `components_by_sets` and `core_by_sets` walk frozensets of element
-indices, as the package's order kernels did before they ran on bit masks.
+indices, as the package's order kernels did before they ran on bit masks,
+and `criterion_by_public_route` runs the criterion on frozensets through
+`enumerate_cuts`.
 The two censuses at the end are the exception: they enumerate the
 small posets independently, then run the package's own criterion and
 comparison, or its vanishing certificate, on each.  `main_by_full_parse`
@@ -20,7 +22,8 @@ import sys
 
 from posetcoh.cech import Presheaf, compare_report, random_presheaf
 from posetcoh.cli import _attached_windows, build_parser
-from posetcoh.cuts import criterion
+from posetcoh.complexes import acyclicity_check
+from posetcoh.cuts import criterion, enumerate_cuts
 from posetcoh.diagrams import Diagram, cohomology_support
 from posetcoh.groups import GroupHom, PresentedAbGroup
 from posetcoh.linalg import IntMatrix, snf
@@ -130,6 +133,37 @@ def core_by_sets(poset, members=None):
                 present.discard(i)
                 removed = True
     return sorted(present)
+
+
+def criterion_by_public_route(P, shortcuts=True):
+    """`cuts.criterion` through the public cut route, on frozensets.
+
+    The reference for the criterion's sweep, which passes bit masks from the
+    meet closure to the homology test.  With `shortcuts`, the two structural
+    fast paths are read off the frozen down-sets and a cut whose lower half
+    is principal passes; every other cut of `enumerate_cuts`, in order, has
+    its upper half, as a frozenset, decided by `acyclicity_check`.  Returns
+    (verdict, cuts examined, failures as (lower, upper, witness, degree,
+    group) tuples, shortcut).
+    """
+    if shortcuts:
+        if all(any(P.down[g].issuperset(c) for g in c) for c in components_by_sets(P)):
+            return "PASS", 0, [], "directed-components"
+        principal = set(P.down)
+        meets = (a & b for a, b in itertools.combinations(P.down, 2))
+        if all(not common or common in principal for common in meets):
+            return "PASS", 0, [], "semilattice"
+    principal = set(P.down) if shortcuts else set()
+    cuts = enumerate_cuts(P)
+    failures = []
+    for cut in cuts:
+        if cut.lower in principal:
+            continue
+        verdict = acyclicity_check(P, frozenset(cut.upper))
+        if not verdict:
+            failures.append((cut.lower, cut.upper, cut.witness, verdict.degree, verdict.group))
+    verdict = "FAIL" if failures else "PASS"
+    return verdict, len(cuts), failures, "least-element" if shortcuts else "none"
 
 
 def laplace_det(rows):

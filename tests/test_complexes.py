@@ -26,6 +26,7 @@ from posetcoh.groups import (
 from posetcoh.linalg import IntMatrix
 from posetcoh.poset import (
     PosetError,
+    bounds,
     chains,
     components,
     core,
@@ -410,7 +411,7 @@ def test_subposet_homology_of_no_elements_raises(monkeypatch):
     # the sweep refuses it before looking at components or cores
     import posetcoh.complexes
 
-    for name in ("components", "core", "induced_subposet"):
+    for name in ("_components", "_core", "induced_subposet"):
         monkeypatch.setattr(posetcoh.complexes, name, None)
     P = builders.square()
     with pytest.raises(PosetError, match="nonempty"):
@@ -438,6 +439,23 @@ def test_member_indices_outside_the_poset_are_refused():
             for members in ({bad}, {bad, 0}):
                 with pytest.raises(PosetError, match="subset index %d out of range" % bad):
                     kernel(P, members)
+    # the same check reads a bit mask: a bit at len(P) or above names its
+    # index, and a negative mask is refused rather than read as every bit
+    kernels += (lambda P, m: bounds(P, m, "lower"),)
+    for kernel in kernels:
+        for mask in (1 << len(P), 1 << len(P) | 1):
+            with pytest.raises(PosetError, match="subset index %d out of range" % len(P)):
+                kernel(P, mask)
+        with pytest.raises(PosetError, match="subset mask -1 out of range"):
+            kernel(P, -1)
+        # a member that is not an int index is named, a bool among them
+        # (True would read as element 1), and a bool is not a mask either
+        for bad in (True, 1.5, "a"):
+            for members in ([bad], [0, bad]):
+                with pytest.raises(PosetError, match="subset member %r is not an element index" % (bad,)):
+                    kernel(P, members)
+        with pytest.raises(PosetError, match="neither a mask nor a set of indices"):
+            kernel(P, True)
     # -1 would read as the top of the chain a < b and give Z^2, not Z
     chain = parse_poset({"elements": ["a", "b"], "relations": [["a", "b"]]})
     Z = PresentedAbGroup.free(1)

@@ -18,7 +18,25 @@ from posetcoh.poset import (
 )
 
 import builders
-from oracles import brute_force_cuts, posets_up_to_isomorphism
+from oracles import brute_force_cuts, criterion_by_public_route, posets_up_to_isomorphism
+
+BUILT = (
+    "point", "vee", "square", "sphere", "zigzag", "crown3", "pass8", "pass7",
+    "capped_square", "cells9", "tetrahedron", "projective_plane", "dunce_hat",
+)
+
+
+def mask_sweep_posets():
+    """The census up to six elements, the built posets, 300 random posets of
+    4 to 16 elements and one of 70, whose masks run past 64 bits."""
+    rng = random.Random(39)
+    posets = [P for n in range(1, 7) for P in posets_up_to_isomorphism(n)]
+    posets += [getattr(builders, name)() for name in BUILT]
+    posets += [
+        random_poset(rng.randint(4, 16), rng.uniform(0.2, 0.6), seed=3900 + k) for k in range(300)
+    ]
+    posets.append(random_poset(70, 0.15, 70))
+    return posets
 
 
 def cut_names(P, cuts):
@@ -129,7 +147,8 @@ def test_criterion_sweeps_exactly_the_cuts_that_are_not_cones(monkeypatch):
     check = cuts_module.acyclicity_check
 
     def recording(P, members=None):
-        swept.append(frozenset(members))
+        # the sweep passes each upper half as a bit mask, bit j for element j
+        swept.append(frozenset(j for j in range(len(P)) if members >> j & 1))
         return check(P, members)
 
     monkeypatch.setattr(cuts_module, "acyclicity_check", recording)
@@ -160,6 +179,35 @@ def test_criterion_sweeps_exactly_the_cuts_that_are_not_cones(monkeypatch):
         random_poset(rng.randint(4, 12), rng.uniform(0.2, 0.6), seed=9700 + k) for k in range(300)
     ]
     assert sum(map(reaches_the_cuts, drawn)) == 81
+
+
+def test_criterion_on_masks_matches_the_public_route():
+    # `criterion` keeps each cut as bit masks from the meet closure to the
+    # homology test and builds a `Cut` only for a failure; the reference
+    # runs `enumerate_cuts` and tests each upper half as a frozenset
+    failing = 0
+    posets = mask_sweep_posets()
+    for P in posets:
+        for shortcuts in (True, False):
+            report = criterion(P, shortcuts)
+            failures = [(c.lower, c.upper, c.witness, d, g) for c, d, g in report.failures]
+            got = (report.verdict, report.cuts_examined, failures, report.shortcut)
+            assert got == criterion_by_public_route(P, shortcuts), (P, shortcuts)
+            failing += bool(failures)
+    assert len(posets) == 405 + len(BUILT) + 301 and failing > 300
+    big = posets[-1]
+    assert max(max(cut.upper) for cut in enumerate_cuts(big)) >= 64
+    assert not criterion(big, False)
+
+
+def test_mask_forms_of_the_kernels_convert_to_the_public_ones():
+    # on the whole poset and on every cut's upper half, given as a mask
+    for P in mask_sweep_posets():
+        for members in [None] + [cut.upper for cut in enumerate_cuts(P)]:
+            mask = poset._mask(P, members)
+            parts = poset._components(P, mask)
+            assert [poset._indices(part) for part in parts] == components(P, members)
+            assert poset._indices(poset._core(P, mask)) == core(P, members)
 
 
 def test_zigzag_full_recheck():
