@@ -145,13 +145,13 @@ class Complex:
 
         Outside a known `support` the cycles are computed as in every other
         degree, so maps induced on homology are written on the same
-        generators, but the group is presented as zero on them: every
-        generator is a relator, and the relation lattice is not computed.
+        generators, but the group is presented as zero on them
+        (`PresentedAbGroup.trivial`), and the relation lattice is not computed.
         """
         if self.support is None or n in self.support:
             return _homology(self.incoming(n), self.outgoing(n))
         cycles = _cycles(self.outgoing(n))
-        return HomologyData(PresentedAbGroup(cycles.cols, IntMatrix.identity(cycles.cols)), cycles)
+        return HomologyData(PresentedAbGroup.trivial(cycles.cols), cycles)
 
     def homology_group(self, n):
         return canonical_form(self.homology(n).group)
@@ -162,7 +162,9 @@ class HomologyData:
 
     Column j of `cycles` is a middle-group vector representing generator j;
     `coordinates` inverts that correspondence for arbitrary cycles, with the
-    Smith decomposition that `cycles` keeps.
+    Smith decomposition that `cycles` keeps.  When the next degree has no
+    relators, `cycles` is a whole kernel basis and arrives with that
+    decomposition, so nothing is eliminated to read coordinates.
     """
 
     __slots__ = ("group", "cycles")
@@ -204,7 +206,8 @@ def _homology(d_in, d_out):
     middle = d_out.source
     cycles = _cycles(d_out)
     # with no boundaries and no relations the stack is `cycles` itself, so
-    # `coordinates` reuses the decomposition made here
+    # `coordinates` reuses the decomposition read here, which a whole kernel
+    # basis brings along and any other `cycles` gets from one elimination
     boundary_sources = cycles.hstack(d_in.matrix).hstack(middle.relations)
     relations = snf(boundary_sources).kernel_basis(cycles.cols)
     return HomologyData(PresentedAbGroup(cycles.cols, relations), cycles)

@@ -41,8 +41,11 @@ def _cut_masks(P):
     everything = _mask(P, None)
     for lower, witness in zip(*_meet_closure(P)):
         upper = everything
-        for i in _indices(lower):
-            upper &= up[i]
+        rest = lower
+        while rest:
+            low = rest & -rest
+            upper &= up[low.bit_length() - 1]
+            rest ^= low
         yield lower, upper, witness
 
 

@@ -61,7 +61,7 @@ class Diagram:
             if h.source != self.values[a] or h.target != self.values[b]:
                 raise DiagramError("map %s has wrong endpoints" % self._arrow(a, b))
             self._out.setdefault(a, []).append((b, h))
-        self._comp = {}
+        self._comp = dict(self.edge_maps)
         self._reduced = None
 
     def _arrow(self, a, b):
@@ -94,7 +94,8 @@ class Diagram:
 
     def map(self, a, b):
         """The composite value(a) -> value(b) for a >= b, built on first use
-        through the first listed cover of a above b."""
+        through the first listed cover of a above b.  A cover's composite is
+        its edge map itself: b is then the only cover of a above b."""
         if a == b:
             return GroupHom.identity(self.values[a])
         if not self.base.leq(b, a):

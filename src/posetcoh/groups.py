@@ -18,8 +18,8 @@ class PresentedAbGroup:
     __slots__ = ("generators", "relations", "_canonical")
 
     def __init__(self, generators, relations=None):
-        if generators < 0:
-            raise ValueError("generator count must be nonnegative")
+        if type(generators) is not int or generators < 0:
+            raise ValueError("generator count must be a nonnegative integer: %r" % (generators,))
         if relations is None:
             relations = IntMatrix.zero(generators, 0)
         if relations.rows != generators:
@@ -38,6 +38,19 @@ class PresentedAbGroup:
     @classmethod
     def zero(cls):
         return cls(0)
+
+    @classmethod
+    def trivial(cls, generators):
+        """Z^generators modulo the identity: the zero group on `generators`
+        generators, whose canonical form is kept from the start.
+
+        >>> canonical_form(PresentedAbGroup.trivial(3)).is_trivial()
+        True
+        """
+        group = cls(generators)  # checks the count
+        group.relations = IntMatrix.identity(generators)
+        group._canonical = CanonicalGroup(0)
+        return group
 
     @classmethod
     def from_invariants(cls, rank, torsion):

@@ -300,13 +300,30 @@ class SmithDecomposition:
 
     def kernel_basis(self, rows=None):
         """Columns forming a lattice basis of {x : M x = 0}: V times the identity
-        columns past the rank, or only the leading `rows` rows of that."""
+        columns past the rank, or only the leading `rows` rows of that.
+
+        A whole basis K = V[:, r:] arrives with its Smith decomposition, so
+        `snf(K)` never eliminates it.  V⁻¹ K = [0; I_k]: the column log,
+        replayed forward as row operations, inverts V, and the swaps
+        (i, r + i) then lift I_k to the top, leaving D = [I_k; 0] and no
+        column operation.  K has full column rank, so every `solve`
+        against it has one answer, the one an elimination of K would give.
+        """
         n, r = self.D.cols, self.rank
         rows = n if rows is None else rows
-        if not 0 <= rows <= n:
-            raise ValueError("kernel rows %d outside 0..%d" % (rows, n))
-        lines = self._replay_columns([{} for _ in range(r)] + [{k: 1} for k in range(n - r)])
-        return IntMatrix._trusted(rows, n - r, lines[:rows])
+        if type(rows) is not int or not 0 <= rows <= n:
+            raise ValueError("kernel rows %r outside 0..%d" % (rows, n))
+        k = n - r
+        lines = self._replay_columns([{} for _ in range(r)] + [{i: 1} for i in range(k)])
+        K = IntMatrix._trusted(rows, k, lines[:rows])
+        if rows == n:
+            inverse = [(d, s, -q) if q else (s, d, 0) for s, d, q in self._col_ops]
+            # with r == 0 there is nothing to lift, and `_replay` reads (i, i, 0)
+            # as a negation
+            lift = [(i, r + i, 0) for i in range(k)] if r else []
+            top = IntMatrix._trusted(n, k, [{i: 1} for i in range(k)] + [{}] * r)
+            K._smith = SmithDecomposition(top, k, inverse + lift, [])
+        return K
 
 
 def _replay(rows, ops):
@@ -336,6 +353,8 @@ def snf(M):
 
     The first call eliminates M (`_eliminate`) and stores the decomposition
     on M, and every later call returns it: a matrix never changes once built.
+    A whole `kernel_basis` arrives with its decomposition and is never
+    eliminated.
 
     >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
     >>> snf(M).invariant_factors(), snf(M) is snf(M)

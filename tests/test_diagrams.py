@@ -26,7 +26,7 @@ from posetcoh.linalg import IntMatrix
 from posetcoh.poset import IntersectionPoset, bounds, chains, parse_poset, random_poset
 
 import builders
-from oracles import eager_composites
+from oracles import eager_composites, posets_up_to_isomorphism
 
 Z = PresentedAbGroup.free(1)
 Z2 = PresentedAbGroup.from_invariants(0, [2])
@@ -249,6 +249,40 @@ def test_diagram_composite_maps():
             assert F.map(a, b).matrix == table[(a, b)], (F.base.elements, a, b)
         composites += len(table)
     assert composites > 300, composites
+
+
+def _map_through_identities(F, a, b, table):
+    """`Diagram.map` as it was built when a cover's composite was the identity
+    of its lower value after the edge: the first listed route, recursively."""
+    if a == b:
+        return GroupHom.identity(F.value(a))
+    if (a, b) not in table:
+        via, edge = F._routes(a, b)[0]
+        table[(a, b)] = _map_through_identities(F, via, b, table).compose(edge)
+    return table[(a, b)]
+
+
+def test_a_cover_map_is_its_edge_map():
+    # on the census up to six elements: random diagrams of seeds 0 and 1 and
+    # the presheaves of the sheaves they generate
+    composites = covers = 0
+    for n in range(1, 7):
+        for P in posets_up_to_isomorphism(n):
+            for seed in (0, 1):
+                F = random_diagram(P, seed)
+                for G in (F, sheaf_presheaf(F).diagram):
+                    for edge, h in G.edge_maps.items():
+                        assert G.map(*edge) is h
+                        covers += 1
+                    table = {}
+                    for a in range(len(G.base)):
+                        for b in G.base.down[a]:
+                            old = _map_through_identities(G, a, b, table)
+                            new = G.map(a, b)
+                            assert new.matrix.lines == old.matrix.lines, (P.elements, a, b)
+                            assert (new.source, new.target) == (old.source, old.target)
+                            composites += 1
+    assert covers > 1000 and composites > 3000, (covers, composites)
 
 
 def face_differential(F, lower, upper, node, colimit=False):

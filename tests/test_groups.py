@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,7 @@ from posetcoh.groups import (
     is_isomorphism,
     is_zero_hom,
 )
-from posetcoh.linalg import IntMatrix, snf
+from posetcoh.linalg import IntMatrix, rank_and_torsion, snf
 
 import oracles
 
@@ -114,6 +115,33 @@ def test_compose_and_arithmetic():
 def test_from_invariants_round_trip():
     g = PresentedAbGroup.from_invariants(2, (2, 6))
     assert canonical_form(g) == CanonicalGroup(2, (2, 6))
+
+
+def test_generator_counts_must_be_nonnegative_ints():
+    for count in (True, False, 1.5, 2.0, "2", None, -1):
+        with pytest.raises(ValueError, match="generator count .*: %s" % re.escape(repr(count))):
+            PresentedAbGroup(count)
+        with pytest.raises(ValueError, match="generator count .*: %s" % re.escape(repr(count))):
+            PresentedAbGroup.trivial(count)
+
+
+def test_the_trivial_group_keeps_the_canonical_form_of_its_relations(monkeypatch):
+    for k in range(6):
+        g = PresentedAbGroup.trivial(k)
+        assert (g.generators, g.relations) == (k, IntMatrix.identity(k))
+        rank, torsion = rank_and_torsion(g.relations.transpose().lines)
+        assert g._canonical == CanonicalGroup(k - rank, torsion) == CanonicalGroup(0)
+        assert canonical_form(PresentedAbGroup(k, IntMatrix.identity(k))) == g._canonical
+        assert g == PresentedAbGroup(k, IntMatrix.identity(k))
+
+    # 0 -> 0 is settled without reducing any matrix
+    def refuse(columns):
+        raise AssertionError("reduced %r" % (columns,))
+
+    monkeypatch.setattr(groups, "rank_and_torsion", refuse)
+    for j, k in ((0, 0), (2, 3), (3, 1)):
+        hom = GroupHom(PresentedAbGroup.trivial(j), PresentedAbGroup.trivial(k), IntMatrix.zero(k, j))
+        assert is_isomorphism(hom)
 
 
 def test_torsion_orders_must_be_integers():

@@ -1,6 +1,7 @@
 import copy
 import gc
 import random
+import re
 
 import pytest
 
@@ -113,6 +114,71 @@ def test_kernel_rows_must_lie_in_the_domain():
     for rows in (-1, 4):
         with pytest.raises(ValueError, match="kernel rows %d outside 0..3" % rows):
             dec.kernel_basis(rows)
+
+
+def test_kernel_rows_must_be_an_int():
+    dec = snf(IntMatrix.from_rows([[1, 1, 0]]))
+    for rows in (True, False, 1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="kernel rows %s outside" % re.escape(repr(rows))):
+            dec.kernel_basis(rows)
+
+
+def _kernel_sources(rng):
+    """Matrices whose whole kernels are checked: 0 x n, m x 0, zero ones
+    (rank 0), invertible ones (full rank, kernel 0 x 0 past the shape) and
+    random ones of each shape."""
+    for n in range(5):
+        yield IntMatrix.zero(0, n)
+        yield IntMatrix.zero(n, 0)
+        yield IntMatrix.zero(rng.randint(1, 4), n)
+        yield IntMatrix.identity(n)
+    yield IntMatrix.from_rows([[2, 1], [1, 1]])
+    yield IntMatrix.from_rows([[1, 2, 3], [0, 0, 0], [2, 4, 7]])
+    for _ in range(150):
+        yield IntMatrix(*random_shape_rows(rng))
+
+
+def test_a_whole_kernel_basis_carries_its_smith_decomposition(monkeypatch):
+    import posetcoh.linalg
+
+    eliminate = posetcoh.linalg._eliminate
+    eliminated = []
+
+    def counting(M):
+        eliminated.append(M)
+        return eliminate(M)
+
+    monkeypatch.setattr(posetcoh.linalg, "_eliminate", counting)
+    rng = random.Random(181)
+    kernels = missed = 0
+    for trial, M in enumerate(_kernel_sources(rng)):
+        # the kernel of M, and the (empty) kernel of that kernel in turn
+        K = snf(M).kernel_basis()
+        for K in (K, snf(K).kernel_basis()):
+            del eliminated[:]
+            dec = snf(K)
+            assert eliminated == [], trial
+            assert snf(K) is dec, trial
+            kernels += 1
+            check_decomposition(K, dec)
+            fresh = eliminate(K)
+            assert (dec.D, dec.rank) == (fresh.D, fresh.rank), trial
+            assert dec.rank == K.cols, trial
+            Y = IntMatrix(K.cols, 3, [[rng.randint(-5, 5) for _ in range(3)] for _ in range(K.cols)])
+            assert dec.solve(K * Y) == fresh.solve(K * Y) == Y, trial
+            b = [rng.randint(-4, 4) for _ in range(K.rows)]
+            assert dec.solve(b) == fresh.solve(b), trial
+            if fresh.solve(b) is None:
+                missed += 1
+            assert dec.kernel_basis() == fresh.kernel_basis(), trial
+    assert kernels > 300 and missed > 20, (kernels, missed)
+
+
+def test_a_cut_kernel_basis_carries_no_decomposition():
+    dec = snf(IntMatrix.from_rows([[1, 1, 0, 2]]))
+    assert dec.kernel_basis(4)._smith is not None
+    for rows in range(4):
+        assert dec.kernel_basis(rows)._smith is None
 
 
 def test_kernel_contract():
