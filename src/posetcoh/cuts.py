@@ -1,7 +1,7 @@
 """Dedekind-MacNeille cuts and the acyclicity criterion for agreement.
 
 Every nonempty set of lower bounds is a nonempty meet of down-sets, so one
-cut per set of `poset.meet_closure` enumerates exactly the cuts with
+cut per set of `poset._meet_closure` enumerates exactly the cuts with
 nonempty lower half.  The criterion passes when the upper section of every
 such cut has the integer homology of a point; three structural fast paths,
 all behind the one `shortcuts` switch of `criterion`, decide without any
@@ -37,7 +37,7 @@ def _cut_masks(P):
     node's upper bounds, the AND of its members' up-sets, whose lower bounds
     are the node again.
     """
-    up = P._bits()[1]
+    up = P._up
     everything = _mask(P, None)
     for lower, witness in zip(*_meet_closure(P)):
         upper = everything
@@ -55,7 +55,7 @@ def _cut(lower, upper, witness):
 
 
 def enumerate_cuts(P):
-    """All cuts with nonempty lower half, one per `meet_closure` node, in order."""
+    """All cuts with nonempty lower half, one per `_meet_closure` node, in order."""
     return [_cut(*masks) for masks in _cut_masks(P)]
 
 
@@ -77,7 +77,7 @@ class CriterionReport:
 
 def _components_upward_directed(P):
     """Each component is upward directed: being finite, it has a greatest element."""
-    down = P._bits()[0]
+    down = P._down
     return all(
         any(down[g] & comp == comp for g in _indices(comp))
         for comp in _components(P, _mask(P, None))
@@ -101,7 +101,7 @@ def principal_meets(P):
     coordinates, ρ is an isomorphism of complexes, and for every presheaf
     the Čech and topos cohomology agree in every degree.
     """
-    down = P._bits()[0]
+    down = P._down
     principal = set(down)
     meets = (a & b for a, b in combinations(down, 2))
     return all(not common or common in principal for common in meets)
@@ -118,7 +118,7 @@ def criterion(P, shortcuts=True):
     examined = 0
     # a principal lower half L = ↓x has U = ↑x, a cone on its least element x;
     # each ↓x is a cut, so with shortcuts on this path always runs
-    principal = set(P._bits()[0]) if shortcuts else ()
+    principal = set(P._down) if shortcuts else ()
     for lower, upper, witness in _cut_masks(P):
         examined += 1
         if lower in principal:

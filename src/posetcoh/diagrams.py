@@ -195,7 +195,7 @@ def cohomology_support(base, values):
     Each element's degrees depend on the base alone and are kept on it.
     """
     support = set()
-    up = base._bits()[1]
+    up = base._up
     for m, value in enumerate(values):
         if value.generators:
             if m not in base._links:
@@ -270,21 +270,16 @@ def sheafify_value(F, subset):
     cover inside the subset.  Returned with one projection per element, each
     well defined since the cycles send cone relations to block-diagonal ones.
     """
-    indices = _indices(_mask(F.base, subset))
-    if not indices:
+    mask = _mask(F.base, subset)
+    if not mask:
         raise DiagramError("sections need a nonempty open")
-    index_set = set(indices)
+    indices = _indices(mask)
     for i in indices:
-        if not F.base.down[i] <= index_set:
-            raise DiagramError(
-                "subset is not downward closed at %s" % F.base.elements[i]
-            )
+        if F.base._down[i] & ~mask:
+            raise DiagramError("subset is not downward closed at %s" % F.base.elements[i])
     product = ProductGroup([F.value(i) for i in indices])
-    edges = [
-        (a, b)
-        for (a, b) in ((j, i) for i, j in F.base.covers())
-        if a in index_set and b in index_set
-    ]
+    # the subset is downward closed, so it holds a cover's low end with its high end
+    edges = [(j, i) for i, j in F.base.covers() if mask >> j & 1]
     target = ProductGroup([F.value(b) for a, b in edges])
     pos = {i: k for k, i in enumerate(indices)}
     blocks = []

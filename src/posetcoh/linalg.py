@@ -204,6 +204,9 @@ class IntMatrix:
 
 
 def _check_shape(rows, cols):
+    for count in (rows, cols):
+        if type(count) is not int:
+            raise ValueError("matrix shape %r is not an int" % (count,))
     if rows < 0 or cols < 0:
         raise ValueError("negative matrix shape %d x %d" % (rows, cols))
 

@@ -18,27 +18,26 @@ class PosetError(ValueError):
     """Raised for inputs that do not describe a finite poset."""
 
 
-_BIT = (1).__lshift__  # _BIT(j) is the mask of element j
-
-
 class Poset:
     """A finite partially ordered set over named elements.
 
     `down[i]` is the index set {j : j <= i} and `up[i]` is {j : j >= i}, as
-    frozen sets.  Both are held a second time as int bit masks, bit j for
-    element j, and the kernels of this module (`components`, `core`,
-    `bounds`, `meet_closure`) run on those.  Wherever a subset of the
-    elements is read, `members` may be a collection of element indices or
-    an int bit mask; the cut sweep passes masks from the meet closure to
-    the homology test, and frozensets are built only for what is printed
-    or kept on an intersection poset.  Instances are immutable
-    and compare by value; `chains`, `covers`, `height`, the masks and
-    `diagrams.cohomology_support` keep what they compute on the instance,
-    outside that value.
+    frozen sets.  The constructor builds the same order as int bit masks,
+    `_down[i]` and `_up[i]` with bit j for element j, in the pass that
+    checks the order axioms, and every kernel (`covers`, `components`,
+    `core`, `bounds`, the meet closure and the node poset) reads those.
+    Wherever a subset of the elements is read, `members` may be a
+    collection of element indices or an int bit mask; the cut sweep passes
+    masks from the meet closure to the homology test, and frozensets are
+    built only for what is printed or kept on an intersection poset.
+    Instances are immutable and compare by value; `chains`, `covers`,
+    `height` and `diagrams.cohomology_support` keep what they compute on
+    the instance, outside that value.
     """
 
     __slots__ = (
-        "elements", "index", "down", "up", "_masks", "_chains", "_covers", "_height", "_links"
+        "elements", "index", "down", "up", "_down", "_up", "_chains", "_covers", "_height",
+        "_links",
     )
 
     def __init__(self, elements, down):
@@ -56,11 +55,12 @@ class Poset:
         n = len(self.elements)
         if len(self.down) != n:
             raise PosetError("down-set count mismatch")
-        ups = [set() for _ in range(n)]
+        downs, ups = [], [0] * n
         everything = set(range(n))
         for i, s in enumerate(self.down):
             if i not in s or not s <= everything:
                 raise PosetError("invalid down-set for %r" % self.elements[i])
+            bit, mask = 1 << i, 0
             for j in s:
                 if j != i and i in self.down[j]:
                     raise PosetError(
@@ -72,9 +72,11 @@ class Poset:
                         "transitivity violated below %r at %r"
                         % (self.elements[i], self.elements[j])
                     )
-                ups[j].add(i)
-        self.up = tuple(frozenset(s) for s in ups)
-        self._masks = None
+                mask |= 1 << j
+                ups[j] |= bit
+            downs.append(mask)
+        self._down, self._up = tuple(downs), tuple(ups)
+        self.up = tuple(frozenset(_indices(m)) for m in ups)
         self._chains = {}
         self._links = {}
         self._covers = None
@@ -106,12 +108,12 @@ class Poset:
         Computed once per instance; later calls return the same tuple.
         """
         if self._covers is None:
+            # i < j is a cover when nothing lies strictly above i and below j
+            strict_up = [m ^ 1 << i for i, m in enumerate(self._up)]
             pairs = []
-            for j in range(len(self.elements)):
-                strictly_below = self.down[j] - {j}
-                for i in strictly_below:
-                    if not any(k != i and i in self.down[k] for k in strictly_below):
-                        pairs.append((i, j))
+            for j, m in enumerate(self._down):
+                below = m ^ 1 << j
+                pairs += [(i, j) for i in _indices(below) if not strict_up[i] & below]
             named = sorted((self.elements[i], self.elements[j]) for i, j in pairs)
             self._covers = tuple((self.index[a], self.index[b]) for a, b in named)
         return self._covers
@@ -129,18 +131,6 @@ class Poset:
     def linear_extension(self):
         """Element indices in an order listing smaller elements first."""
         return sorted(range(len(self.elements)), key=lambda i: (len(self.down[i]), i))
-
-    def _bits(self):
-        """The down-sets and up-sets as bit masks, built on first use."""
-        if self._masks is None:
-            # transposing the down-sets is cheaper than summing each up-set
-            up = [0] * len(self.elements)
-            for i, s in enumerate(self.down):
-                bit = 1 << i
-                for j in s:
-                    up[j] |= bit
-            self._masks = (tuple([sum(map(_BIT, s)) for s in self.down]), tuple(up))
-        return self._masks
 
 
 def _mask(poset, members):
@@ -187,25 +177,15 @@ def subset_name(poset, indices):
     return "{" + ",".join(sorted(poset.elements[i] for i in indices)) + "}"
 
 
-def meet_closure(base):
+def _meet_closure(base):
     """The distinct nonempty intersections of the minimal basic opens.
 
     Every nonempty set of lower bounds X^- is a finite intersection of down
     sets L(x), so the closure of {L(i)} under pairwise nonempty intersection
     enumerates exactly the candidate lower halves of cuts.  Returns the
-    nodes, frozen sets of base indices listed by size and then by sorted
-    member names, and for each node one generating subset of the base poset
-    as its witness, a sorted index tuple.
-    """
-    nodes, witnesses = _meet_closure(base)
-    return (
-        tuple(frozenset(_indices(s)) for s in nodes),
-        tuple(tuple(_indices(w)) for w in witnesses),
-    )
-
-
-def _meet_closure(base):
-    """`meet_closure` on masks: the node masks in node order, and their witness masks.
+    node masks, listed by size and then by sorted member names, and for
+    each node the mask of one generating subset of the base poset as its
+    witness.
 
     The closure runs in rounds.  Each round sweeps the pairs (a, b) of the
     sets found before it, both in order of their sorted members, and a new
@@ -217,7 +197,7 @@ def _meet_closure(base):
     sorted members are computed once.
     """
     found = {}
-    for i, node in enumerate(base._bits()[0]):
+    for i, node in enumerate(base._down):
         found.setdefault(node, 1 << i)
     members = {s: _indices(s) for s in found}
     last = set(found)
@@ -241,25 +221,28 @@ def _meet_closure(base):
 
 
 class IntersectionPoset:
-    """The nodes of `meet_closure` ordered by inclusion.
+    """The nodes of `_meet_closure` ordered by inclusion.
 
-    The node poset names each node by `subset_name`, `lambda_map` locates
-    L(i), and `witnesses` holds each node's generating subset.
+    `nodes` holds each node as a frozen set of base indices and `witnesses`
+    its generating subset as a sorted index tuple.  The node poset names
+    each node by `subset_name`, and `lambda_map` locates L(i).
     """
 
     __slots__ = ("base", "poset", "nodes", "lambda_map", "witnesses")
 
     def __init__(self, base):
         self.base = base
-        nodes, self.witnesses = meet_closure(base)
-        self.nodes = nodes
+        masks, witnesses = _meet_closure(base)
+        self.nodes = tuple(frozenset(_indices(s)) for s in masks)
+        self.witnesses = tuple(tuple(_indices(w)) for w in witnesses)
         # a subset is never longer, so it sits at or before its superset
         down_sets = [
-            frozenset(j for j in range(k + 1) if nodes[j] <= s) for k, s in enumerate(nodes)
+            frozenset(j for j in range(k + 1) if masks[j] & s == masks[j])
+            for k, s in enumerate(masks)
         ]
-        self.poset = Poset([subset_name(base, s) for s in nodes], down_sets)
-        position = {s: k for k, s in enumerate(nodes)}
-        self.lambda_map = tuple(position[base.down[i]] for i in range(len(base.elements)))
+        self.poset = Poset([subset_name(base, s) for s in self.nodes], down_sets)
+        position = {s: k for k, s in enumerate(masks)}
+        self.lambda_map = tuple(position[s] for s in base._down)
 
     def __len__(self):
         return len(self.nodes)
@@ -276,8 +259,7 @@ def bounds(poset, subset, direction):
     """
     if direction not in ("lower", "upper"):
         raise PosetError("direction must be 'lower' or 'upper'")
-    down, up = poset._bits()
-    table = down if direction == "lower" else up
+    table = poset._down if direction == "lower" else poset._up
     result = (1 << len(poset.elements)) - 1
     for x in _indices(_mask(poset, subset)):
         result &= table[x]
@@ -317,7 +299,7 @@ def components(poset, members=None):
 
 def _components(poset, todo):
     """`components` within a checked mask, as a list of component masks."""
-    down, up = poset._bits()
+    down, up = poset._down, poset._up
     out = []
     while todo:
         part = frontier = todo & -todo
@@ -353,7 +335,7 @@ def core(poset, members=None):
 
 def _core(poset, present):
     """`core` within a checked mask, as the mask of the elements that remain."""
-    tables = poset._bits()
+    tables = poset._down, poset._up
     removed = True
     while removed:
         removed = False

@@ -218,6 +218,12 @@ def dunce_hat():
     return parse_poset(DUNCE_HAT_DOC)
 
 
+BUILT = (
+    point, vee, square, sphere, zigzag, crown3, pass8, pass7,
+    capped_square, cells9, tetrahedron, projective_plane, dunce_hat,
+)
+
+
 # Presheaf documents on the square poset's intersection poset, whose five
 # nodes are {p2}, {p3}, {p2,p3}, {p0,p2,p3}, {p1,p2,p3}.
 

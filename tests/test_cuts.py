@@ -20,18 +20,13 @@ from posetcoh.poset import (
 import builders
 from oracles import brute_force_cuts, criterion_by_public_route, posets_up_to_isomorphism
 
-BUILT = (
-    "point", "vee", "square", "sphere", "zigzag", "crown3", "pass8", "pass7",
-    "capped_square", "cells9", "tetrahedron", "projective_plane", "dunce_hat",
-)
-
 
 def mask_sweep_posets():
     """The census up to six elements, the built posets, 300 random posets of
     4 to 16 elements and one of 70, whose masks run past 64 bits."""
     rng = random.Random(39)
     posets = [P for n in range(1, 7) for P in posets_up_to_isomorphism(n)]
-    posets += [getattr(builders, name)() for name in BUILT]
+    posets += [build() for build in builders.BUILT]
     posets += [
         random_poset(rng.randint(4, 16), rng.uniform(0.2, 0.6), seed=3900 + k) for k in range(300)
     ]
@@ -194,7 +189,7 @@ def test_criterion_on_masks_matches_the_public_route():
             got = (report.verdict, report.cuts_examined, failures, report.shortcut)
             assert got == criterion_by_public_route(P, shortcuts), (P, shortcuts)
             failing += bool(failures)
-    assert len(posets) == 405 + len(BUILT) + 301 and failing > 300
+    assert len(posets) == 405 + len(builders.BUILT) + 301 and failing > 300
     big = posets[-1]
     assert max(max(cut.upper) for cut in enumerate_cuts(big)) >= 64
     assert not criterion(big, False)

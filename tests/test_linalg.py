@@ -545,6 +545,16 @@ def test_checking_constructors_reject_what_is_not_an_integer():
     ):
         with pytest.raises(ValueError, match="negative matrix shape"):
             build()
+    # a shape count is an int: not a bool, nor a float equal to one
+    for build in (
+        lambda: IntMatrix.identity(True),
+        lambda: IntMatrix.zero(True, 2),
+        lambda: IntMatrix.identity(1.5),
+        lambda: IntMatrix.zero(1.5, 2),
+        lambda: IntMatrix(True, 1, [[1]]),
+    ):
+        with pytest.raises(ValueError, match=r"matrix shape (True|1\.5) is not an int"):
+            build()
 
 
 def assert_stored_without_zeros(M):

@@ -302,6 +302,28 @@ def test_mask_kernels_match_the_set_kernels():
     assert len(posets) == 405 and checked > 10000
 
 
+def test_the_order_table_is_the_down_and_up_sets():
+    # the constructor's masks hold the frozen sets bit for bit, and `covers`
+    # and the node poset read them to the frozenset definitions
+    posets = [P for n in range(1, 6) for P in posets_up_to_isomorphism(n)]
+    posets += [build() for build in builders.BUILT]
+    for P in posets:
+        n = len(P)
+        assert P._down == tuple(sum(1 << j for j in s) for s in P.down)
+        assert P.up == tuple(frozenset(i for i in range(n) if j in P.down[i]) for j in range(n))
+        assert P._up == tuple(sum(1 << j for j in s) for s in P.up)
+        assert P.covers() == tuple(sorted(
+            ((i, j) for j in range(n) for i in P.down[j] - {j}
+             if not any(i in P.down[k] for k in P.down[j] - {i, j})),
+            key=lambda pair: (P.elements[pair[0]], P.elements[pair[1]]),
+        ))
+        U = IntersectionPoset(P)
+        assert U.poset.down == tuple(
+            frozenset(k for k, t in enumerate(U.nodes) if t <= s) for s in U.nodes
+        )
+    assert len(posets) == 1 + 2 + 5 + 16 + 63 + len(builders.BUILT)
+
+
 def test_chains_deterministic_order():
     P = builders.sphere()
     assert chains(P, 1) == chains(P, 1)
