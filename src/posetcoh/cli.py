@@ -48,6 +48,9 @@ from .poset import (
     subset_name,
 )
 
+# the one encoder of `--json` output: sorted keys, no spaces
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def _read_json(path):
     try:
@@ -484,7 +487,7 @@ def main(argv=None):
         if text is None:
             return code
         if args.json:
-            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            text = _JSON.encode(payload)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")

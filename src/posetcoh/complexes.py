@@ -339,8 +339,11 @@ def subposet_homology(poset, members=None):
     `members` is a nonempty subset of the elements, a collection of element
     indices or an int bit mask (default: every element).  Yields (n, H_n)
     lowest degree first: degree 0 with Z^c when there are c > 1
-    components, then each degree n >= 1 with H_n nonzero, read off the
-    core, which has the same homology and usually far fewer chains.  A core
+    components, then each degree n >= 1 with H_n nonzero, all read off the
+    core, which has the same homology and usually far fewer chains.  The
+    core is taken first, and a one-point core returns at once.  Otherwise
+    its components are counted: a beat point's neighbours stay joined
+    through its one cover, so removing it keeps every component.  A core
     with one point per component has nothing above degree 0; a larger one is
     built as a poset when it leaves out some element, and swept from degree 1
     up to its height, each degree's chains enumerated and each boundary
@@ -349,11 +352,13 @@ def subposet_homology(poset, members=None):
     mask = _mask(poset, members)
     if not mask:
         raise PosetError("homology needs a nonempty set of elements")
-    parts = len(_components(poset, mask))
-    if parts > 1:
-        yield 0, CanonicalGroup(parts)
     kept = _core(poset, mask)
     size = kept.bit_count()
+    if size == 1:
+        return
+    parts = len(_components(poset, kept))
+    if parts > 1:
+        yield 0, CanonicalGroup(parts)
     if size == parts:
         return
     if size < len(poset.elements):

@@ -35,11 +35,15 @@ def _cut_masks(P):
 
     A node is the meet of its witness's down-sets, so the witness lies in the
     node's upper bounds, the AND of its members' up-sets, whose lower bounds
-    are the node again.
+    are the node again.  A node with a one-element witness x is ↓x, whose
+    upper bounds are ↑x, read off the order table with no AND.
     """
     up = P._up
     everything = _mask(P, None)
     for lower, witness in zip(*_meet_closure(P)):
+        if not witness & (witness - 1):
+            yield lower, up[witness.bit_length() - 1], witness
+            continue
         upper = everything
         rest = lower
         while rest:

@@ -22,7 +22,8 @@ class Poset:
     """A finite partially ordered set over named elements.
 
     `down[i]` is the index set {j : j <= i} and `up[i]` is {j : j >= i}, as
-    frozen sets.  The constructor builds the same order as int bit masks,
+    frozen sets; `up` is built from `_up` when first read, since no kernel
+    reads it.  The constructor builds the same order as int bit masks,
     `_down[i]` and `_up[i]` with bit j for element j, in the pass that
     checks the order axioms, and every kernel (`covers`, `components`,
     `core`, `bounds`, the meet closure and the node poset) reads those.
@@ -30,14 +31,14 @@ class Poset:
     collection of element indices or an int bit mask; the cut sweep passes
     masks from the meet closure to the homology test, and frozensets are
     built only for what is printed or kept on an intersection poset.
-    Instances are immutable and compare by value; `chains`, `covers`,
+    Instances are immutable and compare by value; `up`, `chains`, `covers`,
     `height` and `diagrams.cohomology_support` keep what they compute on
     the instance, outside that value.
     """
 
     __slots__ = (
-        "elements", "index", "down", "up", "_down", "_up", "_chains", "_covers", "_height",
-        "_links",
+        "elements", "index", "down", "_up_sets", "_down", "_up", "_chains", "_covers",
+        "_height", "_links",
     )
 
     def __init__(self, elements, down):
@@ -62,6 +63,11 @@ class Poset:
                 raise PosetError("invalid down-set for %r" % self.elements[i])
             bit, mask = 1 << i, 0
             for j in s:
+                if type(j) is not int:
+                    raise PosetError(
+                        "down-set member %r of %r is not an element index"
+                        % (j, self.elements[i])
+                    )
                 if j != i and i in self.down[j]:
                     raise PosetError(
                         "antisymmetry violated by %r and %r (relation cycle)"
@@ -76,11 +82,18 @@ class Poset:
                 ups[j] |= bit
             downs.append(mask)
         self._down, self._up = tuple(downs), tuple(ups)
-        self.up = tuple(frozenset(_indices(m)) for m in ups)
+        self._up_sets = None
         self._chains = {}
         self._links = {}
         self._covers = None
         self._height = None
+
+    @property
+    def up(self):
+        """`up[i]` = {j : j >= i} as frozen sets, built from `_up` on first read."""
+        if self._up_sets is None:
+            self._up_sets = tuple(frozenset(_indices(m)) for m in self._up)
+        return self._up_sets
 
     def __len__(self):
         return len(self.elements)
@@ -194,12 +207,26 @@ def _meet_closure(base):
     first round only pairs with a member of the last round's new sets are
     met, and only partners b at or after a: meets and witness unions are
     symmetric, so every witness is that of the full sweep.  Each set's
-    sorted members are computed once.
+    sorted members are computed once, for the round sort that the
+    witnesses depend on.
+
+    The final order reads a weight per set: element i weighs
+    `1 << (n - 1 - r)` for r the rank of its name among the sorted names,
+    and a set weighs the sum over its members.  Among sets of one size,
+    the sorted name lists compare as the negated weights.  A weight is a
+    bit mask with the bits permuted, so a meet's weight is the AND of its
+    halves' weights, and no name list is built per set.
     """
     found = {}
     for i, node in enumerate(base._down):
         found.setdefault(node, 1 << i)
     members = {s: _indices(s) for s in found}
+    names = base.elements
+    n = len(names)
+    rank_weight = [0] * n
+    for r, i in enumerate(sorted(range(n), key=names.__getitem__)):
+        rank_weight[i] = 1 << (n - 1 - r)
+    weight = {s: sum(map(rank_weight.__getitem__, m)) for s, m in members.items()}
     last = set(found)
     while last:
         current = sorted(found, key=members.__getitem__)
@@ -213,10 +240,10 @@ def _meet_closure(base):
                 if c and c not in found:
                     found[c] = found[a] | found[b]
                     members[c] = _indices(c)
+                    weight[c] = weight[a] & weight[b]
                     new.add(c)
         last = new
-    names = base.elements
-    nodes = sorted(found, key=lambda s: (s.bit_count(), sorted(map(names.__getitem__, members[s]))))
+    nodes = sorted(found, key=lambda s: (s.bit_count(), -weight[s]))
     return nodes, [found[s] for s in nodes]
 
 

@@ -407,6 +407,37 @@ def test_subposet_homology_is_that_of_the_built_subposet():
     assert all(seen.values()), seen
 
 
+def test_subposet_homology_counts_the_components_of_the_core(monkeypatch):
+    # the core is taken first; a one-point core counts no components, and
+    # otherwise they are counted on the core, never on the whole section
+    import posetcoh.complexes
+    from posetcoh.poset import _components, _core, _mask
+
+    counted = []
+
+    def recording_components(poset, mask):
+        counted.append(mask)
+        return _components(poset, mask)
+
+    monkeypatch.setattr(posetcoh.complexes, "_components", recording_components)
+    rng = random.Random(53)
+    posets = [builders.sphere(), builders.crown3()]
+    posets += [random_poset(rng.randint(2, 10), rng.random(), seed=5300 + t) for t in range(30)]
+    asked = beaten = 0
+    for P in posets:
+        sets = [set(range(len(P)))] + [cut.upper for cut in enumerate_cuts(P)]
+        sets += [{i for i in range(len(P)) if rng.random() < 0.6} for _ in range(4)]
+        for members in filter(None, sets):
+            section = _mask(P, members)
+            kept = _core(P, section)
+            counted.clear()
+            list(subposet_homology(P, members))
+            assert counted == ([] if kept.bit_count() == 1 else [kept]), (P, sorted(members))
+            asked += bool(counted)
+            beaten += bool(counted) and kept != section
+    assert asked and beaten, (asked, beaten)
+
+
 def test_subposet_homology_of_no_elements_raises(monkeypatch):
     # an empty order complex has H_0 = 0, not the homology of a point, and
     # the sweep refuses it before looking at components or cores

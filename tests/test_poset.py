@@ -87,6 +87,12 @@ def test_poset_checks_the_order_axioms_of_its_down_sets():
         Poset(["a", "b"], [{0}, {0}])
     with pytest.raises(PosetError, match="duplicate element name: 'a'"):
         Poset(["a", "a"], [{0}, {1}])
+    # a member equal to an index but not an int: a float used to raise a
+    # bare TypeError, and True was kept in the down-set
+    with pytest.raises(PosetError, match="down-set member 1.0 of 'b' is not an element index"):
+        Poset(["a", "b"], [{0}, {0, 1.0}])
+    with pytest.raises(PosetError, match="down-set member True of 'b' is not an element index"):
+        Poset(["a", "b"], [{0}, {0, True}])
 
 
 def test_bounds_square():
@@ -222,6 +228,20 @@ def test_intersection_closure_matches_the_full_sweep():
         assert_cuts_follow_the_nodes(P, nodes, witnesses)
     # the closure runs on bit masks; posets of up to 16 elements
     for P in seeded_posets():
+        U = IntersectionPoset(P)
+        nodes, witnesses = intersection_closure_by_full_sweep(P)
+        assert (list(U.nodes), list(U.witnesses)) == (nodes, witnesses)
+        assert_ordered_by_inclusion(U, P, nodes)
+        assert_cuts_follow_the_nodes(P, nodes, witnesses)
+    # element lists out of name order, shuffled names and unpadded x9 < x10:
+    # the node order is read off name ranks, not element indices
+    rng = random.Random(63)
+    for trial in range(120):
+        P = random_poset(rng.randint(2, 14), rng.uniform(0.2, 0.7), seed=6300 + trial)
+        names = ["x%d" % i for i in range(len(P))]
+        if trial % 2:
+            rng.shuffle(names)
+        P = Poset(names, P.down)
         U = IntersectionPoset(P)
         nodes, witnesses = intersection_closure_by_full_sweep(P)
         assert (list(U.nodes), list(U.witnesses)) == (nodes, witnesses)
