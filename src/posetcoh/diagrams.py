@@ -95,15 +95,17 @@ class Diagram:
     def map(self, a, b):
         """The composite value(a) -> value(b) for a >= b, built on first use
         through the first listed cover of a above b.  A cover's composite is
-        its edge map itself: b is then the only cover of a above b."""
-        if a == b:
+        its edge map itself: b is then the only cover of a above b.  A cached
+        composite already proves b <= a; otherwise `leq` range-checks both."""
+        if 0 <= a == b < len(self.values):
             return GroupHom.identity(self.values[a])
-        if not self.base.leq(b, a):
-            raise DiagramError("no arrow %s" % self._arrow(a, b))
-        if (a, b) not in self._comp:
+        comp = self._comp.get((a, b))
+        if comp is None:
+            if not self.base.leq(b, a):
+                raise DiagramError("no arrow %s" % self._arrow(a, b))
             via, edge = self._routes(a, b)[0]
-            self._comp[(a, b)] = self.map(via, b).compose(edge)
-        return self._comp[(a, b)]
+            comp = self._comp[a, b] = self.map(via, b).compose(edge)
+        return comp
 
     def value(self, a):
         return self.values[a]

@@ -21,24 +21,23 @@ class PosetError(ValueError):
 class Poset:
     """A finite partially ordered set over named elements.
 
-    `down[i]` is the index set {j : j <= i} and `up[i]` is {j : j >= i}, as
-    frozen sets; `up` is built from `_up` when first read, since no kernel
-    reads it.  The constructor builds the same order as int bit masks,
-    `_down[i]` and `_up[i]` with bit j for element j, in the pass that
-    checks the order axioms, and every kernel (`covers`, `components`,
-    `core`, `bounds`, the meet closure and the node poset) reads those.
-    Wherever a subset of the elements is read, `members` may be a
-    collection of element indices or an int bit mask; the cut sweep passes
-    masks from the meet closure to the homology test, and frozensets are
-    built only for what is printed or kept on an intersection poset.
-    Instances are immutable and compare by value; `up`, `chains`, `covers`,
-    `height` and `diagrams.cohomology_support` keep what they compute on
-    the instance, outside that value.
+    The order is the int bit masks `_down[i]` = {j : j <= i} and `_up[i]` =
+    {j : j >= i}, bit j for element j, which every kernel reads; `down` and
+    `up` are the same sets as frozensets, built on first read.  The
+    constructor takes each down-set as an int mask or a collection of
+    element indices and checks the order axioms with one AND per related
+    pair.  Wherever a subset of the elements is read, `members` may likewise
+    be a collection of element indices or an int bit mask; the cut sweep
+    passes masks from the meet closure to the homology test, and frozensets
+    are built only for what is printed or kept on an intersection poset.
+    Instances are immutable and compare by value; `down`, `up`, `chains`,
+    `covers`, `height` and `diagrams.cohomology_support` keep what they
+    compute on the instance, outside that value.
     """
 
     __slots__ = (
-        "elements", "index", "down", "_up_sets", "_down", "_up", "_chains", "_covers",
-        "_height", "_links",
+        "elements", "index", "_down_sets", "_up_sets", "_down", "_up", "_chains",
+        "_covers", "_height", "_links",
     )
 
     def __init__(self, elements, down):
@@ -52,41 +51,44 @@ class Poset:
                 if name in seen:
                     raise PosetError("duplicate element name: %r" % name)
                 seen.add(name)
-        self.down = tuple(frozenset(s) for s in down)
+        downs = list(down)
         n = len(self.elements)
-        if len(self.down) != n:
+        if len(downs) != n:
             raise PosetError("down-set count mismatch")
-        downs, ups = [], [0] * n
-        everything = set(range(n))
-        for i, s in enumerate(self.down):
-            if i not in s or not s <= everything:
+        for i, s in enumerate(downs):
+            if type(s) is not int:
+                mask = 0
+                for j in s:
+                    if type(j) is not int:
+                        raise PosetError(
+                            "down-set member %r of %r is not an element index"
+                            % (j, self.elements[i])
+                        )
+                    mask |= 1 << j if j >= 0 else -1  # a negative index makes it invalid
+                downs[i] = s = mask
+            if s < 0 or s >> n or not s >> i & 1:
                 raise PosetError("invalid down-set for %r" % self.elements[i])
-            bit, mask = 1 << i, 0
-            for j in s:
-                if type(j) is not int:
-                    raise PosetError(
-                        "down-set member %r of %r is not an element index"
-                        % (j, self.elements[i])
-                    )
-                if j != i and i in self.down[j]:
-                    raise PosetError(
-                        "antisymmetry violated by %r and %r (relation cycle)"
-                        % (self.elements[i], self.elements[j])
-                    )
-                if not self.down[j] <= s:
-                    raise PosetError(
-                        "transitivity violated below %r at %r"
-                        % (self.elements[i], self.elements[j])
-                    )
-                mask |= 1 << j
+        ups = [1 << i for i in range(n)]
+        for i, s in enumerate(downs):
+            bit = 1 << i
+            outside = ~s | bit  # i itself, and what lies outside L(i)
+            for j in _indices(s ^ bit):
+                if downs[j] & outside:
+                    text = "antisymmetry violated by %r and %r (relation cycle)"
+                    if not downs[j] & bit:
+                        text = "transitivity violated below %r at %r"
+                    raise PosetError(text % (self.elements[i], self.elements[j]))
                 ups[j] |= bit
-            downs.append(mask)
         self._down, self._up = tuple(downs), tuple(ups)
-        self._up_sets = None
-        self._chains = {}
-        self._links = {}
-        self._covers = None
-        self._height = None
+        self._down_sets = self._up_sets = self._covers = self._height = None
+        self._chains, self._links = {}, {}
+
+    @property
+    def down(self):
+        """`down[i]` = {j : j <= i} as frozen sets, built from `_down` on first read."""
+        if self._down_sets is None:
+            self._down_sets = tuple(frozenset(_indices(m)) for m in self._down)
+        return self._down_sets
 
     @property
     def up(self):
@@ -102,18 +104,21 @@ class Poset:
         return (
             isinstance(other, Poset)
             and self.elements == other.elements
-            and self.down == other.down
+            and self._down == other._down
         )
 
     def __hash__(self):
-        return hash((self.elements, self.down))
+        return hash((self.elements, self._down))
 
     def __repr__(self):
         return "Poset(%r)" % (self.elements,)
 
     def leq(self, i, j):
-        """Whether element i <= element j (by index)."""
-        return i in self.down[j]
+        """Whether element i <= element j (by index); each index is range-checked."""
+        for x in (i, j):
+            if not 0 <= x < len(self._down):
+                raise PosetError("element index %r out of range" % (x,))
+        return bool(self._down[j] >> i & 1)
 
     def covers(self):
         """Hasse cover pairs (low, high), low covered by high, sorted by name.
@@ -136,14 +141,14 @@ class Poset:
         if self._height is None:
             best = [0] * len(self.elements)
             for i in self.linear_extension():
-                below = [best[j] + 1 for j in self.down[i] if j != i]
+                below = [best[j] + 1 for j in _indices(self._down[i] ^ 1 << i)]
                 best[i] = max(below, default=0)
             self._height = max(best)
         return self._height
 
     def linear_extension(self):
         """Element indices in an order listing smaller elements first."""
-        return sorted(range(len(self.elements)), key=lambda i: (len(self.down[i]), i))
+        return sorted(range(len(self.elements)), key=lambda i: (self._down[i].bit_count(), i))
 
 
 def _mask(poset, members):
@@ -263,11 +268,11 @@ class IntersectionPoset:
         self.nodes = tuple(frozenset(_indices(s)) for s in masks)
         self.witnesses = tuple(tuple(_indices(w)) for w in witnesses)
         # a subset is never longer, so it sits at or before its superset
-        down_sets = [
-            frozenset(j for j in range(k + 1) if masks[j] & s == masks[j])
+        down_masks = [
+            sum(1 << j for j, t in enumerate(masks[: k + 1]) if t & s == t)
             for k, s in enumerate(masks)
         ]
-        self.poset = Poset([subset_name(base, s) for s in self.nodes], down_sets)
+        self.poset = Poset([subset_name(base, s) for s in self.nodes], down_masks)
         position = {s: k for k, s in enumerate(masks)}
         self.lambda_map = tuple(position[s] for s in base._down)
 
@@ -301,11 +306,11 @@ def chains(poset, n):
     degree sorted; each degree is enumerated once per poset and later calls
     return the same tuple of index tuples.
     """
-    if n < 0:
-        raise PosetError("chain degree must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise PosetError("chain degree %r must be a nonnegative int" % (n,))
     cache = poset._chains
     if n not in cache:
-        below = [sorted(down - {i}) for i, down in enumerate(poset.down)]
+        below = [_indices(m ^ 1 << i) for i, m in enumerate(poset._down)]
         if not cache:
             cache[0] = tuple((i,) for i in range(len(below)))
         for k in range(len(cache), n + 1):
@@ -392,14 +397,18 @@ def _core(poset, present):
 def induced_subposet(poset, subset):
     """The restriction of the order to a nonempty subset, names preserved.
 
-    The subset is a collection of element indices or an int bit mask.
+    The subset is a collection of element indices or an int bit mask; the
+    subposet's down-sets are handed to `Poset` as masks over the members
+    in ascending index order.
     """
     indices = _indices(_mask(poset, subset))
     if not indices:
         raise PosetError("induced subposet needs a nonempty subset")
-    old_to_new = {old: new for new, old in enumerate(indices)}
     elements = [poset.elements[i] for i in indices]
-    down = [frozenset(old_to_new[j] for j in poset.down[i] if j in old_to_new) for i in indices]
+    down = [
+        sum(1 << new for new, j in enumerate(indices) if poset._down[i] >> j & 1)
+        for i in indices
+    ]
     return Poset(elements, down)
 
 
@@ -407,7 +416,9 @@ def parse_poset(doc):
     """Build a poset from a description with 'elements' and 'relations'.
 
     Relation pairs [a, b] assert a <= b; they may be arbitrary assertions, not
-    only covers, and the reflexive-transitive closure is taken.  Raises
+    only covers.  The reflexive-transitive closure is taken on down-set
+    masks by Warshall's algorithm (J. ACM 9, 1962): for each k in turn,
+    every down-set holding k takes in the down-set of k.  Raises
     PosetError naming the offenders for unknown names and names holding ","
     or "->", which node names and map keys use; `Poset` names a duplicate
     element and the two elements of a relation cycle.
@@ -425,7 +436,7 @@ def parse_poset(doc):
                 raise PosetError("element name %r contains %r" % (name, sep))
     index = {name: i for i, name in enumerate(elements)}
     n = len(elements)
-    preds = [set() for _ in range(n)]
+    down = [1 << i for i in range(n)]
     relations = doc.get("relations", [])
     if not isinstance(relations, (list, tuple)):
         raise PosetError("'relations' must be a list of [low, high] pairs")
@@ -436,19 +447,11 @@ def parse_poset(doc):
         for name in (low, high):
             if not isinstance(name, str) or name not in index:
                 raise PosetError("unknown element in relation: %r" % (name,))
-        preds[index[high]].add(index[low])
-
-    down = []
-    for i in range(n):
-        reach = {i}
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            for k in preds[j]:
-                if k not in reach:
-                    reach.add(k)
-                    stack.append(k)
-        down.append(frozenset(reach))
+        down[index[high]] |= 1 << index[low]
+    for k in range(n):
+        for i in range(n):
+            if down[i] >> k & 1:
+                down[i] |= down[k]
     return Poset(elements, down)
 
 

@@ -4,7 +4,8 @@ These deliberately avoid the package's kernel-projection and presentation
 machinery: invariant factors come from gcds of minors, determinants from
 Laplace expansion or fraction-free (Bareiss) elimination, and homology of tiny complexes from direct enumeration of
 group elements with the isomorphism class reconstructed from element-order
-counts.  `components_by_sets` and `core_by_sets` walk frozensets of element
+counts.  `down_sets_by_reachability` closes relation lists over names, and
+`components_by_sets` and `core_by_sets` walk frozensets of element
 indices, as the package's order kernels did before they ran on bit masks,
 and `criterion_by_public_route` runs the criterion on frozensets through
 `enumerate_cuts`.
@@ -70,6 +71,28 @@ def intersection_closure_by_full_sweep(base):
                     changed = True
     ordered = sorted(found, key=lambda s: (len(s), sorted(base.elements[i] for i in s)))
     return ordered, [found[s] for s in ordered]
+
+
+def down_sets_by_reachability(elements, relations):
+    """Each element's down-set in the closure of relation pairs [low, high].
+
+    The reference for `parse_poset`, which closes its relations on masks:
+    a walk over names from each element down every pair, kept as a dict
+    from name to the frozenset of names reached, the element itself
+    included.  Cycles are kept, not refused.
+    """
+    preds = {name: set() for name in elements}
+    for low, high in relations:
+        preds[high].add(low)
+    down = {}
+    for name in elements:
+        reached, todo = {name}, [name]
+        while todo:
+            for low in preds[todo.pop()] - reached:
+                reached.add(low)
+                todo.append(low)
+        down[name] = frozenset(reached)
+    return down
 
 
 def components_by_sets(poset, members=None):

@@ -23,7 +23,14 @@ from posetcoh.groups import (
     is_isomorphism,
 )
 from posetcoh.linalg import IntMatrix
-from posetcoh.poset import IntersectionPoset, bounds, chains, parse_poset, random_poset
+from posetcoh.poset import (
+    IntersectionPoset,
+    PosetError,
+    bounds,
+    chains,
+    parse_poset,
+    random_poset,
+)
 
 import builders
 from oracles import eager_composites, posets_up_to_isomorphism
@@ -225,6 +232,11 @@ def test_diagram_composite_maps():
     )
     assert F.map(chain.index["a"], chain.index["c"]).matrix.entries == ((6,),)
     assert F.map(0, 0).matrix == IntMatrix.identity(1)
+    # an index outside the poset is refused by name: map(-2, 0) used to
+    # raise a bare KeyError, and map(-1, -1) gave the last value's identity
+    for a, b, bad in ((-2, 0, -2), (0, 3, 3), (-1, -1, -1), (3, 3, 3)):
+        with pytest.raises(PosetError, match="^element index %d out of range$" % bad):
+            F.map(a, b)
     # in Z/2 the routes 1 and 3 agree, and the composite is the first listed
     diagrams = [diamond_diagram(Z2, 3)]
     diagrams[0].verify()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -24,6 +25,7 @@ import builders
 from oracles import (
     components_by_sets,
     core_by_sets,
+    down_sets_by_reachability,
     intersection_closure_by_full_sweep,
     posets_up_to_isomorphism,
 )
@@ -50,6 +52,16 @@ def test_parse_square():
     assert not P.leq(i["p0"], i["p1"]) and not P.leq(i["p2"], i["p3"])
     assert P.height() == 1
     assert len(P.covers()) == 4
+
+
+def test_leq_range_checks_both_indices():
+    # P.leq(2, -1) used to read the last element's down-set and return True
+    P = builders.vee()
+    assert len(P) == 3
+    for i, j, bad in ((2, -1, -1), (-1, 2, -1), (3, 0, 3), (0, 3, 3)):
+        with pytest.raises(PosetError, match="^element index %d out of range$" % bad):
+            P.leq(i, j)
+    assert all(P.leq(i, i) is True for i in range(3))
 
 
 def test_parse_singleton():
@@ -93,6 +105,79 @@ def test_poset_checks_the_order_axioms_of_its_down_sets():
         Poset(["a", "b"], [{0}, {0, 1.0}])
     with pytest.raises(PosetError, match="down-set member True of 'b' is not an element index"):
         Poset(["a", "b"], [{0}, {0, True}])
+    # a down-set given as a mask is checked as one given as indices
+    with pytest.raises(PosetError, match=r"antisymmetry .* 'a' and 'b' \(relation cycle\)"):
+        Poset(["a", "b"], [0b11, 0b11])
+    with pytest.raises(PosetError, match="transitivity violated below 'c' at 'b'"):
+        Poset(["a", "b", "c"], [0b001, 0b011, 0b110])
+    with pytest.raises(PosetError, match="down-set count mismatch"):
+        Poset(["a", "b"], [0b01])
+
+
+def test_a_poset_from_masks_is_the_poset_from_index_sets():
+    posets = [P for n in range(1, 6) for P in posets_up_to_isomorphism(n)] + seeded_posets(60)
+    for P in posets:
+        masks = [sum(1 << j for j in s) for s in P.down]
+        from_masks, from_sets = Poset(P.elements, masks), Poset(P.elements, P.down)
+        assert from_masks == from_sets == P and hash(from_masks) == hash(from_sets)
+        assert from_masks._down == P._down and from_masks._up == P._up
+        # the frozenset views are built on first read, and then kept
+        assert from_masks._down_sets is None and from_masks._up_sets is None
+        assert from_masks.down == from_sets.down and from_masks.up == from_sets.up
+        assert from_masks.down is from_masks.down and from_masks.up is from_masks.up
+    # a mask with a bit past the last element, or a negative one, is no down-set
+    for bad in ([0b01, 0b111], [0b01, -1], [0b01, -0b11], [0b01, {0, 1, 2}], [0b01, {-1, 1}]):
+        with pytest.raises(PosetError, match="invalid down-set for 'b'"):
+            Poset(["a", "b"], bad)
+
+
+def relation_lists(count=300):
+    """`count` seeded (elements, relations) pairs for `parse_poset`.
+
+    The element list is out of name order.  Relations hold self-loops,
+    repeated pairs and pairs implied by others.  A third of the lists draw
+    pairs in either direction, and more than a third of those close a
+    cycle; the rest follow a hidden linear order, so they describe a poset.
+    """
+    rng = random.Random(43)
+    lists = []
+    for trial in range(count):
+        n = rng.randint(1, 9)
+        elements = ["e%d" % i for i in range(n)]
+        rng.shuffle(elements)
+        order = elements[:]
+        rng.shuffle(order)
+        relations = []
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = sorted(rng.choices(range(n), k=2))
+            if trial % 3 == 0 and rng.random() < 0.5:
+                a, b = b, a
+            relations.append([order[a], order[b]])
+        relations += rng.sample(relations, len(relations) // 3)
+        lists.append((elements, relations))
+    return lists
+
+
+def test_parse_poset_closes_relations_as_the_reachability_oracle():
+    cycles = 0
+    for elements, relations in relation_lists():
+        below = down_sets_by_reachability(elements, relations)
+        index = {name: i for i, name in enumerate(elements)}
+        down_sets = [{index[x] for x in below[name]} for name in elements]
+        in_cycle = {(a, b) for a in elements for b in below[a] if b != a and a in below[b]}
+        doc = {"elements": elements, "relations": relations}
+        if not in_cycle:
+            P = parse_poset(doc)
+            assert P == Poset(elements, down_sets)
+            assert P.down == tuple(frozenset(s) for s in down_sets)
+            continue
+        # both sides refuse the cycle and name two of its elements
+        cycles += 1
+        for build in (lambda: parse_poset(doc), lambda: Poset(elements, down_sets)):
+            with pytest.raises(PosetError, match="antisymmetry violated by") as refused:
+                build()
+            assert tuple(re.findall(r"'(e\d+)'", str(refused.value))) in in_cycle
+    assert 30 <= cycles <= 100, cycles
 
 
 def test_bounds_square():
@@ -266,6 +351,12 @@ def test_chains_edge_cases():
     assert len(chains(P, P.height())) > 0
     assert len(chains(P, P.height() + 1)) == 0
     assert list(chains(P, 0)) == [(i,) for i in range(len(P))]
+    # a degree that is not an int is refused, not read as one: True used to
+    # give the degree-1 chains, and 1.0 raised a bare TypeError
+    for degree in (-1, True, 1.0, "1", None):
+        with pytest.raises(PosetError, match="chain degree %s must be a nonnegative int"
+                           % re.escape(repr(degree))):
+            chains(P, degree)
 
 
 def test_chains_are_every_strict_chain_in_lexicographic_order():
