@@ -439,7 +439,70 @@ def build_parser():
     )
     fuzz.add_argument("--seed", type=int, required=True, help="random seed")
     parser.commands = sub.choices
+    parser.tables = {name: _exact_table(cmd) for name, cmd in sub.choices.items()}
     return parser
+
+
+def _exact_table(command):
+    """(options, positionals, defaults, required) of a command's parser,
+    which `_read_exact` reads.
+
+    `options` maps each option string but -h/--help to its action, and
+    `defaults` is the namespace argparse starts from.  This holds because
+    every other argument `build_parser` declares is a store_true flag or
+    takes one value, under a name of its own and with a default that is not
+    a string, which argparse would pass through the type.
+    """
+    actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+    options = {option: a for a in actions for option in a.option_strings}
+    positionals = [a for a in actions if not a.option_strings]
+    defaults = dict(command._defaults, **{a.dest: a.default for a in actions})
+    return options, positionals, defaults, {a for a in actions if a.required}
+
+
+def _read_exact(table, argv):
+    """The namespace of a command line whose tokens after the command name
+    are all spelled out exactly, or None for argparse to read it.
+
+    Each token is an exact option string of the command's `table`, an
+    `--option=value`, the value after an option that takes one, or the next
+    positional; a value is passed through its action's type.  The reader
+    gives up on anything else (an abbreviation, `--`, help, a separate value
+    starting with "-", a value given to a flag, a failed conversion, a
+    token left over, a missing required argument), so argparse reads every
+    such line and writes every message.
+    """
+    options, positionals, defaults, required = table
+    values, seen = dict(defaults, command=argv[0]), set()
+    slots, tokens = iter(positionals), iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            option, given, text = token.partition("=")
+            action = options.get(option)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                if given:
+                    return None
+                values[action.dest] = action.const
+                seen.add(action)
+                continue
+            if not given:
+                text = next(tokens, "-")
+                if text.startswith("-"):
+                    return None
+        else:
+            action, text = next(slots, None), token
+            if action is None:
+                return None
+        try:
+            values[action.dest] = text if action.type is None else action.type(text)
+        except ValueError:
+            return None
+        seen.add(action)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
 
 
 def _attached_windows(argv):
@@ -465,12 +528,19 @@ def _attached_windows(argv):
 def _parse(argv):
     """The arguments of a command line, parsed once where it names a command.
 
-    The command's own parser reads the rest, as the full parser would hand
-    it on; a line that names no command or leaves a token over goes through
+    `_read_exact` reads a line whose other tokens are all spelled out
+    exactly, which leaves `_attached_windows` nothing to join; else the
+    command's own parser reads the rest, as the full parser would hand it
+    on.  A line that names no command or leaves a token over goes through
     the full parser, so argparse writes its own text for the whole line.
     """
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args = _read_exact(parser.tables[argv[0]], argv)
+        if args is not None:
+            return args
+    argv = _attached_windows(argv)
     if command is not None:
         args, extra = command.parse_known_args(argv[1:])
         if not extra:
@@ -481,7 +551,7 @@ def _parse(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse(_attached_windows(argv))
+    args = _parse(argv)
     try:
         code, payload, text = args.func(args)
         if text is None:

@@ -57,8 +57,15 @@ class Poset:
             raise PosetError("down-set count mismatch")
         for i, s in enumerate(downs):
             if type(s) is not int:
+                try:
+                    members = iter(s)
+                except TypeError:
+                    raise PosetError(
+                        "down-set %r of %r is neither a mask nor a collection of indices"
+                        % (s, self.elements[i])
+                    ) from None
                 mask = 0
-                for j in s:
+                for j in members:
                     if type(j) is not int:
                         raise PosetError(
                             "down-set member %r of %r is not an element index"

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -632,6 +633,18 @@ PARSE_CORPUS = [
     ["random-poset", "3", "--seed", "2"],
     ["random-poset", "--seed", "2"],
     ["random-poset", "3", "--seed", "2", "--density", "abc"],
+    # the edges of the exact reader in `cli._parse`
+    ["fuzz", "--seed", "1", "--seed", "2", "--count", "0"],
+    ["random-poset", "--seed", "2", "--density", "0.5", "3"],
+    ["compare", "--json", "{p}", "{s}"],
+    ["validate", "{p}", "--out="],
+    ["validate", "{p}", "--json=1"],
+    ["fuzz", "--seed=-1", "--count", "0"],
+    ["fuzz", "--count", "1.5", "--seed", "1"],
+    ["fuzz", "--count", " 7", "--max-elements", "2", "--seed", "1"],
+    ["validate", "-"],
+    ["validate", ""],
+    ["random-poset", "3", "--seed", "2", "--density=1e-1"],
 ]
 
 
@@ -660,6 +673,67 @@ def test_main_matches_the_full_parse_on_every_line(corpus, capsys):
     # both sides run in this interpreter
     for argv in corpus:
         assert outcome(capsys, main, argv) == outcome(capsys, main_by_full_parse, argv), argv
+
+
+def test_every_command_declares_only_what_the_exact_reader_reads():
+    for name, command in build_parser().commands.items():
+        help_action, *actions = command._actions
+        assert isinstance(help_action, argparse._HelpAction), name
+        assert len({a.dest for a in actions}) == len(actions), name
+        for a in actions:
+            if a.nargs == 0:
+                assert type(a) is argparse._StoreTrueAction and a.option_strings, (name, a.dest)
+            else:
+                assert type(a) is argparse._StoreAction and a.nargs is None, (name, a.dest)
+                assert a.choices is None and not isinstance(a.default, str), (name, a.dest)
+
+
+def test_parsed_namespaces_match_the_full_parse(corpus, capsys):
+    accepted = exact = 0
+    for argv in corpus:
+        try:
+            full = build_parser().parse_args(cli._attached_windows(argv))
+        except SystemExit:
+            continue
+        accepted += 1
+        exact += cli._read_exact(build_parser().tables[argv[0]], argv) is not None
+        assert vars(cli._parse(argv)) == vars(full), argv
+    capsys.readouterr()
+    # the other eleven abbreviate, use `--` or pass a value starting with "-"
+    assert (accepted, exact) == (28, 17)
+
+
+def test_the_benchmark_line_shapes_never_reach_argparse(write, capsys, monkeypatch):
+    square = write("square.json", builders.SQUARE_DOC)
+    cells9 = write("cells9.json", builders.CELLS9_DOC)
+    constant = write("constant.json", builders.CONSTANT_SQUARE_DOC)
+    sky = write("sky.json", builders.SKYSCRAPER_DOC)
+    # `perfbench` calls `main` with these shapes, so argparse costs them nothing
+    shapes = [
+        ["fuzz", "--count", "1", "--max-elements", "5", "--presheaves", "5", "--seed", "7", "--json"],
+        ["criterion", square, "--no-shortcut", "--json"],
+        ["criterion", cells9, "--no-shortcut", "--json"],
+        ["compare", square, constant, "--json"],
+        ["compare", square, sky, "--json"],
+    ]
+    expected = [outcome(capsys, main_by_full_parse, argv) for argv in shapes]
+    assert sorted({end for end, _, _ in expected}) == [("returned", 0), ("returned", 1)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse ran")
+
+    build_parser.cache_clear()
+    try:
+        parser = build_parser()
+        for each in [parser, *parser.commands.values()]:
+            monkeypatch.setattr(each, "parse_known_args", refuse)
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        assert [outcome(capsys, main, argv) for argv in shapes] == expected
+        # an abbreviation is argparse's to read
+        with pytest.raises(AssertionError, match="argparse ran"):
+            main(["criterion", square, "--no-s", "--json"])
+    finally:
+        build_parser.cache_clear()
 
 
 def test_a_valid_command_line_never_runs_the_top_level_parse(write, capsys, monkeypatch):

@@ -105,6 +105,13 @@ def test_poset_checks_the_order_axioms_of_its_down_sets():
         Poset(["a", "b"], [{0}, {0, 1.0}])
     with pytest.raises(PosetError, match="down-set member True of 'b' is not an element index"):
         Poset(["a", "b"], [{0}, {0, True}])
+    # a down-set that is neither an int mask nor a collection used to raise
+    # a bare TypeError ("'bool' object is not iterable")
+    for bad in (True, False, 1.0, None):
+        with pytest.raises(
+            PosetError, match=r"^down-set %r of 'a' is neither a mask nor a collection of indices$" % bad
+        ):
+            Poset(["a"], [bad])
     # a down-set given as a mask is checked as one given as indices
     with pytest.raises(PosetError, match=r"antisymmetry .* 'a' and 'b' \(relation cycle\)"):
         Poset(["a", "b"], [0b11, 0b11])
