@@ -379,7 +379,7 @@ def cmd_fuzz(args):
 @functools.lru_cache(maxsize=None)
 def build_parser():
     """The argument parser, built on first use and shared by later calls;
-    its `commands` maps each command name to that command's own parser."""
+    its `tables` maps each command name to the table `_read_exact` reads."""
     parser = argparse.ArgumentParser(
         prog="posetcoh",
         description=(
@@ -438,7 +438,6 @@ def build_parser():
         "--presheaves", type=int, default=5, help="presheaves per passing poset"
     )
     fuzz.add_argument("--seed", type=int, required=True, help="random seed")
-    parser.commands = sub.choices
     parser.tables = {name: _exact_table(cmd) for name, cmd in sub.choices.items()}
     return parser
 
@@ -526,27 +525,19 @@ def _attached_windows(argv):
 
 
 def _parse(argv):
-    """The arguments of a command line, parsed once where it names a command.
+    """The arguments of a command line, parsed once.
 
-    `_read_exact` reads a line whose other tokens are all spelled out
-    exactly, which leaves `_attached_windows` nothing to join; else the
-    command's own parser reads the rest, as the full parser would hand it
-    on.  A line that names no command or leaves a token over goes through
-    the full parser, so argparse writes its own text for the whole line.
+    `_read_exact` reads a line that names a command and spells every other
+    token out exactly, which leaves `_attached_windows` nothing to join;
+    every other line goes through the full parser, so usage lines, help and
+    error messages are argparse's own for the whole line.
     """
     parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
+    if argv and argv[0] in parser.tables:
         args = _read_exact(parser.tables[argv[0]], argv)
         if args is not None:
             return args
-    argv = _attached_windows(argv)
-    if command is not None:
-        args, extra = command.parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    return parser.parse_args(_attached_windows(argv))
 
 
 def main(argv=None):

@@ -474,12 +474,19 @@ def random_poset(n, density, seed):
     """A reproducible random poset on n elements.
 
     A shuffled labeling is drawn, each forward pair of the resulting linear
-    extension becomes a relation with the given probability, and the closure
-    is taken, so the output is always a valid poset and density 0 yields an
-    antichain.
+    extension becomes a relation with the given probability, and the order
+    is closed as it is drawn, so the output is always a valid poset and
+    density 0 yields an antichain.  Pairs are drawn row by row, so when pair
+    (a, b) is chosen the down-set of a is already closed and is ORed into
+    that of b.  Raises PosetError naming a count that is not an int or a
+    density that is a bool or not a number.
     """
+    if type(n) is not int:
+        raise PosetError("element count must be an int, got %r" % (n,))
     if n < 1:
         raise PosetError("element count must be positive")
+    if isinstance(density, bool) or not isinstance(density, (int, float)):
+        raise PosetError("density must be a number, got %r" % (density,))
     if not 0 <= density <= 1:
         raise PosetError("density must lie in [0, 1]")
     rng = random.Random(seed)
@@ -487,9 +494,9 @@ def random_poset(n, density, seed):
     elements = ["x%0*d" % (width, i) for i in range(n)]
     ranks = list(range(n))
     rng.shuffle(ranks)
-    relations = []
+    down = [1 << i for i in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
             if rng.random() < density:
-                relations.append([elements[ranks[a]], elements[ranks[b]]])
-    return parse_poset({"elements": elements, "relations": relations})
+                down[ranks[b]] |= down[ranks[a]]
+    return Poset(elements, down)

@@ -8,7 +8,8 @@ counts.  `down_sets_by_reachability` closes relation lists over names, and
 `components_by_sets` and `core_by_sets` walk frozensets of element
 indices, as the package's order kernels did before they ran on bit masks,
 and `criterion_by_public_route` runs the criterion on frozensets through
-`enumerate_cuts`.
+`enumerate_cuts`.  `random_poset_by_document` draws as `random_poset`
+does and hands the relations it chose, by name, to `parse_poset`.
 The two censuses at the end are the exception: they enumerate the
 small posets independently, then run the package's own criterion and
 comparison, or its vanishing certificate, on each.  `main_by_full_parse`
@@ -19,6 +20,7 @@ parser.
 import itertools
 import json
 import math
+import random
 import sys
 
 from posetcoh.cech import Presheaf, compare_report, random_presheaf
@@ -28,7 +30,7 @@ from posetcoh.cuts import criterion, enumerate_cuts
 from posetcoh.diagrams import Diagram, cohomology_support
 from posetcoh.groups import GroupHom, PresentedAbGroup
 from posetcoh.linalg import IntMatrix, snf
-from posetcoh.poset import IntersectionPoset, Poset, bounds
+from posetcoh.poset import IntersectionPoset, Poset, bounds, parse_poset
 
 
 def brute_force_cuts(P):
@@ -93,6 +95,26 @@ def down_sets_by_reachability(elements, relations):
                 todo.append(low)
         down[name] = frozenset(reached)
     return down
+
+
+def random_poset_by_document(n, density, seed):
+    """`random_poset(n, density, seed)` through a relation document.
+
+    The same draws (the shuffled ranks, then one draw per pair a < b, row
+    by row) give a list of [low, high] name pairs, which `parse_poset`
+    closes; no order is closed while drawing.
+    """
+    rng = random.Random(seed)
+    width = len(str(n - 1)) if n > 1 else 1
+    elements = ["x%0*d" % (width, i) for i in range(n)]
+    ranks = list(range(n))
+    rng.shuffle(ranks)
+    relations = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < density:
+                relations.append([elements[ranks[a]], elements[ranks[b]]])
+    return parse_poset({"elements": elements, "relations": relations})
 
 
 def components_by_sets(poset, members=None):

@@ -675,8 +675,14 @@ def test_main_matches_the_full_parse_on_every_line(corpus, capsys):
         assert outcome(capsys, main, argv) == outcome(capsys, main_by_full_parse, argv), argv
 
 
+def command_parsers(parser):
+    """Each command's own parser, by name, off argparse's subparsers action."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def test_every_command_declares_only_what_the_exact_reader_reads():
-    for name, command in build_parser().commands.items():
+    for name, command in command_parsers(build_parser()).items():
         help_action, *actions = command._actions
         assert isinstance(help_action, argparse._HelpAction), name
         assert len({a.dest for a in actions}) == len(actions), name
@@ -725,7 +731,7 @@ def test_the_benchmark_line_shapes_never_reach_argparse(write, capsys, monkeypat
     build_parser.cache_clear()
     try:
         parser = build_parser()
-        for each in [parser, *parser.commands.values()]:
+        for each in [parser, *command_parsers(parser).values()]:
             monkeypatch.setattr(each, "parse_known_args", refuse)
         monkeypatch.setattr(parser, "parse_args", refuse)
         assert [outcome(capsys, main, argv) for argv in shapes] == expected
@@ -736,33 +742,42 @@ def test_the_benchmark_line_shapes_never_reach_argparse(write, capsys, monkeypat
         build_parser.cache_clear()
 
 
-def test_a_valid_command_line_never_runs_the_top_level_parse(write, capsys, monkeypatch):
+def test_a_line_the_exact_reader_refuses_runs_the_full_parse_once(write, capsys, monkeypatch):
     square = write("square.json", builders.SQUARE_DOC)
     sphere = write("sphere.json", builders.SPHERE_DOC)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the top-level parser ran")
-
+    lines = [
+        (["validate", square], 0),
+        (["validate", "--", square], 0),
+        (["cuts", square, "--json"], 0),
+        (["criterion", square, "--no-s", "--json"], 1),
+        (["homology", sphere, "--degrees=0..1"], 0),
+        # a valid line whose window the command rejects
+        (["homology", sphere, "--deg", "-1..2"], 2),
+        (["fuzz", "--co", "2", "--seed", "1"], 0),
+        (["random-poset", "3", "--seed", "2"], 0),
+        # a token the command does not take
+        (["fuzz", "--seed", "1", "--bogus"], 2),
+    ]
     build_parser.cache_clear()
     try:
         parser = build_parser()
-        monkeypatch.setattr(parser, "parse_args", refuse)
-        monkeypatch.setattr(parser, "parse_known_args", refuse)
-        for argv, code in [
-            (["validate", square], 0),
-            (["validate", "--", square], 0),
-            (["cuts", square, "--json"], 0),
-            (["criterion", square, "--no-s", "--json"], 1),
-            (["homology", sphere, "--degrees=0..1"], 0),
-            # a valid line whose window the command rejects
-            (["homology", sphere, "--deg", "-1..2"], 2),
-            (["fuzz", "--co", "2", "--seed", "1"], 0),
-            (["random-poset", "3", "--seed", "2"], 0),
-        ]:
-            assert run(capsys, *argv)[0] == code, argv
-        # a token the command does not take sends the line to the full parse
-        with pytest.raises(AssertionError, match="top-level parser ran"):
-            main(["fuzz", "--seed", "1", "--bogus"])
+        full_parse, calls = parser.parse_args, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return full_parse(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_args", counted)
+        refused = 0
+        for argv, code in lines:
+            calls.clear()
+            exact = cli._read_exact(parser.tables[argv[0]], argv) is not None
+            end, _, _ = outcome(capsys, main, argv)
+            assert end[1] == code, argv
+            # one full parse exactly where the exact reader refuses the line
+            assert len(calls) == (0 if exact else 1), argv
+            refused += not exact
+        assert refused == 5
     finally:
         build_parser.cache_clear()
 

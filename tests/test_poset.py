@@ -28,6 +28,7 @@ from oracles import (
     down_sets_by_reachability,
     intersection_closure_by_full_sweep,
     posets_up_to_isomorphism,
+    random_poset_by_document,
 )
 
 
@@ -524,6 +525,28 @@ def test_random_poset_contract():
     assert antichain.height() == 0
     assert random_poset(7, 0.4, seed=42) == random_poset(7, 0.4, seed=42)
     assert random_poset(7, 0.4, seed=42) != random_poset(7, 0.4, seed=43)
+    for args, named in [
+        ((True, 0.5, 1), "True"),
+        ((2.5, 0.5, 1), "2.5"),
+        (("3", 0.5, 1), "'3'"),
+        ((3, "0.5", 1), "'0.5'"),
+        ((3, True, 1), "True"),
+    ]:
+        with pytest.raises(PosetError, match=re.escape(named)):
+            random_poset(*args)
+
+
+def test_random_poset_matches_the_relation_document_route():
+    # the order closed in the draw loop equals the relations of the same
+    # draws closed by `parse_poset`
+    rng = random.Random(45)
+    for trial in range(600):
+        n = 1 + trial % 40
+        # density 0, then 1, on every size before the random densities
+        density = (0, 1)[trial // 40] if trial < 80 else rng.random()
+        P = random_poset(n, density, seed=4500 + trial)
+        Q = random_poset_by_document(n, density, seed=4500 + trial)
+        assert (P.elements, P._down) == (Q.elements, Q._down), (n, density, trial)
 
 
 def test_strict_monotonicity_of_minimal_opens():
