@@ -19,6 +19,7 @@ from .diagrams import (
     Diagram,
     DiagramError,
     _cell_complex,
+    _check_degree,
     cohomology_support,
     derived_limit,
     random_diagram,
@@ -105,8 +106,7 @@ def topos_cohomology(presheaf, n):
 
 def comparison_map(presheaf, n):
     """The canonical homomorphism from degree-n Cech to topos cohomology."""
-    if n < 0:
-        raise DiagramError("degree must be nonnegative")
+    _check_degree(n)
     rho = presheaf.comparison_chain_map()
     if n > rho.source.top_degree():
         return GroupHom.zero(PresentedAbGroup.zero(), PresentedAbGroup.zero())

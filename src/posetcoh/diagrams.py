@@ -34,6 +34,12 @@ class DiagramError(ValueError):
     """Raised for non-functorial or structurally invalid diagram data."""
 
 
+def _check_degree(n, what="degree"):
+    """Refuse a degree that is not a nonnegative int, True and 1.5 among them."""
+    if type(n) is not int or n < 0:
+        raise DiagramError("%s %r must be a nonnegative int" % (what, n))
+
+
 class Diagram:
     """A functor from a poset's opposite category to abelian groups.
 
@@ -177,8 +183,7 @@ def full_complex_truncated(F, N):
     this complex does not terminate at the poset height and must be
     truncated.
     """
-    if N < 0:
-        raise DiagramError("degree cap must be nonnegative")
+    _check_degree(N, "degree cap")
     below = [sorted(down) for down in F.base.down]
     cells = [[(i,) for i in range(len(below))]]
     for _ in range(N + 1):
@@ -224,8 +229,7 @@ def _link_degrees(base, link):
 def derived_limit(F, n):
     """The n-th derived limit of the diagram, as a canonical group; 0 without
     building the complex outside `cohomology_support`."""
-    if n < 0:
-        raise DiagramError("degree must be nonnegative")
+    _check_degree(n)
     if n not in cohomology_support(F.base, F.values):
         return CanonicalGroup(0)
     return F.reduced_complex().homology_group(n)
@@ -245,8 +249,7 @@ def colimit_complex(F):
 def derived_colimit(F, n):
     """The n-th derived colimit (homology of the base category with
     coefficients in the diagram)."""
-    if n < 0:
-        raise DiagramError("degree must be nonnegative")
+    _check_degree(n)
     height = F.base.height()
     if n > height:
         return CanonicalGroup(0)

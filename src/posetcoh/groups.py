@@ -12,6 +12,17 @@ from __future__ import annotations
 from .linalg import IntMatrix, checked_int, rank_and_torsion, snf
 
 
+def _checked_rank(rank):
+    """`rank` as an int, checked as torsion orders are, so 2.0 reads as 2;
+    True, 1.5, "1" and a negative rank raise a ValueError naming it."""
+    if type(rank) is bool:
+        raise ValueError("rank is not an integer: %r" % (rank,))
+    rank = checked_int(rank, "rank")
+    if rank < 0:
+        raise ValueError("negative rank: %r" % (rank,))
+    return rank
+
+
 class PresentedAbGroup:
     """Z^generators modulo the column lattice of `relations`."""
 
@@ -55,6 +66,7 @@ class PresentedAbGroup:
     @classmethod
     def from_invariants(cls, rank, torsion):
         """The group Z^rank + Z/d_1 + ... with one generator per summand."""
+        rank = _checked_rank(rank)
         torsion = list(torsion)
         gens = rank + len(torsion)
         cols = []
@@ -103,9 +115,8 @@ class CanonicalGroup:
     __slots__ = ("rank", "torsion")
 
     def __init__(self, rank, torsion=()):
+        rank = _checked_rank(rank)
         torsion = tuple(checked_int(d, "torsion order") for d in torsion)
-        if rank < 0:
-            raise ValueError("negative rank")
         for d in torsion:
             if d < 2:
                 raise ValueError("torsion coefficients must be >= 2")

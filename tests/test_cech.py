@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -148,8 +149,24 @@ def test_comparison_above_every_chain_is_between_zero_groups():
     assert canonical_form(lam.source) == CanonicalGroup(0)
     assert canonical_form(lam.target) == CanonicalGroup(0)
     assert is_isomorphism(lam)
-    with pytest.raises(DiagramError, match="nonnegative"):
-        comparison_map(ps, -1)
+    # every degree entry point refuses a degree that is not a nonnegative
+    # int, naming it
+    routes = {
+        "degree": (
+            lambda n: comparison_map(ps, n),
+            lambda n: cech_cohomology(ps, n),
+            lambda n: topos_cohomology(ps, n),
+            lambda n: diagrams.derived_limit(ps.diagram, n),
+            lambda n: diagrams.derived_colimit(ps.diagram, n),
+        ),
+        "degree cap": (lambda n: diagrams.full_complex_truncated(ps.diagram, n),),
+    }
+    for what, calls in routes.items():
+        for route in calls:
+            for bad in (-1, True, 1.0, 1.5, "1"):
+                message = "%s %r must be a nonnegative int" % (what, bad)
+                with pytest.raises(DiagramError, match="^%s$" % re.escape(message)):
+                    route(bad)
 
 
 def test_cech_vanishes_above_the_default_cap():

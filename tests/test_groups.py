@@ -44,6 +44,19 @@ def test_canonical_group_validation_and_render():
     assert CanonicalGroup(0, ()).render() == "0"
     assert CanonicalGroup(1, ()).render() == "Z"
     assert CanonicalGroup(3, (2, 4)).render() == "Z^3 ⊕ Z/2 ⊕ Z/4"
+    # a rank is checked as torsion orders are, and a bool is refused
+    for rank, message in (
+        (1.5, "rank is not an integer: 1.5"),
+        (True, "rank is not an integer: True"),
+        ("1", "rank is not an integer: '1'"),
+        (-1, "negative rank: -1"),
+    ):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            CanonicalGroup(rank)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            PresentedAbGroup.from_invariants(rank, [2])
+    assert CanonicalGroup(2.0) == CanonicalGroup(2)
+    assert PresentedAbGroup.from_invariants(2.0, [2]) == PresentedAbGroup.from_invariants(2, [2])
 
 
 def test_hom_well_defined():
