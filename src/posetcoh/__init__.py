@@ -37,6 +37,7 @@ from .diagrams import (
     DiagramError,
     cohomology_support,
     colimit_complex,
+    constant_diagram,
     derived_colimit,
     derived_limit,
     full_complex_truncated,

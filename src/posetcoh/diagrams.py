@@ -302,63 +302,53 @@ def sheafify_value(F, subset):
     return LimitCone(cone.group, projections, cone)
 
 
-def random_diagram(
-    poset,
-    seed,
-    max_generators=3,
-    max_relators=2,
-    max_coefficient=3,
-    constant=False,
-):
+def constant_diagram(poset):
+    """The constant diagram Z on every element, with identity maps.
+
+    >>> from posetcoh.poset import parse_poset
+    >>> F = constant_diagram(parse_poset({"elements": ["a", "b"], "relations": [["a", "b"]]}))
+    >>> sorted(F.edge_maps), [derived_limit(F, n).render() for n in (0, 1)]
+    ([(1, 0)], ['Z', '0'])
+    """
+    z = PresentedAbGroup.free(1)
+    maps = {(j, i): GroupHom.identity(z) for i, j in poset.covers()}
+    return Diagram(poset, [z] * len(poset.elements), maps)
+
+
+def random_diagram(poset, seed, max_generators=3, max_relators=2):
     """A reproducible random diagram, functorial by construction.
 
     Each generator lives below a position q (value Z on the down-set of q,
-    zero outside, identity maps inside); relators are integer combinations
-    attached below a position r, constrained to generators visible there.
-    Values are the cokernels and edge maps the induced 0/1 coordinate maps,
-    so the result is a functor no matter what the random choices are.
+    zero outside, identity maps inside); relators are combinations with
+    coefficients in [-3, 3] attached below a position r, constrained to
+    generators visible there.  Values are the cokernels and edge maps the
+    induced 0/1 coordinate maps, so the result is a functor no matter what
+    the random choices are.  Raises DiagramError naming `max_generators` or
+    `max_relators` when it is not an int (a bool is not one) or is below 1
+    or 0 respectively.
     """
+    for name, bound, least in (
+        ("max_generators", max_generators, 1),
+        ("max_relators", max_relators, 0),
+    ):
+        if type(bound) is not int or bound < least:
+            raise DiagramError("%s must be an int of at least %d, got %r" % (name, least, bound))
     n = len(poset.elements)
-    if constant:
-        z = PresentedAbGroup.free(1)
-        values = [z] * n
-        maps = {
-            (j, i): GroupHom.identity(z) for i, j in poset.covers()
-        }
-        return Diagram(poset, values, maps)
+    down = poset._down
     rng = random.Random(seed)
-    g = rng.randint(1, max_generators)
-    gen_pos = [rng.randrange(n) for _ in range(g)]
-    k = rng.randint(0, max_relators)
-    rel_pos = [rng.randrange(n) for _ in range(k)]
-    coeffs = []
-    for j in range(k):
-        coeffs.append(
-            [
-                rng.randint(-max_coefficient, max_coefficient)
-                if poset.leq(rel_pos[j], gen_pos[i])
-                else 0
-                for i in range(g)
-            ]
-        )
-
-    def active(c):
-        return [i for i in range(g) if poset.leq(c, gen_pos[i])]
-
-    def value_at(c):
-        act = active(c)
-        cols = [
-            [coeffs[j][i] for i in act]
-            for j in range(k)
-            if poset.leq(c, rel_pos[j])
-        ]
+    gen_pos = [rng.randrange(n) for _ in range(rng.randint(1, max_generators))]
+    rel_pos = [rng.randrange(n) for _ in range(rng.randint(0, max_relators))]
+    # visible[c]: the generators whose position lies at or above c, ascending
+    visible = [[i for i, q in enumerate(gen_pos) if down[q] >> c & 1] for c in range(n)]
+    coeffs = [[rng.randint(-3, 3) if down[q] >> r & 1 else 0 for q in gen_pos] for r in rel_pos]
+    values = []
+    for c, act in enumerate(visible):
+        cols = [[row[i] for i in act] for r, row in zip(rel_pos, coeffs) if down[r] >> c & 1]
         rel = IntMatrix.from_columns(cols, nrows=len(act)) if cols else None
-        return PresentedAbGroup(len(act), rel)
-
-    values = [value_at(c) for c in range(n)]
+        values.append(PresentedAbGroup(len(act), rel))
     maps = {}
     for low, high in poset.covers():
-        rows = [[1 if i == j else 0 for j in active(high)] for i in active(low)]
-        matrix = IntMatrix(len(active(low)), len(active(high)), rows)
+        rows = [[int(i == j) for j in visible[high]] for i in visible[low]]
+        matrix = IntMatrix(len(visible[low]), len(visible[high]), rows)
         maps[(high, low)] = GroupHom(values[high], values[low], matrix)
     return Diagram(poset, values, maps)

@@ -23,6 +23,15 @@ def _checked_rank(rank):
     return rank
 
 
+def _checked_order(d):
+    """A torsion order as an int, so 2.0 reads as 2; True, 2.5 and an order
+    below 2 raise a ValueError naming it."""
+    order = checked_int(d, "torsion order")
+    if type(d) is bool or order < 2:
+        raise ValueError("torsion order must be at least 2: %r" % (d,))
+    return order
+
+
 class PresentedAbGroup:
     """Z^generators modulo the column lattice of `relations`."""
 
@@ -65,14 +74,15 @@ class PresentedAbGroup:
 
     @classmethod
     def from_invariants(cls, rank, torsion):
-        """The group Z^rank + Z/d_1 + ... with one generator per summand."""
+        """The group Z^rank + Z/d_1 + ... with one generator per summand,
+        rank and orders checked as `CanonicalGroup` checks them."""
         rank = _checked_rank(rank)
         torsion = list(torsion)
         gens = rank + len(torsion)
         cols = []
         for k, d in enumerate(torsion):
             col = [0] * gens
-            col[rank + k] = d
+            col[rank + k] = _checked_order(d)
             cols.append(col)
         rel = IntMatrix.from_columns(cols, nrows=gens) if cols else None
         return cls(gens, rel)
@@ -116,10 +126,7 @@ class CanonicalGroup:
 
     def __init__(self, rank, torsion=()):
         rank = _checked_rank(rank)
-        torsion = tuple(checked_int(d, "torsion order") for d in torsion)
-        for d in torsion:
-            if d < 2:
-                raise ValueError("torsion coefficients must be >= 2")
+        torsion = tuple(map(_checked_order, torsion))
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion coefficients must form a divisibility chain")

@@ -9,7 +9,9 @@ counts.  `down_sets_by_reachability` closes relation lists over names, and
 indices, as the package's order kernels did before they ran on bit masks,
 and `criterion_by_public_route` runs the criterion on frozensets through
 `enumerate_cuts`.  `random_poset_by_document` draws as `random_poset`
-does and hands the relations it chose, by name, to `parse_poset`.
+does and hands the relations it chose, by name, to `parse_poset`, and
+`random_diagram_by_leq` draws as `random_diagram` does and reads the
+order through `Poset.leq`, re-deriving each element's generators.
 The two censuses at the end are the exception: they enumerate the
 small posets independently, then run the package's own criterion and
 comparison, or its vanishing certificate, on each.  `main_by_full_parse`
@@ -23,11 +25,11 @@ import math
 import random
 import sys
 
-from posetcoh.cech import Presheaf, compare_report, random_presheaf
+from posetcoh.cech import Presheaf, compare_report
 from posetcoh.cli import _attached_windows, build_parser
 from posetcoh.complexes import acyclicity_check
 from posetcoh.cuts import criterion, enumerate_cuts
-from posetcoh.diagrams import Diagram, cohomology_support
+from posetcoh.diagrams import Diagram, cohomology_support, constant_diagram
 from posetcoh.groups import GroupHom, PresentedAbGroup
 from posetcoh.linalg import IntMatrix, snf
 from posetcoh.poset import IntersectionPoset, Poset, bounds, parse_poset
@@ -115,6 +117,43 @@ def random_poset_by_document(n, density, seed):
             if rng.random() < density:
                 relations.append([elements[ranks[a]], elements[ranks[b]]])
     return parse_poset({"elements": elements, "relations": relations})
+
+
+def random_diagram_by_leq(poset, seed, max_generators=3, max_relators=2):
+    """`random_diagram(poset, seed, max_generators, max_relators)` through `leq`.
+
+    The same draws (generator count and positions, relator count and
+    positions, then a coefficient in [-3, 3] per relator and generator at
+    or above it), with the generators visible at an element re-derived by
+    `Poset.leq` once per value and twice per cover.
+    """
+    n = len(poset.elements)
+    rng = random.Random(seed)
+    g = rng.randint(1, max_generators)
+    gen_pos = [rng.randrange(n) for _ in range(g)]
+    k = rng.randint(0, max_relators)
+    rel_pos = [rng.randrange(n) for _ in range(k)]
+    coeffs = [
+        [rng.randint(-3, 3) if poset.leq(rel_pos[j], gen_pos[i]) else 0 for i in range(g)]
+        for j in range(k)
+    ]
+
+    def active(c):
+        return [i for i in range(g) if poset.leq(c, gen_pos[i])]
+
+    def value_at(c):
+        act = active(c)
+        cols = [[coeffs[j][i] for i in act] for j in range(k) if poset.leq(c, rel_pos[j])]
+        rel = IntMatrix.from_columns(cols, nrows=len(act)) if cols else None
+        return PresentedAbGroup(len(act), rel)
+
+    values = [value_at(c) for c in range(n)]
+    maps = {}
+    for low, high in poset.covers():
+        rows = [[1 if i == j else 0 for j in active(high)] for i in active(low)]
+        matrix = IntMatrix(len(active(low)), len(active(high)), rows)
+        maps[(high, low)] = GroupHom(values[high], values[low], matrix)
+    return Diagram(poset, values, maps)
 
 
 def components_by_sets(poset, members=None):
@@ -717,7 +756,7 @@ def support_census(n):
     for P in posets_up_to_isomorphism(n):
         counts["posets"] += 1
         intersection = IntersectionPoset(P)
-        presheaves = [random_presheaf(intersection, 0, constant=True)]
+        presheaves = [Presheaf(intersection, constant_diagram(intersection.poset))]
         presheaves += [upset_indicator(intersection, k) for k in range(len(intersection))]
         for ps in presheaves:
             counts["presheaves"] += 1

@@ -25,6 +25,7 @@ from posetcoh.complexes import simplicial_homology
 from posetcoh.cuts import criterion, enumerate_cuts, principal_meets
 from posetcoh.diagrams import (
     Diagram,
+    constant_diagram,
     derived_colimit,
     derived_limit,
     full_complex_truncated,
@@ -226,7 +227,7 @@ def test_constant_colimit_recovers_order_complex_homology():
     rng = random.Random(1313)
     for trial in range(50):
         P = random_poset(rng.randint(1, 6), rng.random(), seed=24_000 + trial)
-        F = random_diagram(P, seed=0, constant=True)
+        F = constant_diagram(P)
         K = [chains(P, k) for k in range(P.height() + 1)]
         for n in range(P.height() + 2):
             assert derived_colimit(F, n) == simplicial_homology(K, n)

@@ -16,7 +16,7 @@ from posetcoh.cech import (
     topos_cohomology,
 )
 from posetcoh.complexes import Complex, ProductGroup
-from posetcoh.diagrams import DiagramError, random_diagram, sheafify_value
+from posetcoh.diagrams import DiagramError, constant_diagram, random_diagram, sheafify_value
 from posetcoh.documents import load_presheaf
 from posetcoh.groups import (
     CanonicalGroup,
@@ -178,7 +178,7 @@ def test_cech_vanishes_above_the_default_cap():
         above = range(P.height() + 1, U.poset.height() + 1)
         assert list(above) == [2]
         presheaves = [random_presheaf(U, seed) for seed in range(60)]
-        presheaves.append(random_presheaf(U, 0, constant=True))
+        presheaves.append(Presheaf(U, constant_diagram(U.poset)))
         for ps in presheaves:
             for n in above:
                 assert cech_cohomology(ps, n).is_trivial()
@@ -275,7 +275,7 @@ def test_random_presheaf_determinism():
     ]
     for key in a.diagram.edge_maps:
         assert a.diagram.edge_maps[key].matrix == b.diagram.edge_maps[key].matrix
-    c = random_presheaf(U, seed=0, constant=True)
+    c = Presheaf(U, constant_diagram(U.poset))
     assert all(canonical_form(v) == CanonicalGroup(1) for v in c.diagram.values)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,6 +8,7 @@ from posetcoh.complexes import (
     ChainMap,
     Complex,
     ComplexError,
+    HomologyData,
     ProductGroup,
     acyclicity_check,
     homology_at,
@@ -15,7 +17,14 @@ from posetcoh.complexes import (
     subposet_homology,
 )
 from posetcoh.cuts import criterion, enumerate_cuts
-from posetcoh.diagrams import Diagram, full_complex_truncated, random_diagram, sheafify_value
+from posetcoh.diagrams import (
+    Diagram,
+    DiagramError,
+    constant_diagram,
+    full_complex_truncated,
+    random_diagram,
+    sheafify_value,
+)
 from posetcoh.groups import (
     CanonicalGroup,
     GroupHom,
@@ -25,6 +34,7 @@ from posetcoh.groups import (
 )
 from posetcoh.linalg import IntMatrix
 from posetcoh.poset import (
+    Poset,
     PosetError,
     bounds,
     chains,
@@ -237,6 +247,89 @@ def test_product_blocks_must_fit_their_factors():
         (0, 1),
         (0, 2),
     )
+
+
+Z2 = PresentedAbGroup.free(2)
+ANTICHAIN = parse_poset({"elements": ["a", "b"]})
+ONE, TWO = IntMatrix.identity(1), IntMatrix.identity(2)
+POINT_COMPLEX = Complex([ProductGroup([Z])], [])
+
+# one call per shape or data check the package's own routes never fail:
+# (call, exception, the whole message)
+SHAPE_CHECKS = {
+    "complex differential count": (
+        lambda: Complex([ProductGroup([Z])], [GroupHom.identity(Z)]),
+        ComplexError,
+        "need one differential between consecutive degrees",
+    ),
+    "complex endpoints": (
+        lambda: Complex([ProductGroup([Z])] * 2, [GroupHom.identity(Z2)]),
+        ComplexError,
+        "differential 0 endpoint mismatch",
+    ),
+    "coordinates of a non-cycle": (
+        lambda: HomologyData(Z, IntMatrix.from_rows([[2]])).coordinates((1,)),
+        ComplexError,
+        "vector is not a cycle of this homology computation",
+    ),
+    "homology middle group": (
+        lambda: homology_at(GroupHom.zero(ZERO, Z), GroupHom.zero(Z2, ZERO)),
+        ComplexError,
+        "homology needs a shared middle group",
+    ),
+    "chain map count": (
+        lambda: ChainMap(POINT_COMPLEX, POINT_COMPLEX, []),
+        ComplexError,
+        "need one map per source degree",
+    ),
+    "diagram value count": (
+        lambda: Diagram(ANTICHAIN, [Z], {}),
+        DiagramError,
+        "need one group per element",
+    ),
+    "diagram map between incomparables": (
+        lambda: constant_diagram(ANTICHAIN).map(0, 1),
+        DiagramError,
+        "no arrow a->b",
+    ),
+    "sections over no element": (
+        lambda: sheafify_value(constant_diagram(ANTICHAIN), []),
+        DiagramError,
+        "sections need a nonempty open",
+    ),
+    "relation rows": (
+        lambda: PresentedAbGroup(2, IntMatrix.zero(1, 0)),
+        ValueError,
+        "relation matrix has 1 rows for 2 generators",
+    ),
+    "hom shape": (
+        lambda: GroupHom(Z, Z2, ONE),
+        ValueError,
+        "matrix is 1x1, expected 2x1",
+    ),
+    "hom composition": (
+        lambda: GroupHom.identity(Z).compose(GroupHom.identity(Z2)),
+        ValueError,
+        "composition endpoint mismatch",
+    ),
+    "columns without a row count": (
+        lambda: IntMatrix.from_columns([]),
+        ValueError,
+        "row count needed for a matrix with no columns",
+    ),
+    "sum shape": (lambda: ONE + TWO, ValueError, "shape mismatch in addition"),
+    "product shape": (lambda: ONE * TWO, ValueError, "shape mismatch: 2 rows, expected 1"),
+    "vector length": (lambda: TWO.apply([1]), ValueError, "vector length 1, expected 2"),
+    "hstack rows": (lambda: ONE.hstack(TWO), ValueError, "row count mismatch in hstack"),
+    "empty poset": (lambda: Poset([], []), PosetError, "empty poset"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_CHECKS))
+def test_shape_checks_raise_their_whole_message(name):
+    call, error, message = SHAPE_CHECKS[name]
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        call()
 
 
 def assert_same_as_checked(M):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from posetcoh.diagrams import (
     Diagram,
     DiagramError,
     colimit_complex,
+    constant_diagram,
     derived_colimit,
     derived_limit,
     full_complex_truncated,
@@ -33,7 +35,7 @@ from posetcoh.poset import (
 )
 
 import builders
-from oracles import eager_composites, posets_up_to_isomorphism
+from oracles import eager_composites, posets_up_to_isomorphism, random_diagram_by_leq
 
 Z = PresentedAbGroup.free(1)
 Z2 = PresentedAbGroup.from_invariants(0, [2])
@@ -50,10 +52,6 @@ def diagram_on(P, values_by_name, maps_by_names):
             IntMatrix(values[ib].generators, values[ia].generators, matrix),
         )
     return Diagram(P, values, maps)
-
-
-def constant_diagram(P):
-    return random_diagram(P, seed=0, constant=True)
 
 
 def vee_diagram(m0_rows, m1_rows, groups=(Z, Z, Z)):
@@ -482,3 +480,29 @@ def test_random_diagram_contract():
         assert a.edge_maps[key].matrix == b.edge_maps[key].matrix
     c = constant_diagram(P)
     assert all(canonical_form(v) == CanonicalGroup(1) for v in c.values)
+    for options, named in (
+        ({"max_generators": 0}, "max_generators must be an int of at least 1, got 0"),
+        ({"max_generators": True}, "max_generators must be an int of at least 1, got True"),
+        ({"max_generators": 2.5}, "max_generators must be an int of at least 1, got 2.5"),
+        ({"max_relators": -1}, "max_relators must be an int of at least 0, got -1"),
+        ({"max_relators": False}, "max_relators must be an int of at least 0, got False"),
+        ({"max_relators": "1"}, "max_relators must be an int of at least 0, got '1'"),
+    ):
+        with pytest.raises(DiagramError, match="^%s$" % re.escape(named)):
+            random_diagram(P, 9, **options)
+
+
+def test_random_diagram_matches_the_leq_route():
+    # the visible generators read once off the down-set masks give the
+    # draws, values and cover maps of the route that re-derives them by `leq`
+    posets = [P for n in range(1, 6) for P in posets_up_to_isomorphism(n)]
+    posets += [build() for build in builders.BUILT]
+    for P in posets:
+        for seed in range(6):
+            for caps in ((), (2, 1), (4, 0)):  # the defaults, then (max_generators, max_relators)
+                F = random_diagram(P, seed, *caps)
+                G = random_diagram_by_leq(P, seed, *caps)
+                assert [v.relations for v in F.values] == [v.relations for v in G.values], (P, seed)
+                assert F.edge_maps.keys() == G.edge_maps.keys()
+                for key, h in F.edge_maps.items():
+                    assert h.matrix == G.edge_maps[key].matrix, (P, seed, key)

@@ -57,6 +57,19 @@ def test_canonical_group_validation_and_render():
             PresentedAbGroup.from_invariants(rank, [2])
     assert CanonicalGroup(2.0) == CanonicalGroup(2)
     assert PresentedAbGroup.from_invariants(2.0, [2]) == PresentedAbGroup.from_invariants(2, [2])
+    # a torsion order that is a bool, not an integer or below 2 is refused
+    for order, message in (
+        (0, "torsion order must be at least 2: 0"),
+        (1, "torsion order must be at least 2: 1"),
+        (True, "torsion order must be at least 2: True"),
+        (-2, "torsion order must be at least 2: -2"),
+        (2.5, "torsion order is not an integer: 2.5"),
+    ):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            CanonicalGroup(0, (order,))
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            PresentedAbGroup.from_invariants(0, [order])
+    assert PresentedAbGroup.from_invariants(0, [2.0]) == PresentedAbGroup.from_invariants(0, [2])
 
 
 def test_hom_well_defined():
@@ -76,6 +89,9 @@ def test_homs_equal_modulo_relations():
     assert homs_equal(a, b)
     assert not homs_equal(a, c)
     assert is_zero_hom(c)
+    # maps from groups with different generator counts are never equal
+    z = group(1, [])
+    assert not homs_equal(GroupHom.zero(z, z), GroupHom.zero(group(2, []), z))
 
 
 def test_is_isomorphism_basics():
@@ -161,7 +177,7 @@ def test_torsion_orders_must_be_integers():
     for order in (2.5, "2", None):
         with pytest.raises(ValueError, match="torsion order is not an integer"):
             CanonicalGroup(1, (order,))
-        with pytest.raises(ValueError, match=r"entry \(1, 0\) is not an integer"):
+        with pytest.raises(ValueError, match="torsion order is not an integer"):
             PresentedAbGroup.from_invariants(1, (order,))
     assert CanonicalGroup(1, (2.0, 4)) == CanonicalGroup(1, (2, 4))
     assert CanonicalGroup(1, (2.0,)).render() == "Z ⊕ Z/2"
