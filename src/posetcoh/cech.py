@@ -6,13 +6,11 @@ Cech groups are derived limits over that node poset, the topos groups are
 derived limits of the diagram pulled back to the underlying poset along the
 principal-open assignment, and the comparison map is induced by the cochain
 map that evaluates a node cochain on chains of principal opens.  An ordered
-Cech complex over tuples of basic opens provides a second, independent route
-to the Cech groups.
+Cech complex over the nerve of the covering provides a second, independent
+route to the Cech groups.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .complexes import ChainMap, induced_on_homology
 from .diagrams import (
@@ -27,7 +25,7 @@ from .diagrams import (
 )
 from .groups import GroupHom, PresentedAbGroup, canonical_form, is_isomorphism
 from .linalg import IntMatrix
-from .poset import IntersectionPoset, chains
+from .poset import IntersectionPoset, _mask, chains
 
 
 class Presheaf:
@@ -114,14 +112,14 @@ def comparison_map(presheaf, n):
 
 
 def cech_ordered_complex(presheaf, order=None):
-    """The alternating Cech complex over increasing tuples of basic opens.
+    """The alternating Cech complex over the nerve of the covering.
 
     `order` is a total order on the base elements (a sequence of names); the
-    default is the element order of the base poset.  A tuple contributes the
-    presheaf value at the node of its intersection; tuples with empty
-    intersection are simply absent, so the complex stops at the last populated
-    degree.  Its cohomology must agree with `cech_cohomology` in every degree
-    no matter which order is chosen.
+    default is the element order of the base poset.  A cell is a tuple of basic
+    opens increasing in that order, grown as `chains` grows chains: by each later
+    one whose down-set meets its intersection mask, so no empty intersection is
+    formed.  It carries the presheaf value at the node of its intersection.  The
+    cohomology must agree with `cech_cohomology` in every order.
     """
     space = presheaf.space
     if order is None:
@@ -133,21 +131,20 @@ def cech_ordered_complex(presheaf, order=None):
         sequence = [space.index[name] for name in order]
         if sorted(sequence) != list(range(len(space))):
             raise DiagramError("order must list every element exactly once")
-    node_at = {node: k for k, node in enumerate(presheaf.intersection.nodes)}
+    down = [space._down[i] for i in sequence]
+    node_at = {_mask(space, node): k for k, node in enumerate(presheaf.intersection.nodes)}
     node_of = {}
     cells = []
-    while True:
-        here = []
-        for tup in combinations(sequence, len(cells) + 1):
-            common = space.down[tup[0]]
-            for i in tup[1:]:
-                common = common & space.down[i]
-            if common:
-                node_of[tup] = node_at[common]
-                here.append(tup)
-        if not here:
-            break
-        cells.append(here)
+    level = [((i,), down[p], p) for p, i in enumerate(sequence)]
+    while level:
+        cells.append([cell for cell, _, _ in level])
+        node_of.update((cell, node_at[common]) for cell, common, _ in level)
+        level = [
+            (cell + (sequence[q],), common & down[q], q)
+            for cell, common, p in level
+            for q in range(p + 1, len(sequence))
+            if common & down[q]
+        ]
     return _cell_complex(presheaf.diagram, cells, node_of.__getitem__)
 
 

@@ -320,7 +320,6 @@ def cmd_fuzz(args):
     rng = random.Random(args.seed)
     passes = 0
     comparisons = 0
-    violations = []
     for _ in range(args.count):
         size = rng.randint(1, args.max_elements)
         density = rng.random()
@@ -343,25 +342,23 @@ def cmd_fuzz(args):
             support = cohomology_support(intersection.poset, ps.diagram.values)
             support |= cohomology_support(P, ps.pulled_diagram().values)
             outcome = compare_report(ps, [n for n in range(cohomology_top(ps) + 1) if n in support])
-            if not outcome.all_iso:
-                violations.append((P, ps, presheaf_seed, outcome))
-    if violations:
-        P, ps, presheaf_seed, outcome = violations[0]
-        bundle = {
-            "poset": serialize_poset(P),
-            "presheaf": render_presheaf(ps),
-            "presheaf_seed": presheaf_seed,
-            "failing_degrees": [row.degree for row in outcome.rows if not row.iso],
-        }
-        path = args.out or "fuzz-repro.json"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(bundle, indent=2) + "\n")
-        print(
-            "violation: criterion PASS but comparison failed; bundle written to %s"
-            % path,
-            file=sys.stderr,
-        )
-        return 1, None, None
+            if outcome.all_iso:
+                continue
+            # the first violation is the one reported, so the run stops there
+            bundle = {
+                "poset": serialize_poset(P),
+                "presheaf": render_presheaf(ps),
+                "presheaf_seed": presheaf_seed,
+                "failing_degrees": [row.degree for row in outcome.rows if not row.iso],
+            }
+            path = args.out or "fuzz-repro.json"
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(bundle, indent=2) + "\n")
+            print(
+                "violation: criterion PASS but comparison failed; bundle written to %s" % path,
+                file=sys.stderr,
+            )
+            return 1, None, None
     summary = {
         "posets": args.count,
         "criterion_passes": passes,

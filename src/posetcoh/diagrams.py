@@ -75,7 +75,7 @@ class Diagram:
 
     def _routes(self, a, b):
         """The covers c of a with b <= c and their maps a -> c, as listed."""
-        return [(c, edge) for c, edge in self._out[a] if self.base.leq(b, c)]
+        return [(c, edge) for c, edge in self._out[a] if self.base._down[c] >> b & 1]
 
     def verify(self):
         """Check that every map respects relations and every diamond commutes.
@@ -102,7 +102,10 @@ class Diagram:
         """The composite value(a) -> value(b) for a >= b, built on first use
         through the first listed cover of a above b.  A cover's composite is
         its edge map itself: b is then the only cover of a above b.  A cached
-        composite already proves b <= a; otherwise `leq` range-checks both."""
+        composite already proves b <= a; otherwise `leq` range-checks both.  A
+        bool or other non-int is refused first: the key (True, 0) equals (1, 0)."""
+        if type(a) is not int or type(b) is not int:
+            self.base.leq(b, a)  # raises, naming the index that is not an int
         if 0 <= a == b < len(self.values):
             return GroupHom.identity(self.values[a])
         comp = self._comp.get((a, b))
@@ -184,7 +187,7 @@ def full_complex_truncated(F, N):
     truncated.
     """
     _check_degree(N, "degree cap")
-    below = [sorted(down) for down in F.base.down]
+    below = [_indices(down) for down in F.base._down]
     cells = [[(i,) for i in range(len(below))]]
     for _ in range(N + 1):
         cells.append([c + (j,) for c in cells[-1] for j in below[c[-1]]])

@@ -121,9 +121,9 @@ class Poset:
         return "Poset(%r)" % (self.elements,)
 
     def leq(self, i, j):
-        """Whether element i <= element j (by index); each index is range-checked."""
+        """Whether element i <= element j (by index); each must be an int in range."""
         for x in (i, j):
-            if not 0 <= x < len(self._down):
+            if type(x) is not int or not 0 <= x < len(self._down):
                 raise PosetError("element index %r out of range" % (x,))
         return bool(self._down[j] >> i & 1)
 

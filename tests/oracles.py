@@ -11,7 +11,10 @@ and `criterion_by_public_route` runs the criterion on frozensets through
 `enumerate_cuts`.  `random_poset_by_document` draws as `random_poset`
 does and hands the relations it chose, by name, to `parse_poset`, and
 `random_diagram_by_leq` draws as `random_diagram` does and reads the
-order through `Poset.leq`, re-deriving each element's generators.
+order through `Poset.leq`, re-deriving each element's generators, and
+`cech_ordered_by_combinations` lists the nerve of the covering by
+filtering every increasing tuple of basic opens on its frozenset
+intersection.
 The two censuses at the end are the exception: they enumerate the
 small posets independently, then run the package's own criterion and
 comparison, or its vanishing certificate, on each.  `main_by_full_parse`
@@ -29,7 +32,7 @@ from posetcoh.cech import Presheaf, compare_report
 from posetcoh.cli import _attached_windows, build_parser
 from posetcoh.complexes import acyclicity_check
 from posetcoh.cuts import criterion, enumerate_cuts
-from posetcoh.diagrams import Diagram, cohomology_support, constant_diagram
+from posetcoh.diagrams import Diagram, _cell_complex, cohomology_support, constant_diagram
 from posetcoh.groups import GroupHom, PresentedAbGroup
 from posetcoh.linalg import IntMatrix, snf
 from posetcoh.poset import IntersectionPoset, Poset, bounds, parse_poset
@@ -154,6 +157,34 @@ def random_diagram_by_leq(poset, seed, max_generators=3, max_relators=2):
         matrix = IntMatrix(len(active(low)), len(active(high)), rows)
         maps[(high, low)] = GroupHom(values[high], values[low], matrix)
     return Diagram(poset, values, maps)
+
+
+def cech_ordered_by_combinations(presheaf, order=None):
+    """`cech_ordered_complex(presheaf, order)` from every increasing tuple.
+
+    Each tuple of elements, increasing in `order` (names; the default is
+    the element order), in degree after degree, is kept when the frozensets
+    `down[i]` of its members meet; the scan stops at the first degree that
+    keeps none.  The cells go to `diagrams._cell_complex`.
+    """
+    space = presheaf.space
+    sequence = range(len(space)) if order is None else [space.index[x] for x in order]
+    node_at = {node: k for k, node in enumerate(presheaf.intersection.nodes)}
+    node_of = {}
+    cells = []
+    while True:
+        here = []
+        for tup in itertools.combinations(sequence, len(cells) + 1):
+            common = space.down[tup[0]]
+            for i in tup[1:]:
+                common = common & space.down[i]
+            if common:
+                node_of[tup] = node_at[common]
+                here.append(tup)
+        if not here:
+            break
+        cells.append(here)
+    return _cell_complex(presheaf.diagram, cells, node_of.__getitem__)
 
 
 def components_by_sets(poset, members=None):

@@ -527,13 +527,20 @@ def test_fuzz_violation_writes_a_reloadable_bundle(capsys, monkeypatch, tmp_path
     class Report:
         all_iso, rows = False, [Row]
 
-    monkeypatch.setattr(cli, "compare_report", lambda ps, degrees: Report)
+    calls = []
+
+    def failing(ps, degrees):
+        calls.append(ps)
+        return Report
+
+    monkeypatch.setattr(cli, "compare_report", failing)
     path = tmp_path / "bundle.json"
     # principal draws are certified without a comparison; these reach two
-    # posets with a non-principal intersection
+    # posets with a non-principal intersection, and the run stops at the
+    # first violation instead of comparing the second as well
     code, out, err = run(capsys, "fuzz", "--count", "25", "--seed", "3", "--max-elements", "9",
                          "--presheaves", "1", "--out", str(path))
-    assert (code, out) == (1, "")
+    assert (code, out, len(calls)) == (1, "", 1)
     assert err == (
         "violation: criterion PASS but comparison failed; bundle written to %s\n" % path
     )

@@ -235,6 +235,11 @@ def test_diagram_composite_maps():
     for a, b, bad in ((-2, 0, -2), (0, 3, 3), (-1, -1, -1), (3, 3, 3)):
         with pytest.raises(PosetError, match="^element index %d out of range$" % bad):
             F.map(a, b)
+    # a bool is no index: map(True, 2) used to return the cached edge map of
+    # (1, 2), and map(True, True) the identity of value 1
+    for a, b, bad in ((True, 2, "True"), (0, True, "True"), (True, True, "True"), (1.0, 2, "1.0")):
+        with pytest.raises(PosetError, match="^element index %s out of range$" % re.escape(bad)):
+            F.map(a, b)
     # in Z/2 the routes 1 and 3 agree, and the composite is the first listed
     diagrams = [diamond_diagram(Z2, 3)]
     diagrams[0].verify()

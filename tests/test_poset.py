@@ -56,11 +56,13 @@ def test_parse_square():
 
 
 def test_leq_range_checks_both_indices():
-    # P.leq(2, -1) used to read the last element's down-set and return True
+    # P.leq(2, -1) used to read the last element's down-set and return True,
+    # and P.leq(True, 1) read True as element 1
     P = builders.vee()
     assert len(P) == 3
-    for i, j, bad in ((2, -1, -1), (-1, 2, -1), (3, 0, 3), (0, 3, 3)):
-        with pytest.raises(PosetError, match="^element index %d out of range$" % bad):
+    cases = ((2, -1, -1), (-1, 2, -1), (3, 0, 3), (0, 3, 3), (True, 1, True), (1, False, False))
+    for i, j, bad in cases:
+        with pytest.raises(PosetError, match="^element index %r out of range$" % bad):
             P.leq(i, j)
     assert all(P.leq(i, i) is True for i in range(3))
 
