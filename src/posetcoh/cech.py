@@ -24,7 +24,6 @@ from .diagrams import (
     sheafify_value,
 )
 from .groups import GroupHom, PresentedAbGroup, canonical_form, is_isomorphism
-from .linalg import IntMatrix
 from .poset import IntersectionPoset, _mask, chains
 
 
@@ -214,17 +213,15 @@ def sheaf_presheaf(F):
     nested nodes forgets the coordinates outside the smaller node.
     """
     intersection = IntersectionPoset(F.base)
-    cones = [sheafify_value(F, node) for node in intersection.nodes]
+    nodes = intersection.nodes
+    cones = [sheafify_value(F, node) for node in nodes]
     values = [cone.group for cone in cones]
+    # the element that owns each row of a node's cycles, as `sheafify_value` lays them
+    owners = [[i for i in sorted(node) for _ in range(F.value(i).generators)] for node in nodes]
     maps = {}
     for low, high in intersection.poset.covers():
-        kept = [
-            line
-            for i in sorted(intersection.nodes[low])
-            for line in cones[high].projections[i].matrix.lines
-        ]
-        threads = IntMatrix._trusted(len(kept), values[high].generators, kept)
-        matrix = cones[low].data.coordinates(threads)
+        rows = [r for r, i in enumerate(owners[high]) if i in nodes[low]]
+        matrix = cones[low].coordinates(cones[high].cycles.take_rows(rows))
         maps[(high, low)] = GroupHom(values[high], values[low], matrix)
     diagram = Diagram(intersection.poset, values, maps)
     return Presheaf(intersection, diagram)

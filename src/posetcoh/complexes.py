@@ -51,10 +51,6 @@ class ProductGroup:
         rel = IntMatrix.block_diag(relations) if any(r.cols for r in relations) else None
         self.group = PresentedAbGroup(total, rel)
 
-    def coordinate_range(self, k):
-        start = self.offsets[k]
-        return range(start, start + self.factors[k].generators)
-
     def __len__(self):
         return len(self.factors)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from operator import itemgetter
 
-from .complexes import Complex, ProductGroup, homology_at, subposet_homology
+from .complexes import Complex, ProductGroup, _homology, subposet_homology
 from .groups import (
     CanonicalGroup,
     GroupHom,
@@ -259,24 +259,15 @@ def derived_colimit(F, n):
     return colimit_complex(F).homology_group(height - n)
 
 
-class LimitCone:
-    """A limit group with its projections to the diagram values."""
-
-    __slots__ = ("group", "projections", "data")
-
-    def __init__(self, group, projections, data):
-        self.group = group
-        self.projections = projections
-        self.data = data
-
-
 def sheafify_value(F, subset):
     """Sections of the generated sheaf over a downward closed subset.
 
     The value is the limit of the diagram restricted to the subset: the
     subgroup of the product of values whose coordinates agree along every
-    cover inside the subset.  Returned with one projection per element, each
-    well defined since the cycles send cone relations to block-diagonal ones.
+    cover inside the subset.  Returned as the kernel's `HomologyData`: the
+    rows of `cycles` are the product's coordinates, element by element in
+    index order, so an element's rows are its projection, well defined since
+    the cycles send cone relations to block-diagonal ones.
     """
     mask = _mask(F.base, subset)
     if not mask:
@@ -295,14 +286,7 @@ def sheafify_value(F, subset):
         blocks.append((k, pos[a], 1, F.map(a, b).matrix))
         blocks.append((k, pos[b], -1, None))
     difference = product.hom_to(target, blocks)
-    cone = homology_at(
-        GroupHom.zero(PresentedAbGroup.zero(), product.group), difference
-    )
-    projections = {}
-    for i in indices:
-        rows = cone.cycles.take_rows(list(product.coordinate_range(pos[i])))
-        projections[i] = GroupHom(cone.group, F.value(i), rows)
-    return LimitCone(cone.group, projections, cone)
+    return _homology(GroupHom.zero(PresentedAbGroup.zero(), product.group), difference)
 
 
 def constant_diagram(poset):

@@ -71,7 +71,9 @@ class Poset:
                             "down-set member %r of %r is not an element index"
                             % (j, self.elements[i])
                         )
-                    mask |= 1 << j if j >= 0 else -1  # a negative index makes it invalid
+                    if not 0 <= j < n:  # checked before the shift, which could be huge
+                        raise PosetError("invalid down-set for %r" % self.elements[i])
+                    mask |= 1 << j
                 downs[i] = s = mask
             if s < 0 or s >> n or not s >> i & 1:
                 raise PosetError("invalid down-set for %r" % self.elements[i])

@@ -7,11 +7,13 @@ digest was recorded.
 
     PYTHONPATH=src python tests/census.py [name ...]
     census.py --documents N DENSITY SEED POSET [SHEAF [MAX_GENERATORS]]
+    census.py --diagram-documents N DENSITY SEED POSET DIAGRAM
     census.py --bounded SECONDS MB ARG ...
 
 run the named censuses, or all, exiting 1 on a mismatch; write random_poset(N,
-DENSITY, SEED) and its random presheaf of seed 0; and run `posetcoh ARG ...`
-under `timeout SECONDS`, exiting 3 once its peak RSS reaches MB megabytes.
+DENSITY, SEED) and its random presheaf of seed 0, or its diagram document of
+seed 0; and run `posetcoh ARG ...` under `timeout SECONDS`, exiting 3 once its
+peak RSS reaches MB megabytes.
 """
 
 import resource
@@ -248,11 +250,13 @@ def compare_diagrams(write):
 
 
 def main(argv):
-    if argv[:1] == ["--documents"]:
+    if argv[:1] in (["--documents"], ["--diagram-documents"]):
         n, density, seed, poset_path, *sheaf = argv[1:]
         P = random_poset(int(n), float(density), int(seed))
         dump(poset_path, serialize_poset(P))
-        if sheaf:
+        if argv[0] == "--diagram-documents":
+            dump(sheaf[0], diagram_document(P, 0))
+        elif sheaf:
             dump(sheaf[0], presheaf_document(P, 0, *map(int, sheaf[1:])))
         return 0
     unknown = [name for name in argv if name not in CENSUSES]

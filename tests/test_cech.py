@@ -278,13 +278,13 @@ def test_sheaf_presheaf_restrictions_match_per_column_solves():
                     at += F.value(i).generators
                 restricted = [
                     [
-                        cones[high].data.cycles.column(j)[start[i] + k]
+                        cones[high].cycles.column(j)[start[i] + k]
                         for i in sorted(nodes[low])
                         for k in range(F.value(i).generators)
                     ]
                     for j in range(cones[high].group.generators)
                 ]
-                expected = per_column_solves(cones[low].data, restricted, cones[low].group.generators)
+                expected = per_column_solves(cones[low], restricted, cones[low].group.generators)
                 assert hom.matrix == expected, (P, seed, high, low)
 
 

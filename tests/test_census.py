@@ -41,7 +41,7 @@ def _census_calls():
 def test_the_workflow_runs_every_census_in_one_step_of_its_own():
     steps = collections.Counter()
     for step, line, args in _census_calls():
-        if args[:1] in (["--documents"], ["--bounded"]):
+        if args[:1] in (["--documents"], ["--diagram-documents"], ["--bounded"]):
             continue
         assert args and set(args) <= set(census.CENSUSES), line
         assert "-X dev -W error" in line, line

@@ -22,6 +22,7 @@ from posetcoh.groups import (
     GroupHom,
     PresentedAbGroup,
     canonical_form,
+    homs_equal,
     is_isomorphism,
 )
 from posetcoh.linalg import IntMatrix
@@ -115,7 +116,7 @@ def test_vee_chain_indexed_block_layouts():
         (3, 5),
     )
     # the whole-poset section lattice is generated by the thread (-5, -3, -15)
-    assert sheafify_value(F, range(len(P))).data.cycles.entries == ((-5,), (-3,), (-15,))
+    assert sheafify_value(F, range(len(P))).cycles.entries == ((-5,), (-3,), (-15,))
 
     I = IntersectionPoset(P)
     D = diagram_on(
@@ -442,13 +443,40 @@ def test_colimit_point_and_square_identity():
     assert derived_colimit(G, 1) == CanonicalGroup(1)  # order complex is a circle
 
 
+def projection(F, sections, subset, i):
+    """The projection of the sections over `subset` to F(i): the rows of
+    their cycles that hold the coordinates of i, after those of every
+    element of `subset` with a smaller index."""
+    start = sum(F.value(j).generators for j in subset if j < i)
+    rows = sections.cycles.take_rows(range(start, start + F.value(i).generators))
+    return GroupHom(sections.group, F.value(i), rows)
+
+
 def test_sheafify_principal_open_collapses():
     P = builders.pass8()
     F = random_diagram(P, seed=5)
     for i in range(len(P)):
         cone = sheafify_value(F, P.down[i])
         assert canonical_form(cone.group) == canonical_form(F.value(i))
-        assert is_isomorphism(cone.projections[i])
+        assert is_isomorphism(projection(F, cone, P.down[i], i))
+
+
+def test_sheafify_projections_commute_with_every_cover_inside_the_open():
+    # the projections read off the rows of the cycles form a cone: along a
+    # cover a > b inside a node, F(a -> b) after the projection to a is the
+    # projection to b
+    posets = [P for n in range(1, 6) for P in posets_up_to_isomorphism(n)]
+    posets += [P for P in (build() for build in builders.BUILT) if len(P) < 10]
+    for P in posets:
+        for seed in range(3):
+            F = random_diagram(P, seed)
+            for node in IntersectionPoset(P).nodes:
+                cone = sheafify_value(F, node)
+                for b, a in P.covers():
+                    if a in node:
+                        left = F.map(a, b).compose(projection(F, cone, node, a))
+                        right = projection(F, cone, node, b)
+                        assert homs_equal(left, right), (P, seed, sorted(node), a, b)
 
 
 def test_sheafify_constant_counts_components():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -139,6 +140,18 @@ def test_a_poset_from_masks_is_the_poset_from_index_sets():
     for bad in ([0b01, 0b111], [0b01, -1], [0b01, -0b11], [0b01, {0, 1, 2}], [0b01, {-1, 1}]):
         with pytest.raises(PosetError, match="invalid down-set for 'b'"):
             Poset(["a", "b"], bad)
+
+
+def test_an_index_far_past_the_elements_is_refused_before_its_bit_is_built():
+    # 1 << 10**8 is a 12.5 MB int, so the index is range-checked before any bit is set
+    tracemalloc.start()
+    try:
+        with pytest.raises(PosetError, match="invalid down-set for 'a'"):
+            Poset(["a"], [[0, 10**8]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def relation_lists(count=300):
