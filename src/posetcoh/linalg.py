@@ -11,14 +11,13 @@ are used throughout; there is no floating point anywhere in this package.
 
 from __future__ import annotations
 
-from itertools import compress
-
 
 class IntMatrix:
     """An immutable integer matrix stored as one dict {column: nonzero} per row.
 
     No zero is stored, and no stored row is changed once the matrix is
-    built, so matrices may share rows; `entries` is the dense view for output.
+    built, so matrices may share rows.  Every operation, `snf` included,
+    works on these rows; `entries` is the only dense view, for output.
     The one other thing a matrix keeps is its Smith decomposition, which
     `snf` stores on the first call and returns on every later one.
 
@@ -31,11 +30,13 @@ class IntMatrix:
     def __init__(self, rows, cols, entries):
         _check_shape(rows, cols)
         if len(entries) != rows:
-            raise ValueError("row count mismatch")
+            raise ValueError("row count mismatch: %d rows, expected %d" % (len(entries), rows))
         lines = []
         for i, row in enumerate(entries):
             if len(row) != cols:
-                raise ValueError("column count mismatch")
+                raise ValueError(
+                    "column count mismatch: row %d has %d entries, expected %d" % (i, len(row), cols)
+                )
             lines.append({
                 j: a if type(a) is int else checked_int(a, "entry (%d, %d)", i, j)
                 for j, a in enumerate(row) if a != 0
@@ -90,15 +91,8 @@ class IntMatrix:
     @property
     def entries(self):
         """The rows written out densely, as a tuple of int tuples."""
-        return tuple(map(tuple, self._scratch()))
-
-    def _scratch(self):
-        """A fresh dense list of each row."""
-        out = [[0] * self.cols for _ in self.lines]
-        for row, line in zip(out, self.lines):
-            for j, a in line.items():
-                row[j] = a
-        return out
+        zeros = (0,) * self.cols
+        return tuple(tuple(map(line.get, range(self.cols), zeros)) for line in self.lines)
 
     def __eq__(self, other):
         return (
@@ -332,23 +326,28 @@ class SmithDecomposition:
 def _replay(rows, ops):
     """The dict rows `rows`, {column: nonzero}, after the row operations `ops`.
 
-    (src, dst, q) adds q times row src to row dst, dropping the entries that
-    cancel; q == 0 swaps the two rows instead, and (t, t, -1) negates row t.
+    (src, dst, q) adds q times row src to row dst (`_add`); q == 0 swaps the
+    two rows instead, and (t, t, -1) negates row t.
     """
     for src, dst, q in ops:
         if src == dst:
             rows[dst] = {j: -a for j, a in rows[dst].items()}
         elif q:
-            row = rows[dst]
-            for j, a in rows[src].items():
-                c = row.get(j, 0) + q * a
-                if c:
-                    row[j] = c
-                else:
-                    del row[j]
+            _add(rows[dst], rows[src], q)
         else:
             rows[src], rows[dst] = rows[dst], rows[src]
     return rows
+
+
+def _add(row, other, q):
+    """Add q != 0 times the dict row `other` to the dict row `row` in place,
+    dropping the entries that cancel: the one row operation of `linalg`."""
+    for j, a in other.items():
+        c = row.get(j, 0) + q * a
+        if c:
+            row[j] = c
+        else:
+            del row[j]
 
 
 def snf(M):
@@ -377,61 +376,62 @@ def _eliminate(M):
     column operation is logged, and U and V are replayed from the logs when
     first read.
 
-    The work follows the live block: a row that a pivot search found zero
-    is never visited again, a column swap touches only the pivot row and
-    the rows below it, and a row operation only the nonzero columns of the
-    pivot row.  What is skipped cannot change, so the pivots and the logs
-    are those of the full sweep.
+    The work runs on copies of M's dict rows and follows the live block: a
+    row that a pivot search found empty is never visited again, a column
+    swap exchanges two keys of the pivot row and the rows below it, and a
+    row operation (`_add`) reads only the nonzeros of the pivot row.  What
+    is skipped cannot change, so the pivots and the logs are those of the
+    full dense sweep.
     """
     m, n = M.rows, M.cols
     if not m or not n:
         return SmithDecomposition(IntMatrix.zero(m, n), 0, [], [])
-    A = M._scratch()
+    A = [dict(line) for line in M.lines]
     row_ops = []  # (src, dst, q) as `_replay` reads them
     col_ops = []
 
-    def find_pivot(t):
-        # The first entry of least absolute value, row by row, so the first
-        # unit settles it.  Rows at or below t are zero left of column t.  A
-        # row found zero leaves `live`: no row operation or swap ever picks
-        # a zero row, so it stays zero and in place.
-        best = where = None
-        zero = set()
+    def find_pivot():
+        # The first entry of least absolute value, row by row (a tie in a
+        # dict row goes to the lower column), so the first row with a unit
+        # settles it.  An empty row leaves `live`: no row operation or swap
+        # ever picks an empty row, so it stays empty and in place.
+        best, where = 0, None
+        empty = []
         for i in live:
-            Ai = A[i]
-            if not any(Ai):
-                zero.add(i)
+            row = A[i]
+            if not row:
+                empty.append(i)
                 continue
-            for j in range(t, n):
-                a = Ai[j]
-                if a:
-                    a = -a if a < 0 else a
-                    if best is None or a < best:
-                        best = a
-                        where = (i, j)
-                        if a == 1:
-                            break
+            for j, a in row.items():
+                if a < 0:
+                    a = -a
+                if not best or a < best or (a == best and i == where[0] and j < where[1]):
+                    best = a
+                    where = (i, j)
             if best == 1:
                 break
-        if zero:
-            live[:] = [i for i in live if i not in zero]
+        for i in empty:
+            live.remove(i)
         return where
 
     def swap_cols(t, k):
         # above t a row is zero outside its own pivot column
-        row = A[t]
-        row[t], row[k] = row[k], row[t]
-        for i in live:
+        for i in (t, *live):
             row = A[i]
-            row[t], row[k] = row[k], row[t]
+            if t in row or k in row:
+                a, b = row.pop(t, 0), row.pop(k, 0)
+                if a:
+                    row[k] = a
+                if b:
+                    row[t] = b
         col_ops.append((t, k, 0))
 
-    # the rows from the pivot down that no pivot search found zero; the
+    # the rows from the pivot down that no pivot search found empty; the
     # pivot row leaves once it is chosen
     live = list(range(m))
     t = 0  # the pivots so far, and at the end the rank
     while t < min(m, n):
-        where = find_pivot(t)
+        where = find_pivot()
         if where is None:
             break
         i0, j0 = where
@@ -447,17 +447,15 @@ def _eliminate(M):
             # becomes the new, strictly smaller pivot, so this terminates.
             At = A[t]
             p = At[t]
-            support = list(compress(range(n), At))  # starts with t
             restart = False
             for i in live:
                 Ai = A[i]
-                if Ai[t]:
+                if t in Ai:
                     q = Ai[t] // p
                     if q:
-                        for j in support:
-                            Ai[j] -= q * At[j]
+                        _add(Ai, At, -q)
                         row_ops.append((t, i, -q))
-                    if Ai[t]:
+                    if t in Ai:
                         A[t], A[i] = Ai, At
                         row_ops.append((t, i, 0))
                         restart = True
@@ -465,8 +463,8 @@ def _eliminate(M):
             if restart:
                 continue
             # column t is now zero off the diagonal, so subtracting it from
-            # column j changes A[t][j] alone
-            for j in support[1:]:
+            # column j changes A[t][j] alone; row t holds t and columns past it
+            for j in sorted(At)[1:]:
                 q = At[j] // p
                 if q:
                     At[j] -= q * p
@@ -475,28 +473,21 @@ def _eliminate(M):
                     swap_cols(t, j)
                     restart = True
                     break
+                del At[j]
             if restart:
                 continue
-            # pivot must divide the rest of the submatrix before we move on;
-            # a unit divides everything
+            # pivot must divide the rest of the submatrix, the live rows past
+            # column t, before we move on; a unit divides everything
             if p == 1 or p == -1:
                 break
-            offender = None
-            for i in live:
-                Ai = A[i]
-                for j in range(t + 1, n):
-                    if Ai[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in live if any(a % p for a in A[i].values())), None)
             if offender is None:
                 break
-            A[t] = [a + b for a, b in zip(At, A[offender])]
+            _add(At, A[offender], 1)
             row_ops.append((offender, t, 1))
-        if A[t][t] < 0:
+        if At[t] < 0:
             # the passes above left row t zero outside column t
-            A[t][t] = -A[t][t]
+            At[t] = -At[t]
             row_ops.append((t, t, -1))
         t += 1
 

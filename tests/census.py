@@ -7,13 +7,13 @@ digest was recorded.
 
     PYTHONPATH=src python tests/census.py [name ...]
     census.py --documents N DENSITY SEED POSET [SHEAF [MAX_GENERATORS]]
-    census.py --diagram-documents N DENSITY SEED POSET DIAGRAM
+    census.py --diagram-documents N DENSITY SEED POSET DIAGRAM [DIAGRAM_SEED]
     census.py --bounded SECONDS MB ARG ...
 
 run the named censuses, or all, exiting 1 on a mismatch; write random_poset(N,
 DENSITY, SEED) and its random presheaf of seed 0, or its diagram document of
-seed 0; and run `posetcoh ARG ...` under `timeout SECONDS`, exiting 3 once its
-peak RSS reaches MB megabytes.
+DIAGRAM_SEED (default 0); and run `posetcoh ARG ...` under `timeout SECONDS`,
+exiting 3 once its peak RSS reaches MB megabytes.
 """
 
 import resource
@@ -226,7 +226,7 @@ def compare_not_bijective(write):
     return comparisons(write, posets, presheaf_document)
 
 
-def diagram_document(P, seed):
+def diagram_document(P, seed=0):
     """The mode "diagram" document of random_diagram(P, seed), written as the
     benchmark writes one: groups in element order with their relator
     columns, maps keyed HIGH->LOW in cover order."""
@@ -255,7 +255,7 @@ def main(argv):
         P = random_poset(int(n), float(density), int(seed))
         dump(poset_path, serialize_poset(P))
         if argv[0] == "--diagram-documents":
-            dump(sheaf[0], diagram_document(P, 0))
+            dump(sheaf[0], diagram_document(P, *map(int, sheaf[1:])))
         elif sheaf:
             dump(sheaf[0], presheaf_document(P, 0, *map(int, sheaf[1:])))
         return 0

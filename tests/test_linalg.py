@@ -2,6 +2,7 @@ import copy
 import gc
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -250,6 +251,15 @@ def test_public_constructors_check_shapes_and_convert_entries():
     M = IntMatrix(1, 2, [[True, 3.0]])
     assert M.entries == ((1, 3),)
     assert all(type(a) is int for a in M.entries[0])
+    # a row of the wrong length is named, as `from_columns` names a column
+    for build, message in (
+        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "row 1 has 1 entries, expected 2"),
+        (lambda: IntMatrix.from_rows([[1], [2, 3], [4]]), "row 1 has 2 entries, expected 1"),
+        (lambda: IntMatrix(1, 3, [[1, 2]]), "row 0 has 2 entries, expected 3"),
+        (lambda: IntMatrix(2, 1, [[1]]), "1 rows, expected 2"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 def naive_product(A, B, n):
@@ -555,6 +565,25 @@ def test_checking_constructors_reject_what_is_not_an_integer():
     ):
         with pytest.raises(ValueError, match=r"matrix shape (True|1\.5) is not an int"):
             build()
+
+
+def test_snf_memory_follows_the_nonzeros():
+    # a dense working copy of this matrix alone holds 2.25 million entries
+    n = 1500
+    rng = random.Random(1500)
+    lines = [{i: 1, i + 1: rng.choice((-2, 2, 3))} for i in range(n - 1)] + [{n - 1: 1}]
+    M = IntMatrix._trusted(n, n, lines)
+    columns = M.transpose().lines
+    tracemalloc.start()
+    try:
+        dec = snf(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    factors = dec.invariant_factors()
+    assert dec.rank == n
+    assert rank_and_torsion(columns) == (len(factors), tuple(d for d in factors if d > 1))
 
 
 def assert_stored_without_zeros(M):
