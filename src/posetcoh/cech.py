@@ -23,7 +23,7 @@ from .diagrams import (
     random_diagram,
     sheafify_value,
 )
-from .groups import GroupHom, PresentedAbGroup, canonical_form, is_isomorphism
+from .groups import GroupHom, canonical_form, is_isomorphism
 from .poset import IntersectionPoset, _mask, chains
 
 
@@ -104,10 +104,7 @@ def topos_cohomology(presheaf, n):
 def comparison_map(presheaf, n):
     """The canonical homomorphism from degree-n Cech to topos cohomology."""
     _check_degree(n)
-    rho = presheaf.comparison_chain_map()
-    if n > rho.source.top_degree():
-        return GroupHom.zero(PresentedAbGroup.zero(), PresentedAbGroup.zero())
-    return induced_on_homology(rho, n)
+    return induced_on_homology(presheaf.comparison_chain_map(), n)
 
 
 def cech_ordered_complex(presheaf, order=None):

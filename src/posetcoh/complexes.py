@@ -3,7 +3,7 @@
 Homology at a middle group B = Z^g / relations is presented in three steps:
 the cycle lattice {x : d_out(x) lies in the target relation lattice} is the
 projection of an explicit kernel, its generating columns become the homology
-generators, and their relation lattice is again a kernel projection.  The
+generators, and their relation lattice is solved against those columns.  The
 generator-to-cycle matrix is kept, so cocycles can be expressed in homology
 coordinates and homology classes lifted back; that is exactly what an induced
 map between two complexes needs.  In a degree where a complex's homology is
@@ -79,6 +79,10 @@ class ProductGroup:
                 line = lines[row0 + i]
                 for j, a in entries.items():
                     line[col0 + j] = line.get(col0 + j, 0) + sign * a
+        return self.hom_from_rows(target, lines)
+
+    def hom_from_rows(self, target, lines):
+        """The homomorphism to `target` on the dict rows `lines`, zeros dropped."""
         for i, line in enumerate(lines):
             if 0 in line.values():
                 lines[i] = {j: a for j, a in line.items() if a}
@@ -145,7 +149,7 @@ class Complex:
         (`PresentedAbGroup.trivial`), and the relation lattice is not computed.
         """
         if self.support is None or n in self.support:
-            return _homology(self.incoming(n), self.outgoing(n))
+            return _homology(self.incoming(n), self.outgoing(n), "degree %d" % n)
         cycles = _cycles(self.outgoing(n))
         return HomologyData(PresentedAbGroup.trivial(cycles.cols), cycles)
 
@@ -158,9 +162,9 @@ class HomologyData:
 
     Column j of `cycles` is a middle-group vector representing generator j;
     `coordinates` inverts that correspondence for arbitrary cycles, with the
-    Smith decomposition that `cycles` keeps.  When the next degree has no
-    relators, `cycles` is a whole kernel basis and arrives with that
-    decomposition, so nothing is eliminated to read coordinates.
+    Smith decomposition that `cycles` keeps, the one the relations were
+    solved with.  When the next degree has no relators, `cycles` is a whole
+    kernel basis and arrives with it, so the degree eliminates only d_out.
     """
 
     __slots__ = ("group", "cycles")
@@ -186,9 +190,9 @@ class HomologyData:
 def homology_at(d_in, d_out):
     """Homology ker(d_out)/im(d_in) at the shared middle group.
 
-    Both kernels below are kernels of integer matrices augmented with the
-    relevant relation lattices, projected back to the leading block; the
-    projections generate exactly the cycle lattice and its relation lattice.
+    The cycles are the kernel of d_out augmented with the target relations,
+    projected back to the leading block; the relations among them are the
+    boundaries and middle relations solved against them, with their kernel.
     """
     if d_in.target != d_out.source:
         raise ComplexError("homology needs a shared middle group")
@@ -197,15 +201,17 @@ def homology_at(d_in, d_out):
     return _homology(d_in, d_out)
 
 
-def _homology(d_in, d_out):
-    """`homology_at` for differentials already known to compose to zero."""
-    middle = d_out.source
+def _homology(d_in, d_out, where="the middle group"):
+    """`homology_at` for differentials already known to compose to zero: with
+    the cycle matrix Z, H = Z^k / Z⁻¹(B + R), and Z⁻¹(B + R) is ker Z joined
+    with the lifts of B + R, so one decomposition of Z answers both."""
     cycles = _cycles(d_out)
-    # with no boundaries and no relations the stack is `cycles` itself, so
-    # `coordinates` reuses the decomposition read here, which a whole kernel
-    # basis brings along and any other `cycles` gets from one elimination
-    boundary_sources = cycles.hstack(d_in.matrix).hstack(middle.relations)
-    relations = snf(boundary_sources).kernel_basis(cycles.cols)
+    dec = snf(cycles)
+    relations = dec.solve(d_in.matrix.hstack(d_out.source.relations))
+    if relations is None:
+        raise ComplexError("boundaries or relations at %s are not cycles" % where)
+    if dec.rank < cycles.cols:
+        relations = relations.hstack(dec.kernel_basis())
     return HomologyData(PresentedAbGroup(cycles.cols, relations), cycles)
 
 
@@ -240,12 +246,13 @@ def induced_on_homology(chain_map, n):
     """The map on degree-n homology along a chain map of well-defined maps.
 
     It is well defined with no check, since cycles go to cycles and boundaries
-    to boundaries.
+    to boundaries.  Above the source's top degree it leaves the empty
+    `Complex.product(n)`, so its matrix has no columns.
     """
-    src = chain_map.source.homology(n)
-    tgt = chain_map.target.homology(n)
-    matrix = tgt.coordinates(chain_map.maps[n].matrix * src.cycles)
-    return GroupHom(src.group, tgt.group, matrix)
+    src, tgt = chain_map.source.homology(n), chain_map.target.homology(n)
+    maps = chain_map.maps
+    images = maps[n].matrix * src.cycles if n < len(maps) else IntMatrix.zero(tgt.cycles.rows, 0)
+    return GroupHom(src.group, tgt.group, tgt.coordinates(images))
 
 
 def simplicial_homology(chain_sets, n):

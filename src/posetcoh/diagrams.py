@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from operator import itemgetter
 
-from .complexes import Complex, ProductGroup, _homology, subposet_homology
+from .complexes import Complex, HomologyData, ProductGroup, _cycles, subposet_homology
 from .groups import (
     CanonicalGroup,
     GroupHom,
@@ -26,7 +26,7 @@ from .groups import (
     hom_well_defined,
     homs_equal,
 )
-from .linalg import IntMatrix
+from .linalg import IntMatrix, snf
 from .poset import _indices, _mask, chains
 
 
@@ -125,46 +125,49 @@ class Diagram:
         return self._reduced
 
 
-def _faces(lower, upper, node):
-    """Every face of the cells `upper` among the cells `lower`.
-
-    Face i of a cell drops entry i and carries the sign (-1)^i.  Yields
-    (upper index, lower index, sign, lower node, upper node), where the
-    nodes are `node(face)` and `node(cell)`.
-    """
-    position = {cell: k for k, cell in enumerate(lower)}
-    for row, cell in enumerate(upper):
-        top = node(cell)
-        for i in range(len(cell)):
-            face = cell[:i] + cell[i + 1 :]
-            yield row, position[face], (-1) ** i, node(face), top
-
-
 def _cell_complex(F, cells, node, colimit=False, support=None):
     """The complex of products over `cells[n]`, one cell list per degree.
 
     A cell is a tuple of element indices; the product of degree n has one
     factor per cell of `cells[n]`, in that order: the value of F at
     `node(cell)`.
-    The differentials are alternating sums of faces (`_faces`); a face's
-    block is the sign alone when the face keeps the node and the sign times
-    the structure map between the two nodes otherwise.  A cochain complex
-    maps faces to cells, restricting from the face's node to the cell's.
-    With `colimit` the blocks are transposed: the boundary maps cells to
-    faces along the map from the cell's node, and the degrees are listed
-    top degree first.  `support` goes to the complex as it is.
+    The differentials are alternating sums of faces, added straight into
+    dict rows: face i of a cell drops entry i, and its block is (-1)^i times
+    the identity when the face keeps the node, times the structure map
+    between the two nodes otherwise.  A cochain complex maps faces to cells,
+    restricting from the face's node to the cell's.  With `colimit` the
+    blocks are transposed: the boundary maps cells to faces along the map
+    from the cell's node, and the degrees are listed top degree first.  A
+    cell whose value has no generators has no block and composes no map.
+    `support` goes to the complex as it is.
     """
-    groups = [ProductGroup([F.value(node(c)) for c in level]) for level in cells]
+    nodes = [[node(c) for c in level] for level in cells]
+    groups = [ProductGroup([F.value(a) for a in level]) for level in nodes]
     diffs = []
     for n in range(len(cells) - 1):
-        blocks = []
-        for row, col, sign, source, target in _faces(cells[n], cells[n + 1], node):
-            if colimit:
-                row, col, source, target = col, row, target, source
-            matrix = None if source == target else F.map(source, target).matrix
-            blocks.append((row, col, sign, matrix))
-        source, target = (groups[n + 1], groups[n]) if colimit else (groups[n], groups[n + 1])
-        diffs.append(source.hom_to(target, blocks))
+        lower, upper = groups[n], groups[n + 1]
+        position = {cell: k for k, cell in enumerate(cells[n])}
+        source, target = (upper, lower) if colimit else (lower, upper)
+        lines = [{} for _ in range(target.group.generators)]
+        for c, (cell, top) in enumerate(zip(cells[n + 1], nodes[n + 1])):
+            size, start = upper.factors[c].generators, upper.offsets[c]
+            if not size:
+                continue
+            for i in range(len(cell)):
+                f = position[cell[:i] + cell[i + 1 :]]
+                face, sign = nodes[n][f], -1 if i & 1 else 1
+                row0, col0 = (lower.offsets[f], start) if colimit else (start, lower.offsets[f])
+                if face == top:
+                    for t in range(size):
+                        line = lines[row0 + t]
+                        line[col0 + t] = line.get(col0 + t, 0) + sign
+                    continue
+                matrix = (F.map(top, face) if colimit else F.map(face, top)).matrix
+                for r, entries in enumerate(matrix.lines, row0):
+                    line = lines[r]
+                    for j, a in entries.items():
+                        line[col0 + j] = line.get(col0 + j, 0) + sign * a
+        diffs.append(source.hom_from_rows(target, lines))
     if colimit:
         groups.reverse()
         diffs.reverse()
@@ -267,7 +270,9 @@ def sheafify_value(F, subset):
     cover inside the subset.  Returned as the kernel's `HomologyData`: the
     rows of `cycles` are the product's coordinates, element by element in
     index order, so an element's rows are its projection, well defined since
-    the cycles send cone relations to block-diagonal ones.
+    the cycles send cone relations to block-diagonal ones.  Its relators,
+    which become the node groups' relations and so reach printed maps, are
+    the kernel of [cycles | relations] cut to its leading block.
     """
     mask = _mask(F.base, subset)
     if not mask:
@@ -285,8 +290,9 @@ def sheafify_value(F, subset):
     for k, (a, b) in enumerate(edges):
         blocks.append((k, pos[a], 1, F.map(a, b).matrix))
         blocks.append((k, pos[b], -1, None))
-    difference = product.hom_to(target, blocks)
-    return _homology(GroupHom.zero(PresentedAbGroup.zero(), product.group), difference)
+    cycles = _cycles(product.hom_to(target, blocks))
+    relations = snf(cycles.hstack(product.group.relations)).kernel_basis(cycles.cols)
+    return HomologyData(PresentedAbGroup(cycles.cols, relations), cycles)
 
 
 def constant_diagram(poset):

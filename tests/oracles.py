@@ -15,6 +15,11 @@ order through `Poset.leq`, re-deriving each element's generators, and
 `cech_ordered_by_combinations` lists the nerve of the covering by
 filtering every increasing tuple of basic opens on its frozenset
 intersection.
+`homology_by_stack` reads a relation lattice off one elimination of
+[cycles | d_in | R] instead of solving against the cycles, and
+`cell_complex_by_blocks` builds the chain-indexed complexes with one
+(row, column, sign, block) entry per face, written by
+`ProductGroup.hom_to`.
 The two censuses at the end are the exception: they enumerate the
 small posets independently, then run the package's own criterion and
 comparison, or its vanishing certificate, on each.  `main_by_full_parse`
@@ -30,7 +35,7 @@ import sys
 
 from posetcoh.cech import Presheaf, compare_report
 from posetcoh.cli import _attached_windows, build_parser
-from posetcoh.complexes import acyclicity_check
+from posetcoh.complexes import Complex, HomologyData, ProductGroup, _cycles, acyclicity_check
 from posetcoh.cuts import criterion, enumerate_cuts
 from posetcoh.diagrams import Diagram, _cell_complex, cohomology_support, constant_diagram
 from posetcoh.groups import GroupHom, PresentedAbGroup
@@ -669,6 +674,49 @@ def brute_force_homology(M_in, R_B, M_out, R_C):
         return sum(1 for z in cosets if scale(m, z) in image)
 
     return (0, _factors_from_kill_counts(size, kills))
+
+
+def homology_by_stack(d_in, d_out):
+    """Homology at the middle group with its relation lattice eliminated
+    on its own: the combinations of the cycles that are boundaries plus
+    relations, as the kernel of the stack [cycles | d_in | R] projected to
+    its leading block.  The cycles are the package's."""
+    cycles = _cycles(d_out)
+    stack = cycles.hstack(d_in.matrix).hstack(d_out.source.relations)
+    relations = snf(stack).kernel_basis(cycles.cols)
+    return HomologyData(PresentedAbGroup(cycles.cols, relations), cycles)
+
+
+def _faces(lower, upper, node):
+    """Every face of the cells `upper` among the cells `lower`, as
+    (upper index, lower index, sign, lower node, upper node)."""
+    position = {cell: k for k, cell in enumerate(lower)}
+    for row, cell in enumerate(upper):
+        top = node(cell)
+        for i in range(len(cell)):
+            face = cell[:i] + cell[i + 1 :]
+            yield row, position[face], (-1) ** i, node(face), top
+
+
+def cell_complex_by_blocks(F, cells, node, colimit=False, support=None):
+    """`_cell_complex` with every face a (row, column, sign, block) entry
+    that `ProductGroup.hom_to` checks and writes, one per face, a block
+    for each cell however few generators its value has."""
+    groups = [ProductGroup([F.value(node(c)) for c in level]) for level in cells]
+    diffs = []
+    for n in range(len(cells) - 1):
+        blocks = []
+        for row, col, sign, source, target in _faces(cells[n], cells[n + 1], node):
+            if colimit:
+                row, col, source, target = col, row, target, source
+            matrix = None if source == target else F.map(source, target).matrix
+            blocks.append((row, col, sign, matrix))
+        source, target = (groups[n + 1], groups[n]) if colimit else (groups[n], groups[n + 1])
+        diffs.append(source.hom_to(target, blocks))
+    if colimit:
+        groups.reverse()
+        diffs.reverse()
+    return Complex(groups, diffs, support)
 
 
 def _down_closed_subsets(down):

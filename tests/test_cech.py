@@ -432,20 +432,16 @@ def test_degrees_outside_the_support_keep_their_cycles_and_skip_the_relations(mo
         rho.source.support = rho.target.support = None
         assert _rows(ps) == rows
         # a fresh complex: the cycles are its only new decomposition outside
-        # the support, where the relation lattice would be a second one; in
-        # the support the relation stack [cycles | d_in | R] is none when it
-        # is the cycles themselves and they are a whole kernel basis, which
-        # arrives with its decomposition
+        # the support; in the support the relations are solved against the
+        # cycles' own decomposition, which is none when they are a whole
+        # kernel basis, since that arrives with its decomposition
         fresh = diagrams.reduced_complex(ps.pulled_diagram())
         for n in range(len(fresh.groups)):
             del new[:]
             fresh.homology(n)
-            stack = fresh.incoming(n).matrix.cols + fresh.product(n).group.relations.cols
             whole = not fresh.product(n + 1).group.relations.cols
-            if n in fresh.support and not stack and whole:
+            if n in fresh.support and whole:
                 shared += 1
-                assert sum(new) == 1, n
-            else:
-                assert sum(new) == (2 if n in fresh.support else 1), n
+            assert sum(new) == (2 if n in fresh.support and not whole else 1), n
     assert outside > 0
     assert shared > 0

@@ -364,6 +364,27 @@ def test_sphere_compare_disagrees_at_two(write, capsys):
     assert "degree 2: cech 0 | topos Z | NOT isomorphic" in out
 
 
+def test_compare_above_the_top_degree_maps_the_empty_products(write, capsys):
+    # above the Čech complex's top degree its product is empty, so the
+    # induced map is the zero map between zero groups
+    intersection = IntersectionPoset(builders.sphere())
+    constant = diagrams.constant_diagram(intersection.poset)
+    rho = cech.Presheaf(intersection, constant).comparison_chain_map()
+    assert (builders.sphere().height(), rho.source.top_degree()) == (2, 4)
+    for n in (5, 6):
+        h = complexes.induced_on_homology(rho, n)
+        assert (h.source.generators, h.target.generators, h.matrix.entries) == (0, 0, ())
+    poset = write("sphere.json", builders.SPHERE_DOC)
+    sheaf = write("constant.json", builders.CONSTANT_SPHERE_DIAGRAM_DOC)
+    code, out, err = run(capsys, "compare", poset, sheaf, "--degrees", "5..6", "--json")
+    assert (code, err) == (0, "")
+    zero = {"rank": 0, "torsion": []}
+    assert [(d["degree"], d["cech"], d["topos"], d["map"]) for d in json.loads(out)["degrees"]] == [
+        (5, zero, zero, []),
+        (6, zero, zero, []),
+    ]
+
+
 def test_tetrahedron_cech_cohomology_above_the_base_height(write, capsys):
     poset = write("tetrahedron.json", builders.TETRAHEDRON_DOC)
     sheaf = write("constant.json", builders.CONSTANT_TETRAHEDRON_DOC)

@@ -10,6 +10,7 @@ from posetcoh.complexes import (
     ComplexError,
     HomologyData,
     ProductGroup,
+    _cycles,
     acyclicity_check,
     homology_at,
     induced_on_homology,
@@ -32,7 +33,7 @@ from posetcoh.groups import (
     canonical_form,
     is_isomorphism,
 )
-from posetcoh.linalg import IntMatrix
+from posetcoh.linalg import IntMatrix, snf
 from posetcoh.poset import (
     Poset,
     PosetError,
@@ -46,7 +47,7 @@ from posetcoh.poset import (
 )
 
 import builders
-from oracles import brute_force_homology
+from oracles import brute_force_homology, homology_by_stack
 
 
 Z = PresentedAbGroup.free(1)
@@ -156,9 +157,8 @@ def test_cycle_lift_round_trip():
 
 def test_homology_without_boundaries_or_relations_never_eliminates_its_cycles(monkeypatch):
     # the target has no relators, so `cycles` is a whole kernel basis and
-    # arrives with its decomposition; with no incoming columns and no
-    # relations the stack [cycles | d_in | R] is `cycles` itself, so only
-    # d_out is eliminated, and with boundaries the stack is eliminated too
+    # arrives with its decomposition; the boundaries are solved against it,
+    # so only d_out is eliminated, with boundaries or without
     import posetcoh.linalg
 
     eliminated = []
@@ -170,13 +170,13 @@ def test_homology_without_boundaries_or_relations_never_eliminates_its_cycles(mo
 
     monkeypatch.setattr(posetcoh.linalg, "_eliminate", counting)
     plane = PresentedAbGroup.free(3)
-    for d_in, count in ((GroupHom.zero(ZERO, plane), 1), (hom(Z, plane, [[2], [2], [0]]), 2)):
+    for d_in in (GroupHom.zero(ZERO, plane), hom(Z, plane, [[2], [2], [0]])):
         eliminated.clear()
         h = homology_at(d_in, hom(plane, Z, [[1, -1, 0]]))
         y = IntMatrix.from_rows([[1, 0], [2, 1]])
         assert h.coordinates(h.cycles * y) == y
         assert h.coordinates(h.cycles.column(1)) == (0, 1)
-        assert len(eliminated) == count, d_in
+        assert len(eliminated) == 1, d_in
         assert sum(M is h.cycles for M in eliminated) == 0, d_in
 
 
@@ -212,6 +212,59 @@ def test_brute_force_oracle_on_torsion_quotients():
         trials += 1
 
 
+def random_middle(rng):
+    """d_in: Z^a -> B and d_out: B -> C composing to zero, B and C presented.
+
+    C repeats its relators, so the cycle matrix is not injective; d_out
+    sends the relators of B among those of C, and d_in takes combinations
+    of the cycles and of the relators of B.
+    """
+
+    def draw(rows, cols):
+        return IntMatrix(rows, cols, [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+
+    g, h, a = rng.randint(1, 4), rng.randint(0, 3), rng.randint(0, 3)
+    R_B, d_out = draw(g, rng.randint(0, g + 1)), draw(h, g)
+    R_C = (d_out * R_B).hstack(draw(h, rng.randint(0, 2)))
+    B, C = PresentedAbGroup(g, R_B), PresentedAbGroup(h, R_C.hstack(R_C))
+    out = GroupHom(B, C, d_out)
+    cycles = _cycles(out)
+    d_in = cycles * draw(cycles.cols, a) + R_B * draw(R_B.cols, a)
+    return GroupHom(PresentedAbGroup.free(a), B, d_in), out
+
+
+def test_relations_solved_against_the_cycles_give_the_stack_lattice():
+    # the same lattice: each route's relations lie in the other's, so the
+    # groups agree, also with the brute-force oracle on a finite middle group
+    def same(d_in, d_out):
+        new, old = homology_at(d_in, d_out), homology_by_stack(d_in, d_out)
+        assert new.cycles == old.cycles
+        assert snf(new.group.relations).contains(old.group.relations)
+        assert snf(old.group.relations).contains(new.group.relations)
+        assert canonical_form(new.group) == canonical_form(old.group)
+        return canonical_form(new.group), new.cycles
+
+    rng = random.Random(52)
+    counts = dict.fromkeys(["torsion", "not_injective", "finite"], 0)
+    for _ in range(300):
+        d_in, d_out = random_middle(rng)
+        group, cycles = same(d_in, d_out)
+        counts["torsion"] += bool(group.torsion)
+        counts["not_injective"] += snf(cycles).rank < cycles.cols
+        R_B = d_in.target.relations
+        if len(snf(R_B).invariant_factors()) == R_B.rows:
+            counts["finite"] += 1
+            oracle = brute_force_homology(d_in.matrix, R_B, d_out.matrix, d_out.target.relations)
+            assert (group.rank, tuple(sorted(group.torsion))) == oracle
+    assert min(counts.values()) > 10, counts
+    P = builders.projective_plane()
+    rendered = []
+    for F in (constant_diagram(P), random_diagram(P, 0), random_diagram(P, 1)):
+        cx = full_complex_truncated(F, 2)
+        rendered.append([same(cx.incoming(n), cx.outgoing(n))[0].render() for n in range(3)])
+    assert rendered[0] == ["Z", "0", "Z/2"]
+
+
 def build_complex(groups, matrices):
     prods = [ProductGroup((g,)) for g in groups]
     diffs = [
@@ -227,6 +280,10 @@ def test_complex_build_rejects_bad_composite():
     two = PresentedAbGroup.from_invariants(0, (2,))
     with pytest.raises(ComplexError, match="differential 0 is not well defined"):
         build_complex([two, Z], [IntMatrix.from_rows([[1]])]).verify()
+    # homology trusts d after d, and names the degree where the boundaries
+    # are not cycles
+    with pytest.raises(ComplexError, match="at degree 1 are not cycles"):
+        cx.homology(1)
 
 
 def test_product_blocks_must_fit_their_factors():

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from posetcoh import cech, diagrams
 from posetcoh.cech import Presheaf, cech_ordered_complex, random_presheaf, sheaf_presheaf
 from posetcoh.complexes import acyclicity_check, simplicial_homology
 from posetcoh.diagrams import (
@@ -36,7 +37,12 @@ from posetcoh.poset import (
 )
 
 import builders
-from oracles import eager_composites, posets_up_to_isomorphism, random_diagram_by_leq
+from oracles import (
+    cell_complex_by_blocks,
+    eager_composites,
+    posets_up_to_isomorphism,
+    random_diagram_by_leq,
+)
 
 Z = PresentedAbGroup.free(1)
 Z2 = PresentedAbGroup.from_invariants(0, [2])
@@ -412,6 +418,37 @@ def test_chain_indexed_complexes_match_entrywise_faces():
                     ps.diagram, levels[k], levels[k + 1], node_of.__getitem__
                 )
                 assert d.matrix.entries == expected
+
+
+def test_differentials_match_the_block_builder(monkeypatch):
+    # every complex the package builds from cells, built again by the
+    # one-entry-per-face route and compared matrix by matrix
+    built = []
+    cell_complex = diagrams._cell_complex
+
+    def both(*args, **options):
+        complex_ = cell_complex(*args, **options)
+        built.append((complex_, cell_complex_by_blocks(*args, **options)))
+        return complex_
+
+    monkeypatch.setattr(diagrams, "_cell_complex", both)
+    monkeypatch.setattr(cech, "_cell_complex", both)
+    relators = 0
+    for n in range(1, 6):
+        for P in posets_up_to_isomorphism(n):
+            I = IntersectionPoset(P)
+            for seed in (0, 1):
+                F = random_diagram(P, seed)
+                relators += any(v.relations.cols for v in F.values)
+                diagrams.reduced_complex(F)
+                full_complex_truncated(F, 2)
+                colimit_complex(F)
+                cech_ordered_complex(random_presheaf(I, seed))
+    assert len(built) == 87 * 2 * 4 and relators > 50
+    for new, old in built:
+        assert new.support == old.support
+        assert [g.group for g in new.groups] == [g.group for g in old.groups]
+        assert [d.matrix for d in new.diffs] == [d.matrix for d in old.diffs]
 
 
 def test_full_complex_matches_reduced_on_samples():
