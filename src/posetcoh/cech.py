@@ -68,11 +68,12 @@ class Presheaf:
 
         A cochain on strictly decreasing node chains is read off on the chains
         of principal opens; every block is an identity because the coordinate
-        groups agree.  The chain sets are the ones both complexes were built
-        on, kept on their base posets by `chains`; above the base's top degree
-        there are no principal chains and the map goes to the empty product
-        of `Complex.product`.  λ takes each face of a base chain to the same
-        face of its image, so ρ commutes with both differentials by
+        groups agree, so row t of a base chain's factor is a 1 at column t of
+        its image's factor.  The chain sets are the ones both complexes were
+        built on, kept on their base posets by `chains`; above the base's top
+        degree there are no principal chains and the map goes to the empty
+        product of `Complex.product`.  λ takes each face of a base chain to
+        the same face of its image, so ρ commutes with both differentials by
         construction; `ChainMap.verify` checks it on request.
         """
         if self._rho is None:
@@ -82,11 +83,13 @@ class Presheaf:
             maps = []
             for n, src in enumerate(source.groups):
                 position = {c: k for k, c in enumerate(chains(self.diagram.base, n))}
-                blocks = (
-                    (row, position[tuple(lam[i] for i in chain)], 1, None)
-                    for row, chain in enumerate(chains(self.space, n))
-                )
-                maps.append(src.hom_to(target.product(n), blocks))
+                product = target.product(n)
+                lines = [
+                    {src.offsets[position[tuple(lam[i] for i in chain)]] + t: 1}
+                    for chain, value in zip(chains(self.space, n), product.factors)
+                    for t in range(value.generators)
+                ]
+                maps.append(src.hom_from_rows(product, lines))
             self._rho = ChainMap(source, target, maps)
         return self._rho
 

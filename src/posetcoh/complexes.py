@@ -54,33 +54,6 @@ class ProductGroup:
     def __len__(self):
         return len(self.factors)
 
-    def hom_to(self, target, blocks):
-        """The homomorphism to another product, assembled block by block.
-
-        `blocks` yields (row factor, column factor, sign, matrix): the block of
-        target factor `row` against this product's factor `col` gains sign
-        times matrix, or sign times the identity (of factors of one size) when
-        matrix is None.  Blocks at the same position add up, and an entry
-        that cancels is dropped.
-        """
-        lines = [{} for _ in range(target.group.generators)]
-        for row, col, sign, matrix in blocks:
-            row0, col0 = target.offsets[row], self.offsets[col]
-            rows, cols = target.factors[row].generators, self.factors[col].generators
-            shape = (rows, rows) if matrix is None else (matrix.rows, matrix.cols)
-            if shape != (rows, cols):
-                raise ComplexError("block of factors %d and %d has the wrong shape" % (row, col))
-            if matrix is None:
-                for i in range(rows):
-                    line = lines[row0 + i]
-                    line[col0 + i] = line.get(col0 + i, 0) + sign
-                continue
-            for i, entries in enumerate(matrix.lines):
-                line = lines[row0 + i]
-                for j, a in entries.items():
-                    line[col0 + j] = line.get(col0 + j, 0) + sign * a
-        return self.hom_from_rows(target, lines)
-
     def hom_from_rows(self, target, lines):
         """The homomorphism to `target` on the dict rows `lines`, zeros dropped."""
         for i, line in enumerate(lines):

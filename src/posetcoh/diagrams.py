@@ -6,9 +6,11 @@ maps are derived on demand, and `Diagram.verify` checks path independence.
 Derived limits are cohomology of the cochain complex over strictly decreasing
 chains; the unreduced complex over weakly decreasing chains is kept as an
 independent route; derived colimits are homology of the chain complex
-with coefficients at the chain's first element.  These complexes and the
-ordered Cech complex of `cech` differ only in their cells and in the node
-whose value a cell carries; one face builder, `_cell_complex`, makes them all.
+with coefficients at the chain's first element.  These complexes, the
+ordered Cech complex of `cech` and the map whose kernel is the sections of
+the generated sheaf (a degree-0 differential over covers) differ only in
+their cells and in the node whose value a cell carries; one face builder,
+`_cell_complex`, makes them all.
 `cohomology_support` bounds the degrees a derived limit can carry from the
 homology of small link posets, without building the complex.
 """
@@ -267,12 +269,25 @@ def sheafify_value(F, subset):
 
     The value is the limit of the diagram restricted to the subset: the
     subgroup of the product of values whose coordinates agree along every
-    cover inside the subset.  Returned as the kernel's `HomologyData`: the
+    cover inside the subset.  That is H^0 of the restricted diagram, the
+    kernel of the degree-0 differential of `_cell_complex` on the cells (i,)
+    of the subset and the covers (low, high) inside it.  A cover carries the
+    value at low and has the faces (high,), with +F(high -> low), and (low,),
+    with minus the identity.  Returned as the kernel's `HomologyData`: the
     rows of `cycles` are the product's coordinates, element by element in
     index order, so an element's rows are its projection, well defined since
     the cycles send cone relations to block-diagonal ones.  Its relators,
     which become the node groups' relations and so reach printed maps, are
     the kernel of [cycles | relations] cut to its leading block.
+
+    >>> from posetcoh.groups import canonical_form
+    >>> from posetcoh.poset import parse_poset
+    >>> P = parse_poset({"elements": ["a", "b"], "relations": [["a", "b"]]})
+    >>> z = PresentedAbGroup.free(1)
+    >>> F = Diagram(P, [z, z], {(1, 0): GroupHom(z, z, IntMatrix.from_rows([[2]]))})
+    >>> sections = sheafify_value(F, [0, 1])
+    >>> sections.cycles.entries, canonical_form(sections.group).render()
+    (((2,), (1,)), 'Z')
     """
     mask = _mask(F.base, subset)
     if not mask:
@@ -281,17 +296,11 @@ def sheafify_value(F, subset):
     for i in indices:
         if F.base._down[i] & ~mask:
             raise DiagramError("subset is not downward closed at %s" % F.base.elements[i])
-    product = ProductGroup([F.value(i) for i in indices])
     # the subset is downward closed, so it holds a cover's low end with its high end
-    edges = [(j, i) for i, j in F.base.covers() if mask >> j & 1]
-    target = ProductGroup([F.value(b) for a, b in edges])
-    pos = {i: k for k, i in enumerate(indices)}
-    blocks = []
-    for k, (a, b) in enumerate(edges):
-        blocks.append((k, pos[a], 1, F.map(a, b).matrix))
-        blocks.append((k, pos[b], -1, None))
-    cycles = _cycles(product.hom_to(target, blocks))
-    relations = snf(cycles.hstack(product.group.relations)).kernel_basis(cycles.cols)
+    covers = [(low, high) for low, high in F.base.covers() if mask >> high & 1]
+    d0 = _cell_complex(F, [[(i,) for i in indices], covers], itemgetter(0)).diffs[0]
+    cycles = _cycles(d0)
+    relations = snf(cycles.hstack(d0.source.relations)).kernel_basis(cycles.cols)
     return HomologyData(PresentedAbGroup(cycles.cols, relations), cycles)
 
 

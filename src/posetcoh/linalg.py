@@ -129,15 +129,19 @@ class IntMatrix:
         )
 
     def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        m = self.rows
-        ops = [(m + i, i, 1) for i in range(m)]  # row i of `other` onto a copy of row i
-        lines = _replay([dict(line) for line in self.lines] + other.lines, ops)[:m]
-        return IntMatrix._trusted(m, self.cols, lines)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other, q):
+        """self + q * other: each row of `other` added onto a copy of the row of `self`."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in addition")
+        lines = [dict(line) for line in self.lines]
+        for line, other_line in zip(lines, other.lines):
+            _add(line, other_line, q)
+        return IntMatrix._trusted(self.rows, self.cols, lines)
 
     def __mul__(self, other):
         """Matrix product; `other` may also be a vector (sequence of ints).

@@ -18,8 +18,11 @@ intersection.
 `homology_by_stack` reads a relation lattice off one elimination of
 [cycles | d_in | R] instead of solving against the cycles, and
 `cell_complex_by_blocks` builds the chain-indexed complexes with one
-(row, column, sign, block) entry per face, written by
-`ProductGroup.hom_to`.
+(row, column, sign, block) entry per face, written by `hom_by_blocks`;
+`section_map_by_blocks` and `rho_by_blocks` write the generated sheaf's
+section maps and the comparison chain map ρ with it, one block per cover
+end or chain, where the package writes them through `_cell_complex` and
+straight into dict rows.
 The two censuses at the end are the exception: they enumerate the
 small posets independently, then run the package's own criterion and
 comparison, or its vanishing certificate, on each.  `main_by_full_parse`
@@ -35,12 +38,19 @@ import sys
 
 from posetcoh.cech import Presheaf, compare_report
 from posetcoh.cli import _attached_windows, build_parser
-from posetcoh.complexes import Complex, HomologyData, ProductGroup, _cycles, acyclicity_check
+from posetcoh.complexes import (
+    Complex,
+    ComplexError,
+    HomologyData,
+    ProductGroup,
+    _cycles,
+    acyclicity_check,
+)
 from posetcoh.cuts import criterion, enumerate_cuts
 from posetcoh.diagrams import Diagram, _cell_complex, cohomology_support, constant_diagram
 from posetcoh.groups import GroupHom, PresentedAbGroup
 from posetcoh.linalg import IntMatrix, snf
-from posetcoh.poset import IntersectionPoset, Poset, bounds, parse_poset
+from posetcoh.poset import IntersectionPoset, Poset, bounds, chains, parse_poset
 
 
 def brute_force_cuts(P):
@@ -698,10 +708,39 @@ def _faces(lower, upper, node):
             yield row, position[face], (-1) ** i, node(face), top
 
 
+def hom_by_blocks(source, target, blocks):
+    """The homomorphism between the products `source` and `target`,
+    assembled block by block.
+
+    `blocks` yields (row factor, column factor, sign, matrix): the block of
+    target factor `row` against source factor `col` gains sign times
+    matrix, or sign times the identity (of factors of one size) when matrix
+    is None.  Blocks at the same position add up, and an entry that cancels
+    is dropped.
+    """
+    lines = [{} for _ in range(target.group.generators)]
+    for row, col, sign, matrix in blocks:
+        row0, col0 = target.offsets[row], source.offsets[col]
+        rows, cols = target.factors[row].generators, source.factors[col].generators
+        shape = (rows, rows) if matrix is None else (matrix.rows, matrix.cols)
+        if shape != (rows, cols):
+            raise ComplexError("block of factors %d and %d has the wrong shape" % (row, col))
+        if matrix is None:
+            for i in range(rows):
+                line = lines[row0 + i]
+                line[col0 + i] = line.get(col0 + i, 0) + sign
+            continue
+        for i, entries in enumerate(matrix.lines):
+            line = lines[row0 + i]
+            for j, a in entries.items():
+                line[col0 + j] = line.get(col0 + j, 0) + sign * a
+    return source.hom_from_rows(target, lines)
+
+
 def cell_complex_by_blocks(F, cells, node, colimit=False, support=None):
     """`_cell_complex` with every face a (row, column, sign, block) entry
-    that `ProductGroup.hom_to` checks and writes, one per face, a block
-    for each cell however few generators its value has."""
+    that `hom_by_blocks` checks and writes, one per face, a block for each
+    cell however few generators its value has."""
     groups = [ProductGroup([F.value(node(c)) for c in level]) for level in cells]
     diffs = []
     for n in range(len(cells) - 1):
@@ -712,11 +751,44 @@ def cell_complex_by_blocks(F, cells, node, colimit=False, support=None):
             matrix = None if source == target else F.map(source, target).matrix
             blocks.append((row, col, sign, matrix))
         source, target = (groups[n + 1], groups[n]) if colimit else (groups[n], groups[n + 1])
-        diffs.append(source.hom_to(target, blocks))
+        diffs.append(hom_by_blocks(source, target, blocks))
     if colimit:
         groups.reverse()
         diffs.reverse()
     return Complex(groups, diffs, support)
+
+
+def section_map_by_blocks(F, subset):
+    """The map whose kernel `sheafify_value` takes over the downward closed
+    `subset` of element indices, one block per end of each cover inside it:
+    +F(high -> low) from high's factor and minus the identity from low's,
+    into the factor of the cover, which carries the value at low."""
+    members = sorted(subset)
+    product = ProductGroup([F.value(i) for i in members])
+    edges = [(high, low) for low, high in F.base.covers() if high in subset]
+    target = ProductGroup([F.value(low) for _, low in edges])
+    pos = {i: k for k, i in enumerate(members)}
+    blocks = []
+    for k, (high, low) in enumerate(edges):
+        blocks.append((k, pos[high], 1, F.map(high, low).matrix))
+        blocks.append((k, pos[low], -1, None))
+    return hom_by_blocks(product, target, blocks)
+
+
+def rho_by_blocks(presheaf):
+    """The degreewise maps of `Presheaf.comparison_chain_map`, one identity
+    block from the factor of each base chain's image under λ."""
+    source, target = presheaf.cech_complex(), presheaf.topos_complex()
+    lam = presheaf.intersection.lambda_map
+    maps = []
+    for n, src in enumerate(source.groups):
+        position = {c: k for k, c in enumerate(chains(presheaf.diagram.base, n))}
+        blocks = [
+            (row, position[tuple(lam[i] for i in chain)], 1, None)
+            for row, chain in enumerate(chains(presheaf.space, n))
+        ]
+        maps.append(hom_by_blocks(src, target.product(n), blocks))
+    return maps
 
 
 def _down_closed_subsets(down):

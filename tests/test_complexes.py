@@ -47,7 +47,7 @@ from posetcoh.poset import (
 )
 
 import builders
-from oracles import brute_force_homology, homology_by_stack
+from oracles import brute_force_homology, hom_by_blocks, homology_by_stack
 
 
 Z = PresentedAbGroup.free(1)
@@ -291,7 +291,7 @@ def test_product_blocks_must_fit_their_factors():
     # shape row factor x column factor; nothing spills into a neighbour
     one, two = ProductGroup([Z]), ProductGroup([Z, Z])
     plane = ProductGroup([PresentedAbGroup.free(2)])
-    assert one.hom_to(one, [(0, 0, -1, None)]).matrix.entries == ((-1,),)
+    assert hom_by_blocks(one, one, [(0, 0, -1, None)]).matrix.entries == ((-1,),)
     for source, target, block in (
         (one, plane, None),  # Z -> Z^2 ran past the last column
         (two, plane, None),  # Z + Z -> Z^2 wrote into the second factor
@@ -299,11 +299,9 @@ def test_product_blocks_must_fit_their_factors():
         (plane, one, IntMatrix.from_rows([[1]])),
     ):
         with pytest.raises(ComplexError, match="^block of factors 0 and 0 has the wrong shape$"):
-            source.hom_to(target, [(0, 0, 1, block)])
-    assert two.hom_to(plane, [(0, 1, 1, IntMatrix.from_rows([[1], [2]]))]).matrix.entries == (
-        (0, 1),
-        (0, 2),
-    )
+            hom_by_blocks(source, target, [(0, 0, 1, block)])
+    block = IntMatrix.from_rows([[1], [2]])
+    assert hom_by_blocks(two, plane, [(0, 1, 1, block)]).matrix.entries == ((0, 1), (0, 2))
 
 
 Z2 = PresentedAbGroup.free(2)
@@ -399,9 +397,9 @@ def assert_same_as_checked(M):
 def test_product_blocks_that_cancel_store_no_zero():
     one, two = ProductGroup([Z]), ProductGroup([Z, Z])
     block = IntMatrix.from_rows([[2]])
-    cancelled = one.hom_to(one, [(0, 0, 1, None), (0, 0, -1, None)]).matrix
+    cancelled = hom_by_blocks(one, one, [(0, 0, 1, None), (0, 0, -1, None)]).matrix
     assert cancelled == IntMatrix.zero(1, 1) and hash(cancelled) == hash(IntMatrix.zero(1, 1))
-    partly = two.hom_to(one, [(0, 0, 1, block), (0, 1, 3, None), (0, 0, -2, None)]).matrix
+    partly = hom_by_blocks(two, one, [(0, 0, 1, block), (0, 1, 3, None), (0, 0, -2, None)]).matrix
     assert partly == IntMatrix.from_rows([[0, 3]])
     assert_same_as_checked(partly)
     assert block == IntMatrix.from_rows([[2]])

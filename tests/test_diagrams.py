@@ -42,6 +42,8 @@ from oracles import (
     eager_composites,
     posets_up_to_isomorphism,
     random_diagram_by_leq,
+    rho_by_blocks,
+    section_map_by_blocks,
 )
 
 Z = PresentedAbGroup.free(1)
@@ -449,6 +451,40 @@ def test_differentials_match_the_block_builder(monkeypatch):
         assert new.support == old.support
         assert [g.group for g in new.groups] == [g.group for g in old.groups]
         assert [d.matrix for d in new.diffs] == [d.matrix for d in old.diffs]
+
+
+def test_section_maps_and_rho_match_the_block_builder(monkeypatch):
+    # the generated sheaf's section maps, degree-0 differentials of the face
+    # builder, and ρ, written row by row, against the maps the block writer
+    # builds from one (row, column, sign, block) entry per cover end or chain
+    kernels = []
+    cycles = diagrams._cycles
+
+    def recorded(d):
+        kernels.append(d)
+        return cycles(d)
+
+    def parts(homs):
+        return [(h.source, h.target, h.matrix) for h in homs]
+
+    monkeypatch.setattr(diagrams, "_cycles", recorded)
+    posets = [P for n in range(1, 6) for P in posets_up_to_isomorphism(n)]
+    posets += [build() for build in builders.BUILT]
+    sections = rhos = 0
+    for P in posets:
+        I = IntersectionPoset(P)
+        presheaves = [random_presheaf(I, seed) for seed in (0, 1)]
+        for seed in range(3):
+            F = random_diagram(P, seed)
+            kernels.clear()
+            presheaves.append(sheaf_presheaf(F))
+            assert parts(kernels) == parts(section_map_by_blocks(F, node) for node in I.nodes)
+            sections += len(kernels)
+        for ps in presheaves:
+            maps = ps.comparison_chain_map().maps
+            assert parts(maps) == parts(rho_by_blocks(ps))
+            rhos += len(maps)
+    assert (sections, rhos) == (1866, 1420)
 
 
 def test_full_complex_matches_reduced_on_samples():

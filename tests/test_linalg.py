@@ -326,6 +326,31 @@ def test_derived_operations_match_naive_reference():
             assert A * vector == tuple(r[0] for r in naive_product(a, [[v] for v in vector], 1))
 
 
+def test_sum_and_difference_copy_only_the_left_rows():
+    # each row of the right operand is added onto a copy of the left one's:
+    # the entries are those of the entrywise sum or difference, no entry that
+    # cancels is stored, and neither operand changes
+    rng = random.Random(151)
+    for trial in range(2000):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        a = sparse_random_rows(rng, m, n)
+        b = rng.choice([a, [[-x for x in r] for r in a], sparse_random_rows(rng, m, n)])
+        A, B = IntMatrix(m, n, a), IntMatrix(m, n, b)
+        if m > 1 and rng.random() < 0.3:
+            B = B.take_rows([0] * m)  # every row one shared dict
+            b = [b[0]] * m
+        before = [[dict(line) for line in X.lines] for X in (A, B)]
+        for total, sign in ((A + B, 1), (A - B, -1)):
+            expected = [[x + sign * y for x, y in zip(r, s)] for r, s in zip(a, b)]
+            assert_same_matrix(total, m, n, expected)
+            assert all(all(line.values()) for line in total.lines), trial
+            assert all(line is not other for line in total.lines for other in A.lines + B.lines)
+        assert [X.lines for X in (A, B)] == before, trial
+    for combine in (IntMatrix.__add__, IntMatrix.__sub__):
+        with pytest.raises(ValueError, match="^shape mismatch in addition$"):
+            combine(IntMatrix.zero(2, 1), IntMatrix.zero(1, 2))
+
+
 def sparse_columns(M):
     return [{i: M[i, j] for i in range(M.rows) if M[i, j]} for j in range(M.cols)]
 
