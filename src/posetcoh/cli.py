@@ -341,7 +341,7 @@ def cmd_fuzz(args):
             # outside both supports a degree maps 0 to 0, an isomorphism
             support = cohomology_support(intersection.poset, ps.diagram.values)
             support |= cohomology_support(P, ps.pulled_diagram().values)
-            outcome = compare_report(ps, [n for n in range(cohomology_top(ps) + 1) if n in support])
+            outcome = compare_report(ps, sorted(support))
             if outcome.all_iso:
                 continue
             # the first violation is the one reported, so the run stops there

@@ -146,9 +146,9 @@ class IntMatrix:
     def __mul__(self, other):
         """Matrix product; `other` may also be a vector (sequence of ints).
 
-        Each nonzero entry of a row of `self` adds one scaled row of
-        `other`, so zero entries on either side cost nothing, and the
-        entries that cancel are dropped.
+        Each nonzero entry a in column k of a row of `self` adds a times
+        row k of `other` (`_add`), so zero entries on either side cost
+        nothing, and the entries that cancel are dropped.
         """
         if isinstance(other, IntMatrix):
             if other.rows != self.cols:
@@ -158,9 +158,8 @@ class IntMatrix:
             for line in self.lines:
                 acc = {}
                 for k, a in line.items():
-                    for j, b in right[k].items():
-                        acc[j] = acc.get(j, 0) + a * b
-                lines.append({j: c for j, c in acc.items() if c})
+                    _add(acc, right[k], a)
+                lines.append(acc)
             return IntMatrix._trusted(self.rows, other.cols, lines)
         return self.apply(other)
 
@@ -227,9 +226,10 @@ class SmithDecomposition:
     nonzero diagonal entries are the invariant factors of M.  The decomposition
     also answers lattice questions: it is the single factored object reused
     for `contains`, `solve` and `kernel_basis`.  U and V are kept as the
-    logged row and column operations of the elimination, replayed on copies
-    of the rows of each operand; U and V themselves are built when read.
-    M itself is not kept: D has its shape, and M keeps the decomposition.
+    row and column logs of the elimination, both as `_replay` runs them: U
+    is the row log run forward, V the column log last operation first, on
+    copies of the rows of each operand; U and V themselves are built when
+    read.  M is not kept: D has its shape, and M keeps the decomposition.
     """
 
     __slots__ = ("D", "rank", "_row_ops", "_col_ops", "_U", "_V")
@@ -253,12 +253,9 @@ class SmithDecomposition:
     def V(self):
         if self._V is None:
             n = self.D.cols
-            self._V = IntMatrix._trusted(n, n, self._replay_columns([{i: 1} for i in range(n)]))
+            identity = [{i: 1} for i in range(n)]
+            self._V = IntMatrix._trusted(n, n, _replay(identity, reversed(self._col_ops)))
         return self._V
-
-    def _replay_columns(self, rows):
-        """V * rows: the column log last first; (src, dst, q) adds q times row dst to row src."""
-        return _replay(rows, [(d, s, q) for s, d, q in reversed(self._col_ops)])
 
     def invariant_factors(self):
         return tuple(self.D.lines[i][i] for i in range(self.rank))
@@ -295,7 +292,7 @@ class SmithDecomposition:
         Y = self._quotient(b)
         if Y is None:
             return None
-        lines = self._replay_columns(Y + [{} for _ in range(n - self.rank)])
+        lines = _replay(Y + [{} for _ in range(n - self.rank)], reversed(self._col_ops))
         X = IntMatrix._trusted(n, b.cols, lines)
         return X.column(0) if vector else X
 
@@ -304,24 +301,22 @@ class SmithDecomposition:
         columns past the rank, or only the leading `rows` rows of that.
 
         A whole basis K = V[:, r:] arrives with its Smith decomposition, so
-        `snf(K)` never eliminates it.  V⁻¹ K = [0; I_k]: the column log,
-        replayed forward as row operations, inverts V, and the swaps
-        (i, r + i) then lift I_k to the top, leaving D = [I_k; 0] and no
-        column operation.  K has full column rank, so every `solve`
-        against it has one answer, the one an elimination of K would give.
+        `snf(K)` never eliminates it.  V⁻¹ K = [0; I_k]: the column log run
+        forward with negated multipliers inverts V, and the swaps (i, r + i, 0)
+        (none of them moves a row when r = 0) lift I_k to the top, leaving
+        D = [I_k; 0] and no column operation.  K has full column rank, so
+        every `solve` against it has the one answer an elimination of K gives.
         """
         n, r = self.D.cols, self.rank
         rows = n if rows is None else rows
         if type(rows) is not int or not 0 <= rows <= n:
             raise ValueError("kernel rows %r outside 0..%d" % (rows, n))
         k = n - r
-        lines = self._replay_columns([{} for _ in range(r)] + [{i: 1} for i in range(k)])
+        lines = _replay([{} for _ in range(r)] + [{i: 1} for i in range(k)], reversed(self._col_ops))
         K = IntMatrix._trusted(rows, k, lines[:rows])
         if rows == n:
-            inverse = [(d, s, -q) if q else (s, d, 0) for s, d, q in self._col_ops]
-            # with r == 0 there is nothing to lift, and `_replay` reads (i, i, 0)
-            # as a negation
-            lift = [(i, r + i, 0) for i in range(k)] if r else []
+            inverse = [(s, d, -q) for s, d, q in self._col_ops]
+            lift = [(i, r + i, 0) for i in range(k)]
             top = IntMatrix._trusted(n, k, [{i: 1} for i in range(k)] + [{}] * r)
             K._smith = SmithDecomposition(top, k, inverse + lift, [])
         return K
@@ -331,21 +326,22 @@ def _replay(rows, ops):
     """The dict rows `rows`, {column: nonzero}, after the row operations `ops`.
 
     (src, dst, q) adds q times row src to row dst (`_add`); q == 0 swaps the
-    two rows instead, and (t, t, -1) negates row t.
+    two rows instead, so (t, t, 0) does nothing, and (t, t, -1) negates row t.
     """
     for src, dst, q in ops:
-        if src == dst:
-            rows[dst] = {j: -a for j, a in rows[dst].items()}
-        elif q:
-            _add(rows[dst], rows[src], q)
-        else:
+        if not q:
             rows[src], rows[dst] = rows[dst], rows[src]
+        elif src == dst:
+            rows[dst] = {j: -a for j, a in rows[dst].items()}
+        else:
+            _add(rows[dst], rows[src], q)
     return rows
 
 
 def _add(row, other, q):
     """Add q != 0 times the dict row `other` to the dict row `row` in place,
-    dropping the entries that cancel: the one row operation of `linalg`."""
+    dropping the entries that cancel: the one row operation of `linalg`, run
+    by the elimination, every replay, the matrix product, sum and difference."""
     for j, a in other.items():
         c = row.get(j, 0) + q * a
         if c:
@@ -377,8 +373,8 @@ def _eliminate(M):
     in practice.  Before a pivot is accepted, it is made to divide every
     remaining entry of the working submatrix, so the divisibility chain on
     the diagonal holds by construction.  Only M is eliminated; each row and
-    column operation is logged, and U and V are replayed from the logs when
-    first read.
+    column operation is logged as the row operation that `_replay` runs
+    for it, and U and V are replayed from the logs when first read.
 
     The work runs on copies of M's dict rows and follows the live block: a
     row that a pivot search found empty is never visited again, a column
@@ -392,6 +388,8 @@ def _eliminate(M):
         return SmithDecomposition(IntMatrix.zero(m, n), 0, [], [])
     A = [dict(line) for line in M.lines]
     row_ops = []  # (src, dst, q) as `_replay` reads them
+    # column j += q * column t is logged (j, t, q): V on the left of a matrix
+    # runs it as row t += q * row j, last operation first
     col_ops = []
 
     def find_pivot():
@@ -428,7 +426,7 @@ def _eliminate(M):
                     row[k] = a
                 if b:
                     row[t] = b
-        col_ops.append((t, k, 0))
+        col_ops.append((k, t, 0))
 
     # the rows from the pivot down that no pivot search found empty; the
     # pivot row leaves once it is chosen
@@ -472,7 +470,7 @@ def _eliminate(M):
                 q = At[j] // p
                 if q:
                     At[j] -= q * p
-                    col_ops.append((t, j, -q))
+                    col_ops.append((j, t, -q))
                 if At[j]:
                     swap_cols(t, j)
                     restart = True

@@ -249,6 +249,22 @@ def compare_diagrams(write):
     return comparisons(write, small_posets(), diagram_document)
 
 
+@census("cech-topos", (405, 12960), "49130d14ddfd1d1604c59631e1665e811c3e2fec73debc01357e119f7ac200a9", stderr=True)
+def cech_topos(write):
+    """`cech` and `topos`, plain, --json, --degrees 0..7 and --oracle --json,
+    on the presheaf and the diagram document of seeds 0 and 1 over each P.
+    Recorded while the Smith elimination logged its column operations in
+    elimination order and each replay re-encoded them."""
+    for P in small_posets():
+        poset_path = write("p.json", serialize_poset(P))
+        for sheaf in (presheaf_document, diagram_document):
+            for seed in (0, 1):
+                sheaf_path = write("s.json", sheaf(P, seed))
+                for command in ("cech", "topos"):
+                    for flags in ([], ["--json"], ["--degrees", "0..7"], ["--oracle", "--json"]):
+                        yield [command, poset_path, sheaf_path, *flags]
+
+
 def main(argv):
     if argv[:1] in (["--documents"], ["--diagram-documents"]):
         n, density, seed, poset_path, *sheaf = argv[1:]

@@ -12,6 +12,7 @@ from posetcoh import cech, cli, complexes, diagrams
 from posetcoh.cech import random_presheaf
 from posetcoh.cli import build_parser, main
 from posetcoh.complexes import order_complex_homology
+from posetcoh.diagrams import cohomology_support
 from posetcoh.documents import load_presheaf, render_group, render_presheaf
 from posetcoh.groups import CanonicalGroup
 from posetcoh.poset import IntersectionPoset, chains, core, parse_poset, random_poset, serialize_poset
@@ -573,11 +574,14 @@ def test_fuzz_violation_writes_a_reloadable_bundle(capsys, monkeypatch, tmp_path
 
 
 def test_fuzz_compares_only_draws_with_a_non_principal_intersection(capsys, monkeypatch):
-    calls = []
+    calls, passed = [], []
     real = cli.compare_report
 
     def counting(ps, degrees):
         calls.append(len(ps.intersection.nodes) > len(ps.space))
+        support = cohomology_support(ps.intersection.poset, ps.diagram.values)
+        support |= cohomology_support(ps.space, ps.pulled_diagram().values)
+        passed.append((degrees, sorted(support)))
         return real(ps, degrees)
 
     monkeypatch.setattr(cli, "compare_report", counting)
@@ -588,6 +592,8 @@ def test_fuzz_compares_only_draws_with_a_non_principal_intersection(capsys, monk
     )
     # two of the 25 PASS posets have a non-principal intersection
     assert calls == [True] * 10
+    # every degree of either support is compared, and no other
+    assert all(degrees == support for degrees, support in passed)
 
 
 def test_parser_is_built_once_and_shared_by_later_calls(write, capsys):

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from posetcoh.diagrams import full_complex_truncated, random_diagram
-from posetcoh.linalg import IntMatrix, SmithDecomposition, rank_and_torsion, snf
+from posetcoh.linalg import IntMatrix, SmithDecomposition, _replay, rank_and_torsion, snf
 from posetcoh.poset import parse_poset
 
 from oracles import (
@@ -126,8 +126,9 @@ def test_kernel_rows_must_be_an_int():
 
 def _kernel_sources(rng):
     """Matrices whose whole kernels are checked: 0 x n, m x 0, zero ones
-    (rank 0), invertible ones (full rank, kernel 0 x 0 past the shape) and
-    random ones of each shape."""
+    (rank 0), invertible ones (full rank, kernel 0 x 0 past the shape),
+    random ones of each shape, and every zero m x n with m <= 3 and
+    1 <= n <= 4, whose kernels' lift swaps are the identities (i, i, 0)."""
     for n in range(5):
         yield IntMatrix.zero(0, n)
         yield IntMatrix.zero(n, 0)
@@ -137,6 +138,9 @@ def _kernel_sources(rng):
     yield IntMatrix.from_rows([[1, 2, 3], [0, 0, 0], [2, 4, 7]])
     for _ in range(150):
         yield IntMatrix(*random_shape_rows(rng))
+    for m in range(4):
+        for n in range(1, 5):
+            yield IntMatrix.zero(m, n)
 
 
 def test_a_whole_kernel_basis_carries_its_smith_decomposition(monkeypatch):
@@ -173,6 +177,12 @@ def test_a_whole_kernel_basis_carries_its_smith_decomposition(monkeypatch):
                 missed += 1
             assert dec.kernel_basis() == fresh.kernel_basis(), trial
     assert kernels > 300 and missed > 20, (kernels, missed)
+
+
+def test_replay_swaps_before_it_negates():
+    # (t, t, 0) swaps a row with itself, and only (t, t, q) with q != 0 negates
+    ops = [(0, 0, 0), (1, 1, -1), (0, 1, 0)]
+    assert _replay([{0: 1}, {1: 2}], ops) == [{1: -2}, {0: 1}]
 
 
 def test_a_cut_kernel_basis_carries_no_decomposition():
