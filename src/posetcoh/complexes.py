@@ -232,58 +232,40 @@ def simplicial_homology(chain_sets, n):
     """H_n of the chain complex of free groups on strict chains.
 
     `chain_sets` lists the chains of an order complex by degree; boundaries
-    are alternating sums of face deletions.  Each call reduces the boundaries
-    afresh; `order_complex_homology` reads many degrees from one reduction.
+    are alternating sums of face deletions.  Each call sweeps from degree 0
+    up to n afresh, and a degree outside the list is 0;
+    `order_complex_homology` reads every degree from one sweep.
     """
-    return order_complex_homology(chain_sets.__getitem__, len(chain_sets) - 1)(n)
-
-
-def _boundary_columns(lower, upper):
-    """The boundary from the chains `upper` to their faces `lower`, as sparse columns.
-
-    Column k is {face index: sign} for the k-th chain of `upper`; the faces of
-    a strict chain are distinct, so every entry is +1 or -1.
-    """
-    below = {chain: k for k, chain in enumerate(lower)}
-    return [
-        {below[chain[:i] + chain[i + 1 :]]: (-1) ** i for i in range(len(chain))}
-        for chain in upper
-    ]
+    for degree, group in order_complex_homology(chain_sets.__getitem__, len(chain_sets) - 1):
+        if degree == n:
+            return group
+    return CanonicalGroup(0)
 
 
 def order_complex_homology(chain_set, top):
-    """H_n as a function of n, reducing each boundary at most once.
+    """Yield (n, H_n) for n = 0, ..., top, reducing each boundary once.
 
-    `chain_set(k)` gives the chains of degree k, for 0 <= k <= top; it is
-    called at most once per degree, on first use.  With c_n chains in degree
-    n, H_n = Z^(c_n - rk d_n - rk d_(n+1)) plus the torsion of d_(n+1), the
-    boundary into degree n; boundaries are reduced on first use, so a caller
-    that stops early never enumerates or builds the higher ones.
+    `chain_set(k)` gives the chains of degree k, for 0 <= k <= top; the sweep
+    calls it once per degree, when it reaches that degree.  With c_n chains
+    in degree n, H_n = Z^(c_n - rk d_n - rk d_(n+1)) plus the torsion of
+    d_(n+1), the boundary into degree n: column k of it is {face index:
+    sign} for the k-th chain of degree n + 1, and the faces of a strict chain
+    are distinct, so every entry is +1 or -1.  Yielding H_n needs the chains
+    of degree n + 1 and no more, so a caller that stops early never
+    enumerates or reduces the higher ones.
     """
-    sets = {}
-    reduced = {}
-
-    def at(k):
-        if k not in sets:
-            sets[k] = chain_set(k)
-        return sets[k]
-
-    def boundary(k):
-        if k not in reduced:
-            if k == 0 or k > top:
-                reduced[k] = (0, ())
-            else:
-                reduced[k] = rank_and_torsion(_boundary_columns(at(k - 1), at(k)))
-        return reduced[k]
-
-    def homology(n):
-        if n < 0 or n > top or len(at(n)) == 0:
-            return CanonicalGroup(0)
-        rank_out = boundary(n)[0]
-        rank_in, torsion = boundary(n + 1)
-        return CanonicalGroup(len(at(n)) - rank_out - rank_in, torsion)
-
-    return homology
+    lower = chain_set(0) if top >= 0 else ()
+    rank_out = 0
+    for n in range(top + 1):
+        upper = chain_set(n + 1) if n < top else ()
+        below = {chain: k for k, chain in enumerate(lower)}
+        columns = [
+            {below[chain[:i] + chain[i + 1 :]]: (-1) ** i for i in range(len(chain))}
+            for chain in upper
+        ]
+        rank_in, torsion = rank_and_torsion(columns) if columns else (0, ())
+        yield n, CanonicalGroup(len(lower) - rank_out - rank_in, torsion)
+        lower, rank_out = upper, rank_in
 
 
 class AcyclicityVerdict:
@@ -321,9 +303,10 @@ def subposet_homology(poset, members=None):
     its components are counted: a beat point's neighbours stay joined
     through its one cover, so removing it keeps every component.  A core
     with one point per component has nothing above degree 0; a larger one is
-    built as a poset when it leaves out some element, and swept from degree 1
-    up to its height, each degree's chains enumerated and each boundary
-    reduced on first use, so a caller that stops early builds no more.
+    built as a poset when it leaves out some element, and swept up to its
+    height by `order_complex_homology`, whose nonzero degrees n >= 1 are
+    passed on as the sweep reaches them, so a caller that stops early
+    enumerates and reduces no more.
     """
     mask = _mask(poset, members)
     if not mask:
@@ -339,11 +322,8 @@ def subposet_homology(poset, members=None):
         return
     if size < len(poset.elements):
         poset = induced_subposet(poset, kept)
-    height = poset.height()
-    homology = order_complex_homology(lambda k: chains(poset, k), height)
-    for n in range(1, height + 1):
-        group = homology(n)
-        if not group.is_trivial():
+    for n, group in order_complex_homology(lambda k: chains(poset, k), poset.height()):
+        if n and not group.is_trivial():
             yield n, group
 
 

@@ -11,6 +11,8 @@ are used throughout; there is no floating point anywhere in this package.
 
 from __future__ import annotations
 
+import heapq
+
 
 class IntMatrix:
     """An immutable integer matrix stored as one dict {column: nonzero} per row.
@@ -502,10 +504,12 @@ def rank_and_torsion(columns):
 
     Each column is a dict {row: nonzero int}.  Pivots equal to +1 or -1 are
     eliminated first: the pivot row is one with the fewest nonzeros among
-    rows holding a unit, so the column updates (and their fill-in) stay
-    small.  A unit pivot splits off an invariant factor 1 without changing
-    the others, so the rest, once no unit entry is left (usually nothing),
-    goes transposed to `snf` for its factors.  No transforms are kept.
+    rows holding a unit, taken off a heap of (count, row), and the pivot
+    column is the shortest column with a unit there, so the column updates
+    (and their fill-in) stay small.  A unit pivot splits off an invariant
+    factor 1 without changing the others, so the rest, once no unit entry is
+    left (usually nothing), goes transposed to `snf` for its factors.  No
+    transforms are kept.
 
     >>> rank_and_torsion([{0: 2, 1: 1}, {0: 4, 1: 2}])
     (1, ())
@@ -518,17 +522,12 @@ def rank_and_torsion(columns):
         for i in col:
             row_cols.setdefault(i, set()).add(k)
     # rows by nonzero count; an entry goes stale when its row changes and is
-    # filed again under its new count
-    waiting = [[] for _ in range(len(cols) + 1)]
-    for i, ks in row_cols.items():
-        waiting[len(ks)].append(i)
-    count = 1
+    # pushed again with its new count
+    heap = [(len(ks), i) for i, ks in row_cols.items()]
+    heapq.heapify(heap)
     rank = 0
-    while count < len(waiting):
-        if not waiting[count]:
-            count += 1
-            continue
-        r = waiting[count].pop()
+    while heap:
+        count, r = heapq.heappop(heap)
         ks = row_cols.get(r)
         if ks is None or len(ks) != count:
             continue
@@ -563,8 +562,7 @@ def rank_and_torsion(columns):
             ks_i = row_cols[i]
             ks_i.discard(c)
             if ks_i:
-                waiting[len(ks_i)].append(i)
-                count = min(count, len(ks_i))
+                heapq.heappush(heap, (len(ks_i), i))
             else:
                 del row_cols[i]
     residual = [c for c in cols if c]

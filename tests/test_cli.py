@@ -476,8 +476,7 @@ def test_homology_command_matches_the_whole_order_complex(write, capsys):
     for P in posets:
         path = write("p.json", serialize_poset(P))
         height = P.height()
-        homology = order_complex_homology(lambda k: chains(P, k), height)
-        expected = [(n, homology(n)) for n in range(height + 1)]
+        expected = list(order_complex_homology(lambda k: chains(P, k), height))
         code, out, _ = run(capsys, "homology", path)
         assert (code, out) == (0, "".join("H_%d = %s\n" % (n, g.render()) for n, g in expected)), P
         code, out, _ = run(capsys, "homology", path, "--json")
@@ -521,6 +520,10 @@ def test_fuzz_command(write, capsys):
     assert payload["violations"] == 0
     assert payload["posets"] == 6
     assert payload["comparisons"] == 2 * payload["criterion_passes"]
+    # two of these draws fail the criterion and are skipped
+    code, out, _ = run(capsys, "fuzz", "--count", "20", "--seed", "2", "--max-elements", "8",
+                       "--presheaves", "2", "--json")
+    assert (code, out) == (0, '{"comparisons":36,"criterion_passes":18,"posets":20,"violations":0}\n')
     code, out, _ = run(capsys, "fuzz", "--count", "3", "--seed", "2",
                        "--max-elements", "4", "--presheaves", "1")
     assert code == 0
@@ -930,6 +933,7 @@ MALFORMED_FILES = {
     "not-utf8": b"\xff{}",
     "too-many-digits": b"[" + b"1" * 5000 + b"]",
     "nested-too-deep": b"[" * 200_000 + b"]" * 200_000,
+    "truncated": b'{"elements": [',
 }
 
 

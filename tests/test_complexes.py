@@ -94,6 +94,10 @@ def test_homology_of_sphere_order_complex():
     assert simplicial_homology(K, 0) == CanonicalGroup(1)
     assert simplicial_homology(K, 1) == CanonicalGroup(0)
     assert simplicial_homology(K, 2) == CanonicalGroup(1)
+    # a degree outside the list, and any degree of the empty list, is 0
+    for n in (-1, len(K), 10):
+        assert simplicial_homology(K, n) == CanonicalGroup(0), n
+    assert simplicial_homology([], 0) == CanonicalGroup(0)
 
 
 def test_homology_of_projective_plane_has_torsion():

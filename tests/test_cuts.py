@@ -258,9 +258,7 @@ def full_sweep(P, cut):
     """(acyclic, first failing degree, group) over every chain of the upper
     section, with no core and no shortcut."""
     Q = induced_subposet(P, cut.upper)
-    homology = order_complex_homology(lambda k: chains(Q, k), Q.height())
-    for n in range(Q.height() + 1):
-        h = homology(n)
+    for n, h in order_complex_homology(lambda k: chains(Q, k), Q.height()):
         if h != (CanonicalGroup(1) if n == 0 else CanonicalGroup(0)):
             return False, n, h
     return True, None, None
@@ -356,9 +354,7 @@ def swept_on_the_built_core(P, members):
     if len(parts) > 1:
         return False, 0, CanonicalGroup(len(parts)), "components"
     Q = induced_subposet(P, core(P, members))
-    homology = order_complex_homology(lambda k: chains(Q, k), Q.height())
-    for n in range(Q.height() + 1):
-        h = homology(n)
+    for n, h in order_complex_homology(lambda k: chains(Q, k), Q.height()):
         if h != (CanonicalGroup(1) if n == 0 else CanonicalGroup(0)):
             return False, n, h, "homology"
     return True, None, None, "homology"
