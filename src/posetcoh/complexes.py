@@ -149,11 +149,9 @@ class HomologyData:
     def coordinates(self, cycles):
         """Express middle-group cycles on homology generators.
 
-        `cycles` is a vector, or a matrix whose columns are all solved in one
-        pass; a matrix without columns needs no decomposition.
+        `cycles` is a vector, or a matrix whose columns are all solved
+        in one pass.
         """
-        if isinstance(cycles, IntMatrix) and cycles.cols == 0:
-            return IntMatrix.zero(self.cycles.cols, 0)
         y = snf(self.cycles).solve(cycles)
         if y is None:
             raise ComplexError("vector is not a cycle of this homology computation")
@@ -177,15 +175,14 @@ def homology_at(d_in, d_out):
 def _homology(d_in, d_out, where="the middle group"):
     """`homology_at` for differentials already known to compose to zero: with
     the cycle matrix Z, H = Z^k / Z⁻¹(B + R), and Z⁻¹(B + R) is ker Z joined
-    with the lifts of B + R, so one decomposition of Z answers both."""
+    with the lifts of B + R, so one decomposition of Z answers both.  When Z
+    is injective its kernel basis has no columns, and the join is the lifts."""
     cycles = _cycles(d_out)
     dec = snf(cycles)
     relations = dec.solve(d_in.matrix.hstack(d_out.source.relations))
     if relations is None:
         raise ComplexError("boundaries or relations at %s are not cycles" % where)
-    if dec.rank < cycles.cols:
-        relations = relations.hstack(dec.kernel_basis())
-    return HomologyData(PresentedAbGroup(cycles.cols, relations), cycles)
+    return HomologyData(PresentedAbGroup(cycles.cols, relations.hstack(dec.kernel_basis())), cycles)
 
 
 def _cycles(d_out):

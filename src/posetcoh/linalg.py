@@ -372,9 +372,11 @@ def snf(M):
 def _eliminate(M):
     """The Smith decomposition of M.  Row and column eliminations use a
     pivot of minimal absolute value, which keeps intermediate entries small
-    in practice.  Before a pivot is accepted, it is made to divide every
-    remaining entry of the working submatrix, so the divisibility chain on
-    the diagonal holds by construction.  Only M is eliminated; each row and
+    in practice.  Each pivot step clears column t, then row t, and goes
+    round again in three ways: a remainder left in column t or in row t
+    becomes the new pivot, and a live row with an entry the pivot does not
+    divide is added to row t, so the divisibility chain on the diagonal
+    holds by construction.  Only M is eliminated; each row and
     column operation is logged as the row operation that `_replay` runs
     for it, and U and V are replayed from the logs when first read.
 
@@ -386,15 +388,29 @@ def _eliminate(M):
     full dense sweep.
     """
     m, n = M.rows, M.cols
-    if not m or not n:
-        return SmithDecomposition(IntMatrix.zero(m, n), 0, [], [])
     A = [dict(line) for line in M.lines]
     row_ops = []  # (src, dst, q) as `_replay` reads them
     # column j += q * column t is logged (j, t, q): V on the left of a matrix
     # runs it as row t += q * row j, last operation first
     col_ops = []
 
-    def find_pivot():
+    def swap_cols(t, k):
+        # above t a row is zero outside its own pivot column
+        for i in (t, *live):
+            row = A[i]
+            if t in row or k in row:
+                a, b = row.pop(t, 0), row.pop(k, 0)
+                if a:
+                    row[k] = a
+                if b:
+                    row[t] = b
+        col_ops.append((k, t, 0))
+
+    # the rows from the pivot down that no pivot search found empty; the
+    # pivot row leaves once it is chosen
+    live = list(range(m))
+    t = 0  # the pivots so far, and at the end the rank
+    while t < min(m, n):
         # The first entry of least absolute value, row by row (a tie in a
         # dict row goes to the lower column), so the first row with a unit
         # settles it.  An empty row leaves `live`: no row operation or swap
@@ -416,26 +432,6 @@ def _eliminate(M):
                 break
         for i in empty:
             live.remove(i)
-        return where
-
-    def swap_cols(t, k):
-        # above t a row is zero outside its own pivot column
-        for i in (t, *live):
-            row = A[i]
-            if t in row or k in row:
-                a, b = row.pop(t, 0), row.pop(k, 0)
-                if a:
-                    row[k] = a
-                if b:
-                    row[t] = b
-        col_ops.append((k, t, 0))
-
-    # the rows from the pivot down that no pivot search found empty; the
-    # pivot row leaves once it is chosen
-    live = list(range(m))
-    t = 0  # the pivots so far, and at the end the rank
-    while t < min(m, n):
-        where = find_pivot()
         if where is None:
             break
         i0, j0 = where
@@ -451,7 +447,6 @@ def _eliminate(M):
             # becomes the new, strictly smaller pivot, so this terminates.
             At = A[t]
             p = At[t]
-            restart = False
             for i in live:
                 Ai = A[i]
                 if t in Ai:
@@ -462,33 +457,29 @@ def _eliminate(M):
                     if t in Ai:
                         A[t], A[i] = Ai, At
                         row_ops.append((t, i, 0))
-                        restart = True
                         break
-            if restart:
-                continue
-            # column t is now zero off the diagonal, so subtracting it from
-            # column j changes A[t][j] alone; row t holds t and columns past it
-            for j in sorted(At)[1:]:
-                q = At[j] // p
-                if q:
-                    At[j] -= q * p
-                    col_ops.append((j, t, -q))
-                if At[j]:
-                    swap_cols(t, j)
-                    restart = True
-                    break
-                del At[j]
-            if restart:
-                continue
-            # pivot must divide the rest of the submatrix, the live rows past
-            # column t, before we move on; a unit divides everything
-            if p == 1 or p == -1:
-                break
-            offender = next((i for i in live if any(a % p for a in A[i].values())), None)
-            if offender is None:
-                break
-            _add(At, A[offender], 1)
-            row_ops.append((offender, t, 1))
+            else:
+                # column t is now zero off the diagonal, so subtracting it from
+                # column j changes A[t][j] alone; row t holds t and columns past it
+                for j in sorted(At)[1:]:
+                    q = At[j] // p
+                    if q:
+                        At[j] -= q * p
+                        col_ops.append((j, t, -q))
+                    if At[j]:
+                        swap_cols(t, j)
+                        break
+                    del At[j]
+                else:
+                    # pivot must divide the rest of the submatrix, the live rows
+                    # past column t, before we move on; a unit divides everything
+                    if p == 1 or p == -1:
+                        break
+                    offender = next((i for i in live if any(a % p for a in A[i].values())), None)
+                    if offender is None:
+                        break
+                    _add(At, A[offender], 1)
+                    row_ops.append((offender, t, 1))
         if At[t] < 0:
             # the passes above left row t zero outside column t
             At[t] = -At[t]

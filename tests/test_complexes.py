@@ -180,6 +180,7 @@ def test_homology_without_boundaries_or_relations_never_eliminates_its_cycles(mo
         y = IntMatrix.from_rows([[1, 0], [2, 1]])
         assert h.coordinates(h.cycles * y) == y
         assert h.coordinates(h.cycles.column(1)) == (0, 1)
+        assert h.coordinates(IntMatrix.zero(3, 0)) == IntMatrix.zero(2, 0)
         assert len(eliminated) == 1, d_in
         assert sum(M is h.cycles for M in eliminated) == 0, d_in
 

@@ -56,7 +56,12 @@ def test_canonical_group_validation_and_render():
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             PresentedAbGroup.from_invariants(rank, [2])
     assert CanonicalGroup(2.0) == CanonicalGroup(2)
+    assert hash(CanonicalGroup(2.0)) == hash(CanonicalGroup(2))
     assert PresentedAbGroup.from_invariants(2.0, [2]) == PresentedAbGroup.from_invariants(2, [2])
+    assert hash(PresentedAbGroup.from_invariants(2.0, [2])) == hash(PresentedAbGroup.from_invariants(2, [2]))
+    # a group given no relators equals one given a relator matrix without columns
+    assert PresentedAbGroup(2) == PresentedAbGroup(2, IntMatrix.zero(2, 0))
+    assert hash(PresentedAbGroup(2)) == hash(PresentedAbGroup(2, IntMatrix.zero(2, 0)))
     # a torsion order that is a bool, not an integer or below 2 is refused
     for order, message in (
         (0, "torsion order must be at least 2: 0"),
@@ -70,6 +75,7 @@ def test_canonical_group_validation_and_render():
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             PresentedAbGroup.from_invariants(0, [order])
     assert PresentedAbGroup.from_invariants(0, [2.0]) == PresentedAbGroup.from_invariants(0, [2])
+    assert hash(PresentedAbGroup.from_invariants(0, [2.0])) == hash(PresentedAbGroup.from_invariants(0, [2]))
 
 
 def test_hom_well_defined():

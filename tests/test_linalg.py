@@ -511,11 +511,17 @@ def test_snf_repeats_the_eager_elimination_exactly():
         seen["zero later"] += M.rows - zero_rows > dec.rank
         seen["restart past a zero row"] += zero_rows > 0 and restarts(dec._row_ops) + restarts(dec._col_ops) > 0
     assert min(seen.values()) >= 10, seen
+    # each way the elimination loop goes round again, and the empty shapes
+    ways = {"row remainder": 0, "column remainder": 0, "divisibility fix": 0, "empty shape": 0}
     draw = random.Random(103)
     sparse = (0,) * 6 + (-2, -1, 1, 3)
     for M in matrices:
         U, D, V = eager_snf(M)
         dec = snf(M)
+        ways["row remainder"] += restarts(dec._row_ops) > 0
+        ways["column remainder"] += restarts(dec._col_ops) > 0
+        ways["divisibility fix"] += any(src > dst and q for src, dst, q in dec._row_ops)
+        ways["empty shape"] += not M.rows or not M.cols
         assert (dec.U, dec.D, dec.V) == (U, D, V), M
         assert dec.U is dec.U and dec.V is dec.V
         free = [j for j in range(M.cols) if j >= min(M.rows, M.cols) or D[j, j] == 0]
@@ -539,6 +545,7 @@ def test_snf_repeats_the_eager_elimination_exactly():
             b = B.column(j)
             X = solve_by(U, D, V, IntMatrix(M.rows, 1, [[a] for a in b]))
             assert snf(M).solve(b) == (None if X is None else X.column(0))
+    assert min(ways.values()) >= 10, ways
 
 
 def test_transforms_applied_from_the_logs_match_explicit_products():
